@@ -44,11 +44,6 @@ class SubcriticalRouteError(WrongCaseError):
     the single-leader profile route."""
 
 
-class UnsupportedCombinationError(SpdeCutoffError):
-    """Exact formulas unavailable for this (noise, p) combination; use the
-    sampling estimators instead."""
-
-
 class DegenerateNoiseError(SpdeCutoffError):
     """Noise parameters are internally inconsistent (e.g. compensation
     requested with no jump marks, or negative intensities)."""

@@ -65,8 +65,6 @@ class NoiseSpec:
                 raise DegenerateNoiseError("jump mark length must match mode count")
         if self.gaussian_q is None and not self.jumps:
             raise DegenerateNoiseError("noise spec has neither Gaussian nor jump part")
-        if self.compensated and self.gaussian_q is None and not self.jumps:
-            raise DegenerateNoiseError("nothing to compensate")
 
     @property
     def total_rate(self) -> float:

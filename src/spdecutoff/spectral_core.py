@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +171,6 @@ class ModeCoefficients:
 
     def nonzero_indices(self) -> np.ndarray:
         return np.flatnonzero(self.values)
-
-    def __add__(self, other: "ModeCoefficients") -> "ModeCoefficients":
-        return ModeCoefficients(self.system, self.values + other.values)
 
     def scaled(self, c: float) -> "ModeCoefficients":
         return ModeCoefficients(self.system, c * self.values)
@@ -396,13 +393,3 @@ def wave_decompose(spectrum: WaveSpectrum, position, velocity) -> WaveState:
     omega = spectrum.omega_osc()
     b = (w[no:] - np.conj(omega) * u[no:]) / (omega - np.conj(omega))
     return WaveState(spectrum=spectrum, a_slow=a_slow, a_fast=a_fast, b=b)
-
-
-def wave_state_from_coefficients(
-    spectrum: WaveSpectrum, position: ModeCoefficients, velocity: ModeCoefficients
-) -> WaveState:
-    if position.system is not spectrum.system and not np.array_equal(
-        position.system.lambdas, spectrum.system.lambdas
-    ):
-        raise InvalidDomainError("position coefficients use a different eigensystem")
-    return wave_decompose(spectrum, position.values, velocity.values)

@@ -165,23 +165,61 @@ def homogeneity_check(
     p: float,
     n: int,
     rng: np.random.Generator,
-    reps: int = 20,
 ) -> dict:
-    """Monte-Carlo check that scaling both marginals by c scales W_p by
-    |c| (p >= 1) or |c|^p (p < 1)."""
-    base = np.empty(reps)
-    scaled = np.empty(reps)
-    for r in range(reps):
-        xs = law_sampler(n, rng)
-        ys = law_sampler(n, rng) + 1.0  # separate the marginals
-        base[r] = wp_empirical_1d(xs, ys, p)
-        scaled[r] = wp_empirical_1d(c * xs, c * ys, p)
+    """Deterministic check that scaling both marginals by c scales the
+    sorted W_p estimate by factor = |c| (p >= 1) or |c|^p (p < 1).
+
+    One sample pair x, y (y shifted by 1 to separate the marginals) is drawn
+    from ``rng``.  In exact arithmetic the sorted estimator is exactly
+    homogeneous, so ``scaled - factor * base`` is pure rounding error, and
+    the check compares it with an a-priori bound on that error.  Below,
+    u = 2^-53 is the unit roundoff and x_i, y_i are the sorted samples,
+    which the scaled estimate pairs the same way (rounding is monotone).
+
+      * Per pair, the computed |fl(c x_i) - fl(c y_i)| and |c| times the
+        computed |fl(x_i - y_i)| differ by at most
+        delta_i = 3 u |c| (|x_i| + |y_i|): u |c| (|x_i| + |y_i|) from
+        rounding c x_i and c y_i, and as much again from each subtraction.
+      * p >= 1: by Minkowski's inequality the normalised p-norms
+        (mean d_i^p)^(1/p) of the two difference vectors differ by at most
+        (mean delta_i^p)^(1/p).
+      * p < 1: ||a|^p - |b|^p| <= |a - b|^p, so the two means of d_i^p
+        differ by at most mean(delta_i^p).
+      * Evaluation.  NumPy's pairwise summation (blocks of at most 128
+        summed by eight accumulators, halved recursively above that)
+        rounds each term at most ceil(log2 n) + 17 times.  With the power
+        of each term and the outer root (each within one ulp, 2u) and the
+        division by n, an estimate carries relative error at most
+        (ceil(log2 n) + 22) u; factor * base adds the power in the factor
+        and the product, so (ceil(log2 n) + 25) u covers both sides.
+
+    ``budget`` is the sum of these terms, enlarged by the factor
+    1 + 2^-40, which covers the second-order terms in u and the rounding of
+    the budget's own evaluation.  ``pass`` is |scaled - factor * base| <=
+    budget.  A wrong factor (|c| instead of |c|^p at p < 1, say) is off by
+    O(1) and fails by many orders of magnitude.
+    """
+    xs = law_sampler(n, rng)
+    ys = law_sampler(n, rng) + 1.0  # separate the marginals
+    base = wp_empirical_1d(xs, ys, p)
+    scaled = wp_empirical_1d(c * xs, c * ys, p)
     factor = abs(c) ** concentration_exponent(p)
+    u = 2.0 ** -53
+    delta = 3.0 * u * abs(c) * (np.abs(np.sort(xs)) + np.abs(np.sort(ys)))
+    if p >= 1.0:
+        pairwise = float(np.mean(delta ** p) ** (1.0 / p))
+    else:
+        pairwise = float(np.mean(delta ** p))
+    ceil_log2_n = (n - 1).bit_length()
+    evaluation = (ceil_log2_n + 25) * u * (scaled + factor * base)
+    budget = (1.0 + 2.0 ** -40) * (pairwise + evaluation)
     diff = scaled - factor * base
-    est = float(np.mean(diff))
-    se = float(np.std(diff, ddof=1) / math.sqrt(reps))
-    ok = abs(est) <= 4.0 * max(se, 1e-300)
-    return {"estimate": est, "se": se, "factor": factor, "pass": bool(ok)}
+    return {
+        "estimate": diff,
+        "budget": budget,
+        "factor": factor,
+        "pass": bool(abs(diff) <= budget),
+    }
 
 
 def ergodic_bound(

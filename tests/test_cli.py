@@ -30,6 +30,27 @@ def heat_cfg(**over):
     return cfg
 
 
+WAVE_WINDOW_CFG = {
+    "schema_version": 1,
+    "dims": [[math.pi, 5]],
+    "gamma": 1.0,
+    "initial": {"position": [1.0, 0.5, 0.2], "velocity": [0.0, 0.1, 0.0]},
+    "noise": {"gaussian_q": "inverse-square"},
+    "eps_grid": [1e-4, 1e-8],
+    "rho_grid": [-2.0, 0.0, 2.0],
+}
+
+MULT_CFG = {
+    "schema_version": 1,
+    "lambdas": [1.0, 4.0, 9.0],
+    "initial": [0.0, 1.0, 0.5],
+    "g": [[0.5, 1.0, 0.2]],
+    "eps_grid": [1e-2, 1e-3, 1e-4],
+    "rho_grid": [1.0],
+    "schedule": "eps",
+}
+
+
 class TestConfigValidation:
     def test_missing_field_pointer(self, tmp_path):
         path = write_cfg(tmp_path, "a.json", {"schema_version": 1})
@@ -70,6 +91,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             run_heat_profile(load_config(path), 0, 1)
         assert "/initial/1" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "command, cfg, pointer",
+        [
+            ("wave-window", WAVE_WINDOW_CFG | {"p": 1.0}, "/p"),
+            ("heat-profile", heat_cfg(dims=[["a", 3]]), "/dims/0/0"),
+            ("heat-profile", heat_cfg(dims=[[1.0, 2.5]]), "/dims/0/1"),
+            ("mult-profile", MULT_CFG | {"g": [[0.5, 0.2, 0.1], [0.1]]}, "/g/1"),
+        ],
+        ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g"],
+    )
+    def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
+                                                   command, cfg, pointer):
+        path = write_cfg(tmp_path, "bad.json", cfg)
+        rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {pointer}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRuns:
@@ -127,31 +166,13 @@ class TestRuns:
         assert all(line.startswith("wave-overdamped,") for line in lines[1:])
 
     def test_wave_window_run(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "dims": [[math.pi, 5]],
-            "gamma": 1.0,
-            "initial": {"position": [1.0, 0.5, 0.2], "velocity": [0.0, 0.1, 0.0]},
-            "noise": {"gaussian_q": "inverse-square"},
-            "eps_grid": [1e-4, 1e-8],
-            "rho_grid": [-2.0, 0.0, 2.0],
-        }
-        cfg_path = write_cfg(tmp_path, "ww.json", cfg)
+        cfg_path = write_cfg(tmp_path, "ww.json", WAVE_WINDOW_CFG)
         out = tmp_path / "wwout"
         rc = main(["wave-window", "--config", cfg_path, "--out", str(out)])
         assert rc == 0
 
     def test_mult_profile_run(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "lambdas": [1.0, 4.0, 9.0],
-            "initial": [0.0, 1.0, 0.5],
-            "g": [[0.5, 1.0, 0.2]],
-            "eps_grid": [1e-2, 1e-3, 1e-4],
-            "rho_grid": [1.0],
-            "schedule": "eps",
-        }
-        cfg_path = write_cfg(tmp_path, "m.json", cfg)
+        cfg_path = write_cfg(tmp_path, "m.json", MULT_CFG)
         out = tmp_path / "mout"
         rc = main(["mult-profile", "--config", cfg_path, "--out", str(out)])
         assert rc == 0

@@ -313,3 +313,78 @@ class TestDecayConstants:
             norm_t = math.sqrt(float(np.sum((1 + lam) * ut**2 + wt**2)))
             norm_0 = math.sqrt(float(np.sum((1 + lam) * u**2 + w**2)))
             assert norm_t <= c * math.exp(-rate * t) * norm_0 * (1 + 1e-9)
+
+
+def matrix_propagator(t, lam, gamma):
+    """Reference for wave_mode_propagator: the closed form in 2x2 NumPy
+    matrix arithmetic."""
+    g2 = gamma * gamma
+    A = mode_block(lam, gamma)
+    I = np.eye(2)
+    if g2 > 4.0 * lam:
+        s = math.sqrt(g2 - 4.0 * lam) / 2.0
+        rp = -0.5 * gamma + s
+        rm = -0.5 * gamma - s
+        return (math.exp(rp * t) * (A - rm * I) - math.exp(rm * t) * (A - rp * I)) / (rp - rm)
+    theta = math.sqrt(4.0 * lam - g2) / 2.0
+    damp = math.exp(-0.5 * gamma * t)
+    return damp * (math.cos(theta * t) * I + math.sin(theta * t) / theta * (A + 0.5 * gamma * I))
+
+
+def decay_constant_loop(sp, horizon_factor=20.0, grid_points=2000):
+    """Reference for the wave branch of decay_constants: one scalar
+    propagator and one 2x2 SVD per (time, mode) pair."""
+    if sp.n_over > 0:
+        rate = -float(sp.root_slow[0])
+    else:
+        rate = 0.5 * sp.gamma
+    lam = sp.system.lambdas
+    scale = np.sqrt(1.0 + lam)
+    ts = np.linspace(0.0, horizon_factor / rate, grid_points)
+    c_best = 1.0
+    for t in ts:
+        worst = 0.0
+        for lk, sk in zip(lam, scale):
+            P = wave_mode_propagator(float(t), float(lk), sp.gamma)
+            M = np.array(
+                [
+                    [P[0, 0], P[0, 1] / sk],
+                    [P[1, 0] * sk, P[1, 1]],
+                ]
+            )
+            worst = max(worst, float(np.linalg.norm(M, 2)))
+        c_best = max(c_best, math.exp(rate * t) * worst)
+    return float(c_best), rate
+
+
+class TestStackedDecayConstants:
+    # The large spectra use a coarser grid only to keep the reference loop
+    # quick; every mode still takes the stacked-norm path.
+    @pytest.mark.parametrize(
+        "dims, gamma, grid_points",
+        [
+            ([(1.0, 11)], 10.0, 2000),
+            ([(1.0, 21)], 10.0, 500),
+            ([(1.0, 101)], 10.0, 100),
+            ([(math.pi, 201)], 1.0, 50),
+            ([(2.0, 30)], 3.0, 300),
+            ([(1.0, 50)], 25.0, 200),
+        ],
+    )
+    def test_matches_loop_bit_for_bit(self, dims, gamma, grid_points):
+        sp = wave_spectrum(gamma, build_box_eigensystem(dims))
+        c, rate = decay_constants("wave", wave_spec=sp, grid_points=grid_points)
+        c_ref, rate_ref = decay_constant_loop(sp, grid_points=grid_points)
+        assert (float.hex(c), float.hex(rate)) == (float.hex(c_ref), float.hex(rate_ref))
+
+    @pytest.mark.parametrize(
+        "lam, gamma",
+        [(2.0, 3.0), (math.pi ** 2, 10.0), (4.0 * math.pi ** 2, 10.0), (1.0, 1.0),
+         (9.0, 0.1)],
+    )
+    def test_propagator_equals_matrix_form(self, lam, gamma):
+        ts = np.linspace(0.0, 40.0, 397).tolist() + [1e-300, 0.1, 123.456]
+        got = np.array([wave_mode_propagator(t, lam, gamma) for t in ts])
+        ref = np.array([matrix_propagator(t, lam, gamma) for t in ts])
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # signed zeros too

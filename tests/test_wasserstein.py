@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import norm
 
@@ -22,6 +23,7 @@ from spdecutoff import (
     wp_empirical_1d,
     ergodic_bound,
 )
+from spdecutoff import wasserstein
 from spdecutoff.errors import InvalidDomainError
 from spdecutoff.wasserstein import concentration_exponent, min_exponent
 
@@ -172,6 +174,28 @@ class TestShiftAndHomogeneity:
             res = homogeneity_check(3.0, lambda n, r: r.standard_normal(n),
                                     p, 30_000, stream(23, int(p * 2)))
             assert res["pass"]
+            assert abs(res["estimate"]) <= res["budget"]
+            assert res["factor"] == pytest.approx(3.0 ** min(1.0, p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        n=st.integers(1, 400),
+        p=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+        c=st.sampled_from([3.0, -3.0, 0.1, 7.5e3]),
+    )
+    def test_homogeneity_passes_for_every_seed(self, seed, n, p, c):
+        res = homogeneity_check(c, lambda k, r: r.standard_normal(k),
+                                p, n, stream(seed, 8, 0))
+        assert res["pass"], res
+
+    def test_homogeneity_catches_a_wrong_factor(self, monkeypatch):
+        # |c| in place of |c|^p at p = 1/2: off by O(1), far above the budget
+        monkeypatch.setattr(wasserstein, "concentration_exponent", lambda p: 1.0)
+        res = homogeneity_check(3.0, lambda k, r: r.standard_normal(k),
+                                0.5, 2000, stream(23, 1))
+        assert not res["pass"]
+        assert abs(res["estimate"]) > 1e6 * res["budget"]
 
     def test_translation_invariance(self):
         rng = stream(24, 0)
