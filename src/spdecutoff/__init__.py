@@ -34,7 +34,6 @@ from .noise_sim import (
     sample_wave_gaussian_convolution,
     sample_heat_levy_convolution,
     heat_levy_second_moment,
-    log_moment_check,
 )
 from .wasserstein import (
     w2_diag_gaussian,

@@ -12,14 +12,14 @@ Subcommands map one-to-one onto the experiment families:
     selftest          fast deterministic invariant sweep
 
 Every run is driven by a JSON config (--config), an optional master seed
-override (--seed), an output directory (--out), and a worker count
-(--threads).  Outputs are a CSV in the fixed schema plus a JSON sidecar;
-reruns with identical config and seed are byte-identical.
+override (--seed) and an output directory (--out); --threads is accepted
+for compatibility and ignored, every run is serial.  Outputs are a CSV in
+the fixed schema plus a JSON sidecar; reruns with identical config and seed
+are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -210,16 +210,6 @@ def _eps_grid(cfg: dict) -> list[float]:
     return grid
 
 
-def _ordered_map(fn, items, threads: int):
-    """Apply fn over items, preserving order; thread pool when threads > 1.
-    Each item carries everything it needs, so scheduling cannot change the
-    result."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 # --------------------------------------------------------------------------
 # Experiment drivers
 # --------------------------------------------------------------------------
@@ -247,18 +237,15 @@ def run_heat_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
         "error_bound_variant": variant,
     }
 
-    def cell(args):
-        rho, eps = args
-        t = heat_cutoff_time(eps, leading) + rho
-        dist = renormalized_distance_heat(t, h, eps, spec)
-        prof = heat_profile(rho, leading, p)
-        bound = heat_error_bound(rho, eps, leading, c_star, rate, moment, h.norm, variant)
-        return rho, eps, dist, prof, bound
-
-    cells = [(rho, eps) for rho in rho_grid for eps in eps_grid]
-    for rho, eps, dist, prof, bound in _ordered_map(cell, cells, threads):
-        report.add("heat-additive", p, eps, rho, dist, prof, bound,
-                   abs(dist - prof) <= bound)
+    for rho in rho_grid:
+        for eps in eps_grid:
+            t = heat_cutoff_time(eps, leading) + rho
+            dist = renormalized_distance_heat(t, h, eps, spec)
+            prof = heat_profile(rho, leading, p)
+            bound = heat_error_bound(rho, eps, leading, c_star, rate, moment, h.norm,
+                                     variant)
+            report.add("heat-additive", p, eps, rho, dist, prof, bound,
+                       abs(dist - prof) <= bound)
     delta_grid = _float_list(cfg, "delta_grid", "", required=False)
     if delta_grid:
         for row in simple_cutoff_scan(delta_grid, eps_grid, h, spec):
@@ -300,18 +287,14 @@ def run_wave_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
         "leader_case": leader.case,
     }
 
-    def cell(args):
-        rho, eps = args
-        t = wave_cutoff_time(eps, leader=leader) + rho
-        dist = renormalized_distance_wave(t, z, eps, spec)
-        prof = wave_profile_overdamped(rho, leader, p)
-        bound = wave_error_bound(rho, eps, leader, c_star, rate, moment)
-        return rho, eps, dist, prof, bound
-
-    cells = [(rho, eps) for rho in rho_grid for eps in eps_grid]
-    for rho, eps, dist, prof, bound in _ordered_map(cell, cells, threads):
-        report.add("wave-overdamped", p, eps, rho, dist, prof, bound,
-                   abs(dist - prof) <= bound)
+    for rho in rho_grid:
+        for eps in eps_grid:
+            t = wave_cutoff_time(eps, leader=leader) + rho
+            dist = renormalized_distance_wave(t, z, eps, spec)
+            prof = wave_profile_overdamped(rho, leader, p)
+            bound = wave_error_bound(rho, eps, leader, c_star, rate, moment)
+            report.add("wave-overdamped", p, eps, rho, dist, prof, bound,
+                       abs(dist - prof) <= bound)
     return report
 
 
@@ -351,6 +334,15 @@ def run_mult_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
     p = 2.0
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)
+    if kind == "brownian":
+        g = _float_rows(cfg, "g", "")
+        case = "mult-brownian"
+    elif kind == "levy":
+        marks = _levy_marks(cfg)
+        eta = _get(cfg, "eta", float, "", default=0.05, required=False)
+        case = "mult-levy"
+    else:
+        raise ConfigError("/noise_kind", f"unknown noise kind {kind!r}")
     report.meta = {
         "experiment": "mult-profile",
         "schema_version": SCHEMA_VERSION,
@@ -361,16 +353,9 @@ def run_mult_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
     }
     for rho in rho_grid:
         if kind == "brownian":
-            g = _float_rows(cfg, "g", "")
             rows = mult_profile(rho, h, g, eps_grid, schedule)
-            case = "mult-brownian"
-        elif kind == "levy":
-            marks = _levy_marks(cfg)
-            eta = _get(cfg, "eta", float, "", default=0.05, required=False)
-            rows = levy_mult_profile(rho, h, marks, eta, eps_grid, schedule)
-            case = "mult-levy"
         else:
-            raise ConfigError("/noise_kind", f"unknown noise kind {kind!r}")
+            rows = levy_mult_profile(rho, h, marks, eta, eps_grid, schedule)
         # certificate constant fixed at the coarsest grid point
         k0 = rows[0]["rate_ratio"]
         for row in rows:
@@ -425,6 +410,8 @@ def run_levy_check(cfg: dict, seed: int, threads: int) -> CutoffReport:
 def run_wasserstein_test(cfg: dict, seed: int, threads: int) -> CutoffReport:
     u = _get(cfg, "u", float, "", default=2.0, required=False)
     n = _get(cfg, "n", int, "", default=100_000, required=False)
+    if n < 2:
+        raise ConfigError("/n", f"need at least 2 samples, got {n}")
     p_list = _float_list(cfg, "p_grid", "", required=False, default=[2.0, 0.5])
     report = CutoffReport()
     report.meta = {
@@ -515,7 +502,8 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None,
                         help="override master_seed from the config")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; runs are serial")
 
     st = sub.add_parser("selftest")
     st.add_argument("--seed", type=int, default=0)
@@ -537,7 +525,7 @@ def main(argv=None) -> int:
         seed = args.seed
         if seed is None:
             seed = _get(cfg, "master_seed", int, "", default=0, required=False)
-        report = _RUNNERS[args.command](cfg, seed, max(1, args.threads))
+        report = _RUNNERS[args.command](cfg, seed, args.threads)
         os.makedirs(args.out, exist_ok=True)
         base = os.path.join(args.out, args.command.replace("-", "_"))
         report.write(base + ".csv", base + ".json")

@@ -38,7 +38,7 @@ from .spectral_core import (
     WaveState,
     heat_leading_data,
 )
-from .wasserstein import w2_diag_gaussian, w2_gaussian_2x2, w2_product
+from .wasserstein import _w2_diag_sd, w2_diag_gaussian, w2_gaussian_2x2, w2_product
 
 
 def _check_eps(eps: float) -> float:
@@ -80,8 +80,9 @@ def renormalized_distance_heat(
         raise InvalidTimeError(f"time must be >= 0, got {t}")
     mean = heat_apply(t, h, log_scale=-math.log(eps)).values
     v_t = heat_gaussian_convolution_law(t, spec)
-    v_inf = heat_gaussian_convolution_law(math.inf, spec)
-    return w2_diag_gaussian(mean, v_t, np.zeros_like(mean), v_inf)
+    if np.any(v_t < 0):
+        raise InvalidDomainError("variances must be >= 0")
+    return _w2_diag_sd(mean, np.sqrt(v_t), spec.heat_equilibrium_sd)
 
 
 def heat_noise_gap(t: float, spec: NoiseSpec) -> float:

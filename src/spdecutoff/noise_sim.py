@@ -13,12 +13,13 @@ for the remaining time, and subtract the deterministic compensator.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNoiseError, InvalidTimeError
+from .errors import DegenerateNoiseError, InvalidDomainError, InvalidTimeError
 from .spectral_core import EigenSystem, ModeCoefficients, WaveSpectrum
 from .semigroup import wave_mode_propagator
 
@@ -73,6 +74,15 @@ class NoiseSpec:
     def trace(self) -> float:
         """Total Gaussian intensity; finite by construction (finite modes)."""
         return 0.0 if self.gaussian_q is None else float(np.sum(self.gaussian_q))
+
+    @functools.cached_property
+    def heat_equilibrium_sd(self) -> np.ndarray:
+        """Per-mode standard deviations sqrt(q_k / (2 lambda_k)) of the heat
+        equilibrium law, computed once per spec."""
+        v_inf = heat_gaussian_convolution_law(math.inf, self)
+        if np.any(v_inf < 0):
+            raise InvalidDomainError("variances must be >= 0")
+        return np.sqrt(v_inf)
 
 
 def _check_time_maybe_inf(t: float) -> float:
@@ -218,15 +228,3 @@ def heat_levy_second_moment(t: float, spec: NoiseSpec) -> np.ndarray:
     for m in spec.jumps:
         out += m.rate * m.values ** 2
     return out * shape
-
-
-def log_moment_check(spec: NoiseSpec) -> tuple[bool, float]:
-    """Finite log-moment of the big jumps: for finitely many marks the
-    integral of log|mark| over {|mark| > 1} is a finite sum, so the check
-    always passes; the value is returned for reporting."""
-    total = 0.0
-    for m in spec.jumps:
-        nrm = float(np.linalg.norm(m.values))
-        if nrm > 1.0:
-            total += m.rate * math.log(nrm)
-    return True, total

@@ -16,7 +16,6 @@ module can act diagonally.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -122,13 +121,15 @@ def build_box_eigensystem(dims) -> EigenSystem:
         if m < 1:
             raise InvalidDomainError(f"mode count must be >= 1, got {m}")
     coeffs = [(math.pi / L) ** 2 for L, _ in dims]
-    entries = []
-    for multi in itertools.product(*(range(1, m + 1) for _, m in dims)):
-        terms = sorted(k * k * c for k, c in zip(multi, coeffs))
-        entries.append((math.fsum(terms), multi))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    lam = np.array([e[0] for e in entries])
-    idx = tuple(e[1] for e in entries)
+    # axes[i][j] is k_i of the j-th multi-index in lexicographic order, so a
+    # stable sort by eigenvalue breaks ties by multi-index
+    grids = np.meshgrid(*(np.arange(1, m + 1) for _, m in dims), indexing="ij")
+    axes = [g.ravel() for g in grids]
+    terms = [((k * k).astype(float) * c).tolist() for k, c in zip(axes, coeffs)]
+    lam = np.fromiter(map(math.fsum, zip(*terms)), float, axes[0].size)
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    idx = tuple(zip(*(k[order].tolist() for k in axes)))
     return EigenSystem(dims=dims, lambdas=lam, index_map=idx)
 
 

@@ -42,9 +42,13 @@ def w2_diag_gaussian(mean1, var1, mean2, var2) -> float:
     v2 = np.asarray(var2, dtype=float)
     if np.any(v1 < 0) or np.any(v2 < 0):
         raise InvalidDomainError("variances must be >= 0")
-    return float(
-        np.sqrt(np.sum((m1 - m2) ** 2) + np.sum((np.sqrt(v1) - np.sqrt(v2)) ** 2))
-    )
+    return _w2_diag_sd(m1 - m2, np.sqrt(v1), np.sqrt(v2))
+
+
+def _w2_diag_sd(mean_diff, sd1, sd2) -> float:
+    """The arithmetic of :func:`w2_diag_gaussian` on validated arrays of
+    mean differences and standard deviations."""
+    return float(np.sqrt(np.sum(mean_diff ** 2) + np.sum((sd1 - sd2) ** 2)))
 
 
 def _bures_trace_2x2(c1: np.ndarray, c2: np.ndarray) -> float:

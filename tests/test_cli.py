@@ -50,6 +50,8 @@ MULT_CFG = {
     "schedule": "eps",
 }
 
+WASSERSTEIN_CFG = {"schema_version": 1, "p_grid": [2.0]}
+
 
 class TestConfigValidation:
     def test_missing_field_pointer(self, tmp_path):
@@ -99,8 +101,18 @@ class TestConfigValidation:
             ("heat-profile", heat_cfg(dims=[["a", 3]]), "/dims/0/0"),
             ("heat-profile", heat_cfg(dims=[[1.0, 2.5]]), "/dims/0/1"),
             ("mult-profile", MULT_CFG | {"g": [[0.5, 0.2, 0.1], [0.1]]}, "/g/1"),
+            ("mult-profile", MULT_CFG | {"noise_kind": "gamma", "rho_grid": []},
+             "/noise_kind"),
+            ("mult-profile", {k: v for k, v in MULT_CFG.items() if k != "g"}
+             | {"rho_grid": []}, "/g"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"n": -5}, "/n"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"n": 0}, "/n"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"n": 1}, "/n"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"n": 2.5}, "/n"),
         ],
-        ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g"],
+        ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g",
+             "mult-kind-no-rho", "mult-no-g-no-rho",
+             "wass-n-negative", "wass-n-zero", "wass-n-one", "wass-n-fraction"],
     )
     def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
                                                    command, cfg, pointer):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdecutoff import (
     CutoffReport,
@@ -13,7 +14,9 @@ from spdecutoff import (
     build_box_eigensystem,
     cutoff_inequality_gap,
     decay_constants,
+    heat_apply,
     heat_cutoff_time,
+    heat_gaussian_convolution_law,
     heat_error_bound,
     heat_leading_data,
     heat_profile,
@@ -29,6 +32,7 @@ from spdecutoff import (
     wave_profile_overdamped,
     wave_spectrum,
     wave_window_diagnostics,
+    w2_diag_gaussian,
 )
 from spdecutoff.cutoff import gaussian_abs_moment_surrogate, heat_noise_gap
 from spdecutoff.errors import InvalidDomainError, WrongCaseError
@@ -92,6 +96,24 @@ class TestRenormalizedDistanceHeat:
         _, h, spec = heat_setup()
         d = renormalized_distance_heat(5000.0, h, 0.5, spec)
         assert d == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(0.0, 300.0), log10_eps=st.floats(-150.0, -0.01),
+           seed=st.integers(0, 2**16))
+    def test_equals_w2_diag_gaussian_to_the_bit(self, t, log10_eps, seed):
+        # the equilibrium standard deviations cached on the spec must give
+        # the same float as the public W2 routine on freshly computed laws
+        system = build_box_eigensystem([(math.pi, 5), (1.3 * math.pi, 4)])
+        rng = np.random.default_rng(seed)
+        h = ModeCoefficients(system, rng.normal(size=system.n_modes))
+        spec = NoiseSpec(system=system, gaussian_q=rng.uniform(0.0, 2.0, system.n_modes))
+        eps = 10.0 ** log10_eps
+        mean = heat_apply(t, h, log_scale=-math.log(eps)).values
+        v_t = heat_gaussian_convolution_law(t, spec)
+        v_inf = heat_gaussian_convolution_law(math.inf, spec)
+        expect = w2_diag_gaussian(mean, v_t, np.zeros_like(mean), v_inf)
+        assert renormalized_distance_heat(t, h, eps, spec).hex() == expect.hex()
+        assert spec.heat_equilibrium_sd.tobytes() == np.sqrt(v_inf).tobytes()
 
     def test_underflow_safe_tiny_eps(self):
         _, h, spec = heat_setup()

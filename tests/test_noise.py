@@ -18,7 +18,6 @@ from spdecutoff import (
     build_box_eigensystem,
     heat_gaussian_convolution_law,
     heat_levy_second_moment,
-    log_moment_check,
     sample_heat_gaussian_convolution,
     sample_heat_levy_convolution,
     sample_wave_gaussian_convolution,
@@ -208,14 +207,6 @@ class TestLevyConvolution:
                   for r in range(4000)]
         mean = np.mean(counts)
         assert abs(mean - 10.0) <= 4.0 * math.sqrt(10.0 / 4000)
-
-    def test_log_moment(self):
-        spec = self.make(mark=(3.0, 4.0), rate=2.0)  # |mark| = 5 > 1
-        ok, val = log_moment_check(spec)
-        assert ok and val == pytest.approx(2.0 * math.log(5.0), rel=1e-13)
-        small = self.make(mark=(0.1, 0.1), rate=2.0)
-        ok, val = log_moment_check(small)
-        assert ok and val == 0.0
 
 
 class TestSpecValidation:

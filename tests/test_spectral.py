@@ -4,10 +4,12 @@ Eigenvalues are cross-checked against a finite-difference discretization of
 the interval Laplacian, wave roots against numpy's polynomial root finder,
 and modal splits against dense 2x2 linear solves.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from spdecutoff import (
@@ -93,6 +95,57 @@ class TestBoxSpectrum:
         assert np.array_equal(back.lambdas, system.lambdas)
         assert back.index_map == system.index_map
         assert back.dims == system.dims
+
+
+def box_eigensystem_loop(dims):
+    """Reference build: one Python tuple per mode, each eigenvalue the fsum
+    of its sorted terms, then a (lambda, multi-index) tuple sort."""
+    coeffs = [(math.pi / L) ** 2 for L, _ in dims]
+    entries = []
+    for multi in itertools.product(*(range(1, m + 1) for _, m in dims)):
+        terms = sorted(k * k * c for k, c in zip(multi, coeffs))
+        entries.append((math.fsum(terms), multi))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return np.array([e[0] for e in entries]), tuple(e[1] for e in entries)
+
+
+def assert_matches_loop(dims):
+    system = build_box_eigensystem(dims)
+    lam, idx = box_eigensystem_loop(dims)
+    assert system.lambdas.tobytes() == lam.tobytes()
+    assert system.index_map == idx
+
+
+@st.composite
+def boxes(draw):
+    """1-4 axes with 1-12 modes each; sides equal, integer multiples of one
+    base length, or independent, so that exact ties occur."""
+    d = draw(st.integers(1, 4))
+    modes = draw(st.lists(st.integers(1, 12), min_size=d, max_size=d))
+    base = draw(st.sampled_from([1.0, math.pi, 0.7, 2.5]))
+    kind = draw(st.sampled_from(["equal", "ratio", "random"]))
+    if kind == "equal":
+        sides = [base] * d
+    elif kind == "ratio":
+        sides = [base * r for r in draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))]
+    else:
+        sides = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+    return list(zip(sides, modes))
+
+
+class TestVectorisedBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(boxes())
+    def test_matches_loop(self, dims):
+        assert_matches_loop(dims)
+
+    def test_matches_loop_on_tied_cube(self):
+        dims = [(math.pi, 6)] * 3
+        assert_matches_loop(dims)
+        assert any(len(g) > 1 for g in build_box_eigensystem(dims).tie_groups())
+
+    def test_matches_loop_on_3d_benchmark_box(self):
+        assert_matches_loop([(math.pi, 30), (1.1 * math.pi, 30), (1.3 * math.pi, 30)])
 
 
 class TestEigenfunctions:
