@@ -63,13 +63,10 @@ from .cutoff import (
 from .multiplicative import (
     MultBrownianSpec,
     MultLevySpec,
-    LevyMark,
     mult_brownian_flow_sample,
     mult_second_moment_exact,
     mult_profile,
     levy_stochexp_sample,
     levy_flow_oracle,
-    levy_second_moment_exact,
-    levy_mult_profile,
 )
 from ._rng import stream

@@ -20,6 +20,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +30,13 @@ import numpy as np
 
 from . import __version__
 from ._rng import stream
-from .errors import ConfigError, SpdeCutoffError
+from .errors import (
+    ConfigError,
+    DegenerateNoiseError,
+    InvalidDomainError,
+    MarkOutOfRangeError,
+    SpdeCutoffError,
+)
 from .spectral_core import (
     EigenSystem,
     ModeCoefficients,
@@ -39,7 +46,7 @@ from .spectral_core import (
     wave_spectrum,
 )
 from .semigroup import decay_constants, wave_overdamped_leader
-from .noise_sim import NoiseSpec
+from .noise_sim import JumpMark, NoiseSpec, wave_gaussian_convolution_law
 from .wasserstein import homogeneity_check, shift_linearity_check
 from .cutoff import (
     CutoffReport,
@@ -56,14 +63,13 @@ from .cutoff import (
     wave_window_diagnostics,
 )
 from .multiplicative import (
-    LevyMark,
+    MultBrownianSpec,
     MultLevySpec,
     levy_flow_oracle,
-    levy_second_moment_exact,
     levy_stochexp_batch,
     levy_stochexp_sample,
     mult_profile,
-    levy_mult_profile,
+    mult_second_moment_exact,
 )
 
 SCHEMA_VERSION = 1
@@ -192,12 +198,12 @@ def _require_p2(cfg: dict, runs: str) -> float:
     return p
 
 
-def _levy_marks(cfg: dict) -> list[LevyMark]:
+def _levy_marks(cfg: dict) -> list[JumpMark]:
     marks = []
     for i, m in enumerate(_get(cfg, "marks", list, "")):
         if not isinstance(m, dict):
             raise ConfigError(f"/marks/{i}", "expected object")
-        marks.append(LevyMark(np.asarray(_float_list(m, "values", f"/marks/{i}")),
+        marks.append(JumpMark(np.asarray(_float_list(m, "values", f"/marks/{i}")),
                               _get(m, "rate", float, f"/marks/{i}")))
     return marks
 
@@ -215,7 +221,7 @@ def _eps_grid(cfg: dict) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def run_heat_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
+def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
     spec = _noise_spec(cfg, system)
@@ -224,14 +230,13 @@ def run_heat_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
     c_star, rate = decay_constants("heat", system=system)
     moment = gaussian_abs_moment_surrogate(spec)
     variant = _get(cfg, "error_bound_variant", str, "", default="proof", required=False)
+    if variant != "proof":
+        raise ConfigError("/error_bound_variant",
+                          f"only the proven bound 'proof' is available, got {variant!r}")
     eps_grid = _eps_grid(cfg)
     rho_grid = _float_list(cfg, "rho_grid", "")
     report = CutoffReport()
     report.meta = {
-        "experiment": "heat-profile",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "version": __version__,
         "lambda_lead": leading.lambda_lead,
         "shape_norm": leading.v_norm,
         "error_bound_variant": variant,
@@ -242,8 +247,7 @@ def run_heat_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
             t = heat_cutoff_time(eps, leading) + rho
             dist = renormalized_distance_heat(t, h, eps, spec)
             prof = heat_profile(rho, leading, p)
-            bound = heat_error_bound(rho, eps, leading, c_star, rate, moment, h.norm,
-                                     variant)
+            bound = heat_error_bound(rho, eps, leading, c_star, rate, moment, h.norm)
             report.add("heat-additive", p, eps, rho, dist, prof, bound,
                        abs(dist - prof) <= bound)
     delta_grid = _float_list(cfg, "delta_grid", "", required=False)
@@ -254,23 +258,25 @@ def run_heat_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
     return report
 
 
-def run_wave_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
+def _wave_setup(cfg: dict):
+    """wave-profile's and wave-window's spectrum, initial state and noise."""
     system = _build_system(cfg)
     gamma = _get(cfg, "gamma", float, "")
     wsp = wave_spectrum(gamma, system)
     initial = _get(cfg, "initial", dict, "")
     u = _coeffs(system, _get(initial, "position", list, "/initial"), "/initial/position")
     w = _coeffs(system, _get(initial, "velocity", list, "/initial"), "/initial/velocity")
-    z = wave_decompose(wsp, u.values, w.values)
-    spec = _noise_spec(cfg, system)
+    return wsp, wave_decompose(wsp, u.values, w.values), _noise_spec(cfg, system)
+
+
+def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
+    wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "exact wave profile")
     leader = wave_overdamped_leader(z)
     c_star, rate = decay_constants("wave", wave_spec=wsp)
     # unit-noise equilibrium root second moment in the graph norm
-    from .noise_sim import wave_gaussian_convolution_law
-
     covs = wave_gaussian_convolution_law(math.inf, spec, wsp)
-    lam = system.lambdas
+    lam = wsp.system.lambdas
     moment = math.sqrt(
         float(np.sum((1.0 + lam) * covs[:, 0, 0] + covs[:, 1, 1]))
     )
@@ -278,10 +284,6 @@ def run_wave_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
     rho_grid = _float_list(cfg, "rho_grid", "")
     report = CutoffReport()
     report.meta = {
-        "experiment": "wave-profile",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "version": __version__,
         "rate": leader.rate,
         "shape_norm": leader.shape_norm,
         "leader_case": leader.case,
@@ -298,83 +300,76 @@ def run_wave_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
     return report
 
 
-def run_wave_window(cfg: dict, seed: int, threads: int) -> CutoffReport:
-    system = _build_system(cfg)
-    gamma = _get(cfg, "gamma", float, "")
-    wsp = wave_spectrum(gamma, system)
-    initial = _get(cfg, "initial", dict, "")
-    u = _coeffs(system, _get(initial, "position", list, "/initial"), "/initial/position")
-    w = _coeffs(system, _get(initial, "velocity", list, "/initial"), "/initial/velocity")
-    z = wave_decompose(wsp, u.values, w.values)
-    spec = _noise_spec(cfg, system)
+def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
+    wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "wave window")
     eps_grid = _eps_grid(cfg)
     rho_grid = _float_list(cfg, "rho_grid", "")
     rows = wave_window_diagnostics(rho_grid, eps_grid, z, spec)
     report = CutoffReport()
-    report.meta = {
-        "experiment": "wave-window",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "version": __version__,
-        "gamma": gamma,
-    }
+    report.meta = {"gamma": wsp.gamma}
     for row in rows:
         report.add("wave-window", p, row["eps"], row["rho"],
                    row["distance"], row["center"], row["slack"], row["pass"])
     return report
 
 
-def run_mult_profile(cfg: dict, seed: int, threads: int) -> CutoffReport:
+def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]):
+    """The multiplicative noise spec for each (already checked) eps; a spec
+    error points at ``g``, or at ``eta`` or one of the ``marks``."""
+    if kind == "brownian":
+        make = functools.partial(MultBrownianSpec, system, _float_rows(cfg, "g", ""))
+    elif kind == "levy":
+        eta = _get(cfg, "eta", float, "", default=0.05, required=False)
+        make = functools.partial(MultLevySpec, system, _levy_marks(cfg), eta)
+    else:
+        raise ConfigError("/noise_kind", f"unknown noise kind {kind!r}")
+    try:
+        return [make(eps) for eps in eps_grid]
+    except MarkOutOfRangeError as e:
+        raise ConfigError(f"/marks/{e.index}", str(e)) from e
+    except DegenerateNoiseError as e:
+        raise ConfigError("/g" if kind == "brownian" else "/marks", str(e)) from e
+    except InvalidDomainError as e:
+        raise ConfigError("/eta", str(e)) from e
+
+
+def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
     eps_grid = _eps_grid(cfg)
+    if not eps_grid:
+        raise ConfigError("/eps_grid", "the schedule needs a finest grid point")
     rho_grid = _float_list(cfg, "rho_grid", "")
     schedule = _get(cfg, "schedule", str, "", default="eps", required=False)
     p = 2.0
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)
-    if kind == "brownian":
-        g = _float_rows(cfg, "g", "")
-        case = "mult-brownian"
-    elif kind == "levy":
-        marks = _levy_marks(cfg)
-        eta = _get(cfg, "eta", float, "", default=0.05, required=False)
-        case = "mult-levy"
-    else:
-        raise ConfigError("/noise_kind", f"unknown noise kind {kind!r}")
-    report.meta = {
-        "experiment": "mult-profile",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "version": __version__,
-        "schedule": schedule,
-        "noise_kind": kind,
-    }
+    specs = _mult_specs(cfg, system, kind, eps_grid)
+    report.meta = {"schedule": schedule, "noise_kind": kind}
     for rho in rho_grid:
-        if kind == "brownian":
-            rows = mult_profile(rho, h, g, eps_grid, schedule)
-        else:
-            rows = levy_mult_profile(rho, h, marks, eta, eps_grid, schedule)
+        rows = mult_profile(rho, h, specs, schedule)
         # certificate constant fixed at the coarsest grid point
         k0 = rows[0]["rate_ratio"]
         for row in rows:
             bound = k0 * (row["residual"] / row["rate_ratio"] if row["rate_ratio"] > 0
                           else 0.0)
-            report.add(case, p, row["eps"], rho, row["distance"],
+            report.add(f"mult-{kind}", p, row["eps"], rho, row["distance"],
                        row["profile"], bound, row["residual"] <= bound + 1e-15)
     return report
 
 
-def run_levy_check(cfg: dict, seed: int, threads: int) -> CutoffReport:
+def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
-    marks = _levy_marks(cfg)
-    eta = _get(cfg, "eta", float, "", default=0.05, required=False)
     eps = _get(cfg, "eps", float, "")
+    if not (0.0 < eps < 1.0):
+        raise ConfigError("/eps", f"eps must lie in (0, 1), got {eps}")
     t = _get(cfg, "t", float, "")
     n_paths = _get(cfg, "n_paths", int, "", default=1000, required=False)
-    spec = MultLevySpec(system, tuple(marks), eta, eps)
+    if n_paths < 2:
+        raise ConfigError("/n_paths", f"need at least 2 paths, got {n_paths}")
+    (spec,) = _mult_specs(cfg, system, "levy", [eps])
 
     worst = 0.0
     for r in range(min(n_paths, 1000)):
@@ -388,14 +383,10 @@ def run_levy_check(cfg: dict, seed: int, threads: int) -> CutoffReport:
     sq = np.sum(batch ** 2, axis=1)
     mc = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
-    exact = levy_second_moment_exact(t, h, spec)
+    exact = mult_second_moment_exact(t, h, spec)
 
     report = CutoffReport()
     report.meta = {
-        "experiment": "levy-check",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "version": __version__,
         "pathwise_worst_relative": worst,
         "mc_second_moment": mc,
         "mc_se": se,
@@ -407,19 +398,13 @@ def run_levy_check(cfg: dict, seed: int, threads: int) -> CutoffReport:
     return report
 
 
-def run_wasserstein_test(cfg: dict, seed: int, threads: int) -> CutoffReport:
+def run_wasserstein_test(cfg: dict, seed: int) -> CutoffReport:
     u = _get(cfg, "u", float, "", default=2.0, required=False)
     n = _get(cfg, "n", int, "", default=100_000, required=False)
     if n < 2:
         raise ConfigError("/n", f"need at least 2 samples, got {n}")
     p_list = _float_list(cfg, "p_grid", "", required=False, default=[2.0, 0.5])
     report = CutoffReport()
-    report.meta = {
-        "experiment": "wasserstein-test",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "version": __version__,
-    }
     for i, p in enumerate(p_list):
         if p <= 0:
             raise ConfigError(f"/p_grid/{i}", "order p must be positive")
@@ -525,7 +510,9 @@ def main(argv=None) -> int:
         seed = args.seed
         if seed is None:
             seed = _get(cfg, "master_seed", int, "", default=0, required=False)
-        report = _RUNNERS[args.command](cfg, seed, args.threads)
+        report = _RUNNERS[args.command](cfg, seed)
+        report.meta.update(experiment=args.command, schema_version=SCHEMA_VERSION,
+                           seed=seed, version=__version__)
         os.makedirs(args.out, exist_ok=True)
         base = os.path.join(args.out, args.command.replace("-", "_"))
         report.write(base + ".csv", base + ".json")

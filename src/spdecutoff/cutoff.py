@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDomainError, InvalidTimeError, WrongCaseError
+from .errors import InvalidDomainError, WrongCaseError
 from .noise_sim import (
     NoiseSpec,
     heat_gaussian_convolution_law,
@@ -76,8 +76,6 @@ def renormalized_distance_heat(
     assembled in log space to survive cutoff-size times.
     """
     eps = _check_eps(eps)
-    if t < 0:
-        raise InvalidTimeError(f"time must be >= 0, got {t}")
     mean = heat_apply(t, h, log_scale=-math.log(eps)).values
     v_t = heat_gaussian_convolution_law(t, spec)
     if np.any(v_t < 0):
@@ -125,32 +123,23 @@ def heat_error_bound(
     rate: float,
     abs_moment: float,
     h_norm: float,
-    variant: str = "proof",
 ) -> float:
     """Two-term certificate dominating |d_eps(t_eps + rho) - profile(rho)|.
 
-    variant="proof" evaluates the two true inequalities at t = t_eps + rho:
+    It evaluates the two true inequalities at t = t_eps + rho:
 
         C e^{-rate t} m   +   e^{-rho l_1} e^{(l_1 - l_2) t} |h|,
 
     with l_1 the leading and l_2 the next supported eigenvalue (both eps
-    powers follow with exponent divided by l_1).  variant="display" uses the
-    looser printed powers eps^{rate/l_2} and eps^{1 - l_1/l_2} instead; it
-    does not dominate for all grids and is provided for comparison only.
+    powers follow with exponent divided by l_1).
     """
     eps = _check_eps(eps)
     l1 = leading.lambda_lead
     l2 = leading.lambda_next
     t = abs(math.log(eps)) / l1 + rho
-    if variant == "proof":
-        term1 = c_star * abs_moment * math.exp(-rate * t)
-        term2 = 0.0 if l2 is None else math.exp(-l1 * rho) * math.exp((l1 - l2) * t) * h_norm
-        return term1 + term2
-    if variant == "display":
-        term1 = c_star * abs_moment * math.exp(-rate * rho) * eps ** (rate / (l2 if l2 else l1))
-        term2 = 0.0 if l2 is None else eps ** (1.0 - l1 / l2) * math.exp((l1 - l2) * rho) * h_norm
-        return term1 + term2
-    raise InvalidDomainError(f"unknown error-bound variant {variant!r}")
+    term1 = c_star * abs_moment * math.exp(-rate * t)
+    term2 = 0.0 if l2 is None else math.exp(-l1 * rho) * math.exp((l1 - l2) * t) * h_norm
+    return term1 + term2
 
 
 def simple_cutoff_scan(
@@ -294,8 +283,6 @@ def wave_window_diagnostics(
         for eps in eps_grid:
             eps = _check_eps(eps)
             t = wave_cutoff_time(eps, gamma=wsp.gamma) + float(rho)
-            if t < 0:
-                raise InvalidTimeError("rho drives the evaluation time negative")
             dist = renormalized_distance_wave(t, z, eps, spec)
             center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
                 max(wave_subcritical_norm_sq(t, z), 0.0)

@@ -50,7 +50,11 @@ class DegenerateNoiseError(SpdeCutoffError):
 
 
 class MarkOutOfRangeError(SpdeCutoffError):
-    """Multiplicative jump mark violates the required size window."""
+    """Multiplicative jump mark ``index`` has the wrong length or size."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(f"mark {index}: {message}")
 
 
 class ScheduleRejectedError(SpdeCutoffError):

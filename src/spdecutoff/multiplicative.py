@@ -21,12 +21,12 @@ import numpy as np
 from .errors import (
     DegenerateNoiseError,
     InvalidDomainError,
-    InvalidTimeError,
     MarkOutOfRangeError,
     ScheduleRejectedError,
 )
-from .noise_sim import JumpRealization
-from .spectral_core import EigenSystem, HeatLeadingData, ModeCoefficients, heat_leading_data
+from .noise_sim import JumpMark, JumpRealization, sample_jump_realization
+from .semigroup import _check_time
+from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,10 @@ class MultBrownianSpec:
         """Per-mode exponent rate of E X^2 / 2: -lambda + eps^2 g_sq / 2."""
         return -self.system.lambdas + 0.5 * self.eps ** 2 * self.g_sq_sum()
 
+    def second_moment_exponent(self, t: float) -> np.ndarray:
+        """Per-mode log(E X_j(t)^2 / h_j^2) = 2 t (-lambda_j + eps^2 g_sq_j / 2)."""
+        return 2.0 * t * self.second_moment_drift()
+
 
 def mult_brownian_flow_sample(
     t: float, h: ModeCoefficients, spec: MultBrownianSpec,
@@ -68,9 +72,7 @@ def mult_brownian_flow_sample(
         h_j exp( (-lambda_j - eps^2 g_sq_j / 2) t + eps sum_i g_ij B_i(t) ).
     Returns (n_modes,) or (size, n_modes).
     """
-    t = float(t)
-    if t < 0:
-        raise InvalidTimeError(f"time must be >= 0, got {t}")
+    t = _check_time(t)
     lam = spec.system.lambdas
     drift = (-lam - 0.5 * spec.eps ** 2 * spec.g_sq_sum()) * t
     n_noises = spec.g.shape[0]
@@ -80,12 +82,12 @@ def mult_brownian_flow_sample(
     return h.values * np.exp(expo)
 
 
-def mult_second_moment_exact(t: float, h: ModeCoefficients, spec: MultBrownianSpec) -> float:
-    """E |X_t(h)|^2 = sum_j h_j^2 exp( 2 t (-lambda_j + eps^2 g_sq_j / 2) )."""
-    t = float(t)
-    if t < 0:
-        raise InvalidTimeError(f"time must be >= 0, got {t}")
-    return float(np.sum(h.values ** 2 * np.exp(2.0 * t * spec.second_moment_drift())))
+def mult_second_moment_exact(
+    t: float, h: ModeCoefficients, spec: MultBrownianSpec | MultLevySpec
+) -> float:
+    """E |X_t(h)|^2 = sum_j h_j^2 exp(spec.second_moment_exponent(t)_j)."""
+    t = _check_time(t)
+    return float(np.sum(h.values ** 2 * np.exp(spec.second_moment_exponent(t))))
 
 
 def _log_space_root_sum(values: np.ndarray, exponents: np.ndarray) -> float:
@@ -99,13 +101,12 @@ def _log_space_root_sum(values: np.ndarray, exponents: np.ndarray) -> float:
     return math.exp(0.5 * m) * math.sqrt(float(np.sum(np.exp(logs - m))))
 
 
-def mult_distance_to_zero(t: float, h: ModeCoefficients, spec: MultBrownianSpec,
+def mult_distance_to_zero(t: float, h: ModeCoefficients,
+                          spec: MultBrownianSpec | MultLevySpec,
                           log_scale: float = 0.0) -> float:
     """W2(X_t(h), point mass at 0) * exp(log_scale) = renormalizable root
     second moment, assembled in log space."""
-    t = float(t)
-    if t < 0:
-        raise InvalidTimeError(f"time must be >= 0, got {t}")
+    t = _check_time(t)
     return _log_space_root_sum(h.values, t * spec.second_moment_drift() + log_scale)
 
 
@@ -127,8 +128,8 @@ def schedule_values(name: str, eps_grid) -> np.ndarray:
     if name not in _SCHEDULES:
         raise ScheduleRejectedError(f"unknown schedule {name!r}")
     eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
-    if np.any(eps <= 0) or np.any(eps >= 1):
-        raise ScheduleRejectedError("eps grid must lie in (0, 1)")
+    if eps.size == 0 or np.any(eps <= 0) or np.any(eps >= 1):
+        raise ScheduleRejectedError("eps grid must be nonempty and lie in (0, 1)")
     a = np.array([_SCHEDULES[name](e) for e in eps])
     corr = eps * np.abs(np.log(a))
     if np.any(np.diff(a) > 0) or np.any(np.diff(corr) > 1e-12):
@@ -147,35 +148,33 @@ def schedule_values(name: str, eps_grid) -> np.ndarray:
 def mult_profile(
     rho: float,
     h: ModeCoefficients,
-    g,
-    eps_grid,
+    specs,
     schedule: str = "eps",
 ) -> list[dict]:
-    """Brownian multiplicative profile study at t = |ln a| / lambda_lead + rho.
+    """Multiplicative profile study at t = |ln a| / lambda_lead + rho.
 
-    Each row carries the renormalized distance sqrt(E|X_t|^2)/a, the profile
+    ``specs`` holds one Brownian or one jump spec per grid point eps; rows
+    run from the largest eps to the smallest.  Each row carries the
+    renormalized distance sqrt(E|X_t|^2)/a, the profile
     e^{-rho lambda_lead} |v|, the residual, and the residual rate ratio
     residual / (a^{1 - l1/l2} |h|) whose boundedness along the grid certifies
     the advertised decay rate.
     """
     leading = heat_leading_data(h)
-    a_vals = schedule_values(schedule, eps_grid)
-    eps_sorted = sorted((float(e) for e in eps_grid), reverse=True)
+    specs = sorted(specs, key=lambda s: s.eps, reverse=True)
+    a_vals = schedule_values(schedule, [s.eps for s in specs])
     l1 = leading.lambda_lead
     l2 = leading.lambda_next
     profile = math.exp(-l1 * rho) * leading.v_norm
     rows = []
-    for eps, a in zip(eps_sorted, a_vals):
-        spec = MultBrownianSpec(h.system, g, eps)
+    for spec, a in zip(specs, a_vals):
         t = abs(math.log(a)) / l1 + rho
-        if t < 0:
-            raise InvalidTimeError("rho drives the evaluation time negative")
         dist = mult_distance_to_zero(t, h, spec, log_scale=-math.log(a))
         residual = abs(dist - profile)
         rate = a ** (1.0 - l1 / l2) if l2 is not None else a
         rows.append(
             {
-                "eps": eps,
+                "eps": spec.eps,
                 "a": float(a),
                 "t": t,
                 "distance": dist,
@@ -187,22 +186,17 @@ def mult_profile(
     return rows
 
 
+def levy_mult_profile(rho: float, h: ModeCoefficients, marks, eta: float, eps_grid,
+                      schedule: str = "eps") -> list[dict]:
+    """:func:`mult_profile` with the jump spec MultLevySpec(h.system, marks,
+    eta, eps) per eps; the benchmark's per-layer metrics trace this name."""
+    return mult_profile(rho, h, [MultLevySpec(h.system, marks, eta, e) for e in eps_grid],
+                        schedule)
+
+
 # --------------------------------------------------------------------------
 # Finite-activity multiplicative jumps
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevyMark:
-    """One multiplicative jump mark: diagonal entries and Poisson rate."""
-
-    values: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise DegenerateNoiseError(f"jump rate must be positive, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ class MultLevySpec:
     """
 
     system: EigenSystem
-    marks: tuple[LevyMark, ...]
+    marks: tuple[JumpMark, ...]
     eta: float
     eps: float
 
@@ -226,20 +220,16 @@ class MultLevySpec:
             raise InvalidDomainError(f"eta must lie in (0, 1), got {self.eta}")
         if not (0.0 < self.eps < 1.0):
             raise InvalidDomainError(f"eps must lie in (0, 1), got {self.eps}")
-        for m in self.marks:
+        for i, m in enumerate(self.marks):
             if m.values.shape != (self.system.n_modes,):
-                raise DegenerateNoiseError("mark length must match mode count")
+                raise MarkOutOfRangeError(i, "length must match mode count")
             nrm = float(np.linalg.norm(m.values))
             if not (self.eta <= nrm < 1.0):
                 raise MarkOutOfRangeError(
-                    f"mark norm {nrm} outside [eta, 1) = [{self.eta}, 1)"
+                    i, f"norm {nrm} outside [eta, 1) = [{self.eta}, 1)"
                 )
             if np.any(np.abs(m.values) >= 1.0):
-                raise MarkOutOfRangeError("every diagonal entry must satisfy |z_j| < 1")
-
-    @property
-    def total_rate(self) -> float:
-        return float(sum(m.rate for m in self.marks))
+                raise MarkOutOfRangeError(i, "every diagonal entry must satisfy |z_j| < 1")
 
     def compensator_drift(self) -> np.ndarray:
         """eps * sum_m rate_m z_j^m per mode (drift removed by compensation)."""
@@ -255,19 +245,20 @@ class MultLevySpec:
             acc += m.rate * m.values ** 2
         return self.eps ** 2 * acc
 
+    def second_moment_drift(self) -> np.ndarray:
+        """Per-mode exponent rate of E X^2 / 2: -lambda + variance_rate / 2."""
+        return -self.system.lambdas + 0.5 * self.variance_rate()
 
-def sample_levy_jump_realization(
-    t: float, spec: MultLevySpec, rng: np.random.Generator
-) -> JumpRealization:
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidTimeError(f"time must be finite and >= 0, got {t}")
-    rate = spec.total_rate
-    n = rng.poisson(rate * t)
-    times = np.sort(rng.uniform(0.0, t, size=n))
-    probs = np.array([m.rate for m in spec.marks]) / rate
-    idx = rng.choice(len(spec.marks), size=n, p=probs)
-    return JumpRealization(t=t, times=times, mark_indices=idx)
+    def second_moment_exponent(self, t: float) -> np.ndarray:
+        """Per-mode log(E X_j(t)^2 / h_j^2) of the compensated jump flow.
+
+        The exponent collects the drift and the compound-Poisson moment
+        generating function of the jump sum: 2t(-lambda_j - eps sum_m r_m z_j^m)
+        + t sum_m r_m ((1 + eps z_j^m)^2 - 1), which simplifies to
+        -2 lambda_j t + t eps^2 sum_m r_m (z_j^m)^2.  It is evaluated in that
+        order, not as 2 t second_moment_drift(), whose rounding differs.
+        """
+        return 2.0 * t * (-self.system.lambdas) + t * self.variance_rate()
 
 
 def levy_stochexp_from_jumps(
@@ -293,7 +284,7 @@ def levy_stochexp_sample(
     t: float, h: ModeCoefficients, spec: MultLevySpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, JumpRealization]:
     """Sample one exact path of the multiplicative jump flow."""
-    jumps = sample_levy_jump_realization(t, spec, rng)
+    jumps = sample_jump_realization(t, spec.marks, rng)
     return levy_stochexp_from_jumps(t, h, spec, jumps), jumps
 
 
@@ -326,70 +317,3 @@ def levy_stochexp_batch(
         counts = rng.poisson(m.rate * t, size=size)
         theta += counts[:, None] * np.log1p(spec.eps * m.values)[None, :]
     return h.values * np.exp(theta)
-
-
-def levy_second_moment_exact(t: float, h: ModeCoefficients, spec: MultLevySpec) -> float:
-    """E |X_t(h)|^2 for the compensated jump flow.
-
-    Per mode the exponent collects the drift and the compound-Poisson
-    moment generating function of the jump sum:
-
-        E X_j^2 = h_j^2 exp( -2 lambda_j t + t eps^2 sum_m r_m (z_j^m)^2 ... )
-
-    exactly: exponent = 2t(-lambda_j - eps sum r z) + t sum_m r_m
-    ((1 + eps z_j^m)^2 - 1), which simplifies to
-    -2 lambda_j t + t eps^2 sum_m r_m (z_j^m)^2.
-    """
-    t = float(t)
-    if t < 0:
-        raise InvalidTimeError(f"time must be >= 0, got {t}")
-    lam = spec.system.lambdas
-    expo = 2.0 * t * (-lam) + t * spec.variance_rate()
-    return float(np.sum(h.values ** 2 * np.exp(expo)))
-
-
-def levy_distance_to_zero(t: float, h: ModeCoefficients, spec: MultLevySpec,
-                          log_scale: float = 0.0) -> float:
-    """Renormalizable root second moment of the jump flow, in log space."""
-    lam = spec.system.lambdas
-    return _log_space_root_sum(
-        h.values, t * (-lam + 0.5 * spec.variance_rate()) + log_scale
-    )
-
-
-def levy_mult_profile(
-    rho: float,
-    h: ModeCoefficients,
-    marks,
-    eta: float,
-    eps_grid,
-    schedule: str = "eps",
-) -> list[dict]:
-    """Jump-noise analogue of :func:`mult_profile` on the same schedule."""
-    leading = heat_leading_data(h)
-    a_vals = schedule_values(schedule, eps_grid)
-    eps_sorted = sorted((float(e) for e in eps_grid), reverse=True)
-    l1 = leading.lambda_lead
-    l2 = leading.lambda_next
-    profile = math.exp(-l1 * rho) * leading.v_norm
-    rows = []
-    for eps, a in zip(eps_sorted, a_vals):
-        spec = MultLevySpec(h.system, tuple(marks), eta, eps)
-        t = abs(math.log(a)) / l1 + rho
-        if t < 0:
-            raise InvalidTimeError("rho drives the evaluation time negative")
-        dist = levy_distance_to_zero(t, h, spec, log_scale=-math.log(a))
-        residual = abs(dist - profile)
-        rate = a ** (1.0 - l1 / l2) if l2 is not None else a
-        rows.append(
-            {
-                "eps": eps,
-                "a": float(a),
-                "t": t,
-                "distance": dist,
-                "profile": profile,
-                "residual": residual,
-                "rate_ratio": residual / (rate * h.norm),
-            }
-        )
-    return rows

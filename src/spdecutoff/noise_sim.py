@@ -19,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNoiseError, InvalidDomainError, InvalidTimeError
+from .errors import DegenerateNoiseError, InvalidDomainError
 from .spectral_core import EigenSystem, ModeCoefficients, WaveSpectrum
-from .semigroup import wave_mode_propagator
+from .semigroup import _check_time, wave_mode_propagator
 
 
 @dataclass(frozen=True)
 class JumpMark:
-    """One compound-Poisson mark: a mode-coefficient vector and its rate."""
+    """One compound-Poisson mark: a mode-coefficient vector and its rate (an
+    additive jump adds ``values``, a multiplicative one scales by 1 + eps z)."""
 
     values: np.ndarray
     rate: float
@@ -67,10 +68,6 @@ class NoiseSpec:
         if self.gaussian_q is None and not self.jumps:
             raise DegenerateNoiseError("noise spec has neither Gaussian nor jump part")
 
-    @property
-    def total_rate(self) -> float:
-        return float(sum(m.rate for m in self.jumps))
-
     def trace(self) -> float:
         """Total Gaussian intensity; finite by construction (finite modes)."""
         return 0.0 if self.gaussian_q is None else float(np.sum(self.gaussian_q))
@@ -85,22 +82,13 @@ class NoiseSpec:
         return np.sqrt(v_inf)
 
 
-def _check_time_maybe_inf(t: float) -> float:
-    t = float(t)
-    if not (t >= 0.0):
-        raise InvalidTimeError(f"time must be >= 0, got {t}")
-    return t
-
-
 def heat_gaussian_convolution_law(t: float, spec: NoiseSpec) -> np.ndarray:
     """Per-mode variances of the heat convolution at time t (t may be inf)."""
-    t = _check_time_maybe_inf(t)
+    t = _check_time(t, math.inf)
     if spec.gaussian_q is None:
         raise DegenerateNoiseError("spec has no Gaussian part")
     lam = spec.system.lambdas
-    if math.isinf(t):
-        return spec.gaussian_q / (2.0 * lam)
-    return spec.gaussian_q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)
+    return spec.gaussian_q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)  # q/(2 lambda) at inf
 
 
 def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum) -> np.ndarray:
@@ -110,7 +98,7 @@ def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum
     q/(2 gamma)); at finite t the deficit is the equilibrium conjugated by
     the mode propagator:  Sigma_t = Sigma_inf - P_t Sigma_inf P_t^T.
     """
-    t = _check_time_maybe_inf(t)
+    t = _check_time(t, math.inf)
     if spec.gaussian_q is None:
         raise DegenerateNoiseError("spec has no Gaussian part")
     lam = spec.system.lambdas
@@ -168,18 +156,18 @@ class JumpRealization:
 
 
 def sample_jump_realization(
-    t: float, spec: NoiseSpec, rng: np.random.Generator
+    t: float, marks: tuple[JumpMark, ...], rng: np.random.Generator
 ) -> JumpRealization:
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidTimeError(f"time must be finite and >= 0, got {t}")
-    if not spec.jumps:
+    """One path on (0, t] of the jumps ``marks`` (``NoiseSpec.jumps`` or
+    ``MultLevySpec.marks``), each mark drawn in proportion to its rate."""
+    t = _check_time(t)
+    if not marks:
         raise DegenerateNoiseError("spec has no jump part")
-    rate = spec.total_rate
+    rate = float(sum(m.rate for m in marks))
     n = rng.poisson(rate * t)
     times = np.sort(rng.uniform(0.0, t, size=n))
-    probs = np.array([m.rate for m in spec.jumps]) / rate
-    idx = rng.choice(len(spec.jumps), size=n, p=probs)
+    probs = np.array([m.rate for m in marks]) / rate
+    idx = rng.choice(len(marks), size=n, p=probs)
     return JumpRealization(t=t, times=times, mark_indices=idx)
 
 
@@ -204,7 +192,7 @@ def sample_heat_levy_convolution(
     if spec.compensated and not spec.jumps:
         raise DegenerateNoiseError("compensation requested with empty mark set")
     if realization is None:
-        realization = sample_jump_realization(t, spec, rng)
+        realization = sample_jump_realization(t, spec.jumps, rng)
     lam = spec.system.lambdas
     acc = np.zeros(spec.system.n_modes)
     for tau, mi in zip(realization.times, realization.mark_indices):
@@ -218,12 +206,9 @@ def heat_levy_second_moment(t: float, spec: NoiseSpec) -> np.ndarray:
     """Per-mode second moments of the compensated heat jump convolution
     (the jump-process Ito isometry):  sum_m rate_m mark_m^2
     (1 - e^{-2 lambda t}) / (2 lambda)."""
-    t = _check_time_maybe_inf(t)
+    t = _check_time(t, math.inf)
     lam = spec.system.lambdas
-    if math.isinf(t):
-        shape = 1.0 / (2.0 * lam)
-    else:
-        shape = -np.expm1(-2.0 * lam * t) / (2.0 * lam)
+    shape = -np.expm1(-2.0 * lam * t) / (2.0 * lam)  # 1 / (2 lambda) at t = inf
     out = np.zeros(spec.system.n_modes)
     for m in spec.jumps:
         out += m.rate * m.values ** 2

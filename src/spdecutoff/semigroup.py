@@ -9,6 +9,7 @@ product does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,14 @@ from .spectral_core import (
 )
 
 
-def _check_time(t: float) -> float:
+def _check_time(t: float, last: float = sys.float_info.max) -> float:
+    """float(t) if 0 <= t <= last, else InvalidTimeError (NaN included).
+    Callers where t = inf means equilibrium pass ``last=math.inf``; one
+    chained comparison keeps the check cheap for ``wave_mode_propagator``."""
     t = float(t)
-    if not (t >= 0.0) or math.isinf(t):
-        raise InvalidTimeError(f"time must be finite and >= 0, got {t}")
+    if not (0.0 <= t <= last):
+        need = ">= 0" if last == math.inf else "finite and >= 0"
+        raise InvalidTimeError(f"time must be {need}, got {t}")
     return t
 
 

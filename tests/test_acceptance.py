@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from spdecutoff import (
     EigenSystem,
-    LevyMark,
+    JumpMark,
     ModeCoefficients,
     MultBrownianSpec,
     MultLevySpec,
@@ -28,7 +28,6 @@ from spdecutoff import (
     heat_profile,
     large_data_identity,
     levy_flow_oracle,
-    levy_second_moment_exact,
     levy_stochexp_sample,
     mult_brownian_flow_sample,
     mult_profile,
@@ -244,7 +243,8 @@ def test_criterion_07_multiplicative_brownian():
     # profile with a_eps = eps: residual <= K * a^(1 - l1/l2) |h| with K
     # fixed at the coarsest grid point
     g = np.array([[0.5, 1.0, 0.2]])
-    rows = mult_profile(1.0, h, g, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    rows = mult_profile(1.0, h, [MultBrownianSpec(system, g, e)
+                                 for e in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]])
     k0 = rows[0]["rate_ratio"]
     ok_rate = all(r["rate_ratio"] <= k0 * (1 + 1e-9) for r in rows)
     ok_conv = rows[-1]["residual"] < rows[0]["residual"]
@@ -257,8 +257,8 @@ def test_criterion_08_levy_stochastic_exponential():
     system = EigenSystem.from_lambdas([1.0, 4.0, 9.0])
     h = ModeCoefficients(system, np.array([1.0, 0.5, -0.25]))
     marks = (
-        LevyMark(np.array([0.3, 0.15, 0.1]), 2.0),
-        LevyMark(np.array([-0.2, 0.1, -0.05]), 1.0),
+        JumpMark(np.array([0.3, 0.15, 0.1]), 2.0),
+        JumpMark(np.array([-0.2, 0.1, -0.05]), 1.0),
     )
     spec = MultLevySpec(system, marks, 0.05, 0.05)
     t = 0.8
@@ -272,7 +272,7 @@ def test_criterion_08_levy_stochastic_exponential():
     batch = levy_stochexp_batch(t, h, spec, stream(1008, 1), 100_000)
     sq = np.sum(batch ** 2, axis=1)
     se = sq.std(ddof=1) / math.sqrt(sq.size)
-    exact = levy_second_moment_exact(t, h, spec)
+    exact = mult_second_moment_exact(t, h, spec)
     ok_mc = abs(sq.mean() - exact) <= 4.0 * se
     report("criterion 8 (jump stochastic exponential)", ok_path and ok_mc,
            f"pathwise worst rel={worst:.2g}, MC moment {sq.mean():.6f} vs "

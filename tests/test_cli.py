@@ -50,6 +50,24 @@ MULT_CFG = {
     "schedule": "eps",
 }
 
+LEVY_MULT_CFG = {k: v for k, v in MULT_CFG.items() if k != "g"} | {
+    "noise_kind": "levy",
+    "eta": 0.05,
+    "marks": [{"values": [0.3, 0.15, 0.1], "rate": 2.0},
+              {"values": [-0.2, 0.1, -0.05], "rate": 1.0}],
+}
+
+LEVY_CHECK_CFG = {
+    "schema_version": 1,
+    "lambdas": [1.0, 4.0],
+    "initial": [1.0, 0.5],
+    "marks": [{"values": [0.3, 0.15], "rate": 2.0}],
+    "eta": 0.05,
+    "eps": 0.05,
+    "t": 0.8,
+    "n_paths": 2000,
+}
+
 WASSERSTEIN_CFG = {"schema_version": 1, "p_grid": [2.0]}
 
 
@@ -58,21 +76,21 @@ class TestConfigValidation:
         path = write_cfg(tmp_path, "a.json", {"schema_version": 1})
         cfg = load_config(path)
         with pytest.raises(ConfigError) as exc:
-            run_heat_profile(cfg, 0, 1)
+            run_heat_profile(cfg, 0)
         assert "/dims" in str(exc.value)
 
     def test_bad_eps_pointer(self, tmp_path):
         cfg = heat_cfg(eps_grid=[1e-2, 3.0])
         path = write_cfg(tmp_path, "b.json", cfg)
         with pytest.raises(ConfigError) as exc:
-            run_heat_profile(load_config(path), 0, 1)
+            run_heat_profile(load_config(path), 0)
         assert "/eps_grid/1" in str(exc.value)
 
     def test_bad_p_rejected(self, tmp_path):
         cfg = heat_cfg(p=-1.0)
         path = write_cfg(tmp_path, "c.json", cfg)
         with pytest.raises(ConfigError) as exc:
-            run_heat_profile(load_config(path), 0, 1)
+            run_heat_profile(load_config(path), 0)
         assert "/p" in str(exc.value)
 
     def test_wrong_schema_version(self, tmp_path):
@@ -91,7 +109,7 @@ class TestConfigValidation:
         cfg = heat_cfg(initial=[0.0, "x"])
         path = write_cfg(tmp_path, "e.json", cfg)
         with pytest.raises(ConfigError) as exc:
-            run_heat_profile(load_config(path), 0, 1)
+            run_heat_profile(load_config(path), 0)
         assert "/initial/1" in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -109,10 +127,25 @@ class TestConfigValidation:
             ("wasserstein-test", WASSERSTEIN_CFG | {"n": 0}, "/n"),
             ("wasserstein-test", WASSERSTEIN_CFG | {"n": 1}, "/n"),
             ("wasserstein-test", WASSERSTEIN_CFG | {"n": 2.5}, "/n"),
+            ("mult-profile", MULT_CFG | {"eps_grid": []}, "/eps_grid"),
+            ("mult-profile", MULT_CFG | {"g": [[0.5, 1.0]], "rho_grid": []}, "/g"),
+            ("mult-profile", LEVY_MULT_CFG | {"eta": 1.5, "rho_grid": []}, "/eta"),
+            ("mult-profile", LEVY_MULT_CFG | {"rho_grid": [], "marks": [
+                LEVY_MULT_CFG["marks"][0], {"values": [1.5, 0.0, 0.0], "rate": 1.0}]},
+             "/marks/1"),
+            ("mult-profile", LEVY_MULT_CFG | {"marks": [{"values": [0.3], "rate": 1.0}]},
+             "/marks/0"),
+            ("levy-check", LEVY_CHECK_CFG | {"n_paths": -3}, "/n_paths"),
+            ("levy-check", LEVY_CHECK_CFG | {"n_paths": 1}, "/n_paths"),
+            ("heat-profile", heat_cfg(error_bound_variant="display"),
+             "/error_bound_variant"),
         ],
         ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g",
              "mult-kind-no-rho", "mult-no-g-no-rho",
-             "wass-n-negative", "wass-n-zero", "wass-n-one", "wass-n-fraction"],
+             "wass-n-negative", "wass-n-zero", "wass-n-one", "wass-n-fraction",
+             "mult-empty-eps", "mult-g-length-no-rho", "mult-eta-no-rho",
+             "mult-mark-norm-no-rho", "mult-mark-length",
+             "levy-n-paths-negative", "levy-n-paths-one", "heat-display-variant"],
     )
     def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
                                                    command, cfg, pointer):
@@ -190,17 +223,7 @@ class TestRuns:
         assert rc == 0
 
     def test_levy_check_run(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "lambdas": [1.0, 4.0],
-            "initial": [1.0, 0.5],
-            "marks": [{"values": [0.3, 0.15], "rate": 2.0}],
-            "eta": 0.05,
-            "eps": 0.05,
-            "t": 0.8,
-            "n_paths": 2000,
-        }
-        cfg_path = write_cfg(tmp_path, "l.json", cfg)
+        cfg_path = write_cfg(tmp_path, "l.json", LEVY_CHECK_CFG)
         out = tmp_path / "lout"
         rc = main(["levy-check", "--config", cfg_path, "--out", str(out)])
         assert rc == 0

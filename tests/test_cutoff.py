@@ -138,17 +138,6 @@ class TestErrorBound:
                 bound = heat_error_bound(rho, eps, lead, c, rate, moment, h.norm)
                 assert abs(dist - prof) <= bound
 
-    def test_display_variant_differs(self):
-        system, h, spec = heat_setup()
-        lead = heat_leading_data(h)
-        c, rate = decay_constants("heat", system=system)
-        moment = gaussian_abs_moment_surrogate(spec)
-        b1 = heat_error_bound(0.5, 1e-4, lead, c, rate, moment, h.norm, variant="proof")
-        b2 = heat_error_bound(0.5, 1e-4, lead, c, rate, moment, h.norm, variant="display")
-        assert b1 != b2
-        with pytest.raises(InvalidDomainError):
-            heat_error_bound(0.5, 1e-4, lead, c, rate, moment, h.norm, variant="bogus")
-
     def test_concentrated_datum_single_term(self):
         system = EigenSystem.from_lambdas([1.0, 4.0])
         h = ModeCoefficients(system, np.array([2.0, 0.0]))

@@ -8,18 +8,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from spdecutoff import (
     EigenSystem,
-    LevyMark,
+    JumpMark,
     ModeCoefficients,
     MultBrownianSpec,
     MultLevySpec,
     build_box_eigensystem,
+    heat_leading_data,
     levy_flow_oracle,
-    levy_mult_profile,
-    levy_second_moment_exact,
     levy_stochexp_sample,
     mult_brownian_flow_sample,
     mult_profile,
@@ -28,16 +28,22 @@ from spdecutoff import (
 )
 from spdecutoff.errors import (
     InvalidDomainError,
+    InvalidTimeError,
     MarkOutOfRangeError,
     ScheduleRejectedError,
 )
+from spdecutoff import multiplicative
 from spdecutoff.multiplicative import (
-    levy_distance_to_zero,
+    _log_space_root_sum,
     levy_stochexp_batch,
     mult_distance_to_zero,
-    sample_levy_jump_realization,
     schedule_values,
 )
+from spdecutoff.noise_sim import sample_jump_realization
+
+
+def brownian_specs(system, g, eps_grid):
+    return [MultBrownianSpec(system, g, e) for e in eps_grid]
 
 
 def brownian_setup(eps=0.1):
@@ -132,7 +138,8 @@ class TestSchedules:
 class TestBrownianProfile:
     def test_profile_convergence_and_rate(self):
         system, h, spec = brownian_setup()
-        rows = mult_profile(1.0, h, spec.g, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+        rows = mult_profile(1.0, h, brownian_specs(system, spec.g,
+                                                   [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]))
         prof = math.exp(-4.0)
         residuals = [r["residual"] for r in rows]
         ratios = [r["rate_ratio"] for r in rows]
@@ -144,8 +151,8 @@ class TestBrownianProfile:
 
     def test_rho_dependence(self):
         system, h, spec = brownian_setup()
-        r0 = mult_profile(0.0, h, spec.g, [1e-5])[0]
-        r1 = mult_profile(1.0, h, spec.g, [1e-5])[0]
+        r0 = mult_profile(0.0, h, brownian_specs(system, spec.g, [1e-5]))[0]
+        r1 = mult_profile(1.0, h, brownian_specs(system, spec.g, [1e-5]))[0]
         assert r0["distance"] > r1["distance"]
         assert r0["profile"] / r1["profile"] == pytest.approx(math.exp(4.0), rel=1e-12)
 
@@ -154,8 +161,8 @@ def levy_setup(eps=0.05, eta=0.05):
     system = EigenSystem.from_lambdas([1.0, 4.0, 9.0])
     h = ModeCoefficients(system, np.array([0.0, 1.0, 0.5]))
     marks = (
-        LevyMark(np.array([0.3, 0.15, 0.1]), 2.0),
-        LevyMark(np.array([-0.2, 0.1, -0.05]), 1.0),
+        JumpMark(np.array([0.3, 0.15, 0.1]), 2.0),
+        JumpMark(np.array([-0.2, 0.1, -0.05]), 1.0),
     )
     return system, h, MultLevySpec(system, marks, eta, eps)
 
@@ -164,11 +171,11 @@ class TestLevyFlow:
     def test_mark_validation(self):
         system = EigenSystem.from_lambdas([1.0])
         with pytest.raises(MarkOutOfRangeError):
-            MultLevySpec(system, (LevyMark(np.array([1.5]), 1.0),), 0.1, 0.1)
+            MultLevySpec(system, (JumpMark(np.array([1.5]), 1.0),), 0.1, 0.1)
         with pytest.raises(MarkOutOfRangeError):
-            MultLevySpec(system, (LevyMark(np.array([0.01]), 1.0),), 0.1, 0.1)
+            MultLevySpec(system, (JumpMark(np.array([0.01]), 1.0),), 0.1, 0.1)
         with pytest.raises(InvalidDomainError):
-            MultLevySpec(system, (LevyMark(np.array([0.5]), 1.0),), 1.5, 0.1)
+            MultLevySpec(system, (JumpMark(np.array([0.5]), 1.0),), 1.5, 0.1)
 
     def test_single_jump_factor(self):
         # one jump at tau multiplies mode j by (1 + eps z_j) on top of the
@@ -196,7 +203,7 @@ class TestLevyFlow:
 
     def test_linearity_in_initial_datum(self):
         system, h, spec = levy_setup()
-        jumps = sample_levy_jump_realization(1.0, spec, stream(6, 0))
+        jumps = sample_jump_realization(1.0, spec.marks, stream(6, 0))
         from spdecutoff.multiplicative import levy_stochexp_from_jumps
 
         x1 = levy_stochexp_from_jumps(1.0, h, spec, jumps)
@@ -213,7 +220,7 @@ class TestLevyFlow:
         for m in spec.marks:
             expo = expo + t * m.rate * ((1.0 + spec.eps * m.values) ** 2 - 1.0)
         direct = float(np.sum(h.values**2 * np.exp(expo)))
-        assert levy_second_moment_exact(t, h, spec) == pytest.approx(direct, rel=1e-12)
+        assert mult_second_moment_exact(t, h, spec) == pytest.approx(direct, rel=1e-12)
 
     def test_second_moment_vs_mc(self):
         system, h, spec = levy_setup(eps=0.08)
@@ -221,7 +228,7 @@ class TestLevyFlow:
         batch = levy_stochexp_batch(t, h, spec, stream(7, 0), 100_000)
         sq = np.sum(batch**2, axis=1)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
-        assert abs(sq.mean() - levy_second_moment_exact(t, h, spec)) <= 4 * se
+        assert abs(sq.mean() - mult_second_moment_exact(t, h, spec)) <= 4 * se
 
     def test_batch_matches_pathwise_distribution_mean(self):
         system, h, spec = levy_setup()
@@ -237,7 +244,7 @@ class TestLevyFlow:
     def test_distance_log_space(self):
         system, h, spec = levy_setup(eps=0.01)
         t = 300.0
-        d = levy_distance_to_zero(t, h, spec, log_scale=4.0 * t)
+        d = mult_distance_to_zero(t, h, spec, log_scale=4.0 * t)
         gain = 0.5 * spec.variance_rate()[1]
         assert d == pytest.approx(math.exp(gain * t), rel=1e-6)
 
@@ -246,8 +253,10 @@ class TestLevyProfile:
     def test_profile_and_eta_insensitivity(self):
         system, h, spec = levy_setup()
         grid = [1e-2, 1e-3, 1e-4, 1e-5]
-        rows_a = levy_mult_profile(1.0, h, spec.marks, 0.05, grid)
-        rows_b = levy_mult_profile(1.0, h, spec.marks, 0.025, grid)
+        rows_a = mult_profile(1.0, h, [MultLevySpec(system, spec.marks, 0.05, e)
+                                       for e in grid])
+        rows_b = mult_profile(1.0, h, [MultLevySpec(system, spec.marks, 0.025, e)
+                                       for e in grid])
         # eta only gates mark admissibility; with the same marks the profile
         # data are identical as the truncation level halves
         for ra, rb in zip(rows_a, rows_b):
@@ -257,3 +266,127 @@ class TestLevyProfile:
         assert rows_a[-1]["residual"] < 1e-2 * rows_a[-1]["profile"]
         ratios = [r["rate_ratio"] for r in rows_a]
         assert all(x <= ratios[0] * (1 + 1e-9) for x in ratios)
+
+
+# --------------------------------------------------------------------------
+# The jump-flow moment, distance and profile as separate functions, before
+# they were merged with the Brownian ones: references the merged functions
+# must equal bit for bit.
+# --------------------------------------------------------------------------
+
+
+def levy_second_moment_exact(t, h, spec):
+    t = float(t)
+    if t < 0:
+        raise InvalidTimeError(f"time must be >= 0, got {t}")
+    lam = spec.system.lambdas
+    expo = 2.0 * t * (-lam) + t * spec.variance_rate()
+    return float(np.sum(h.values ** 2 * np.exp(expo)))
+
+
+def levy_distance_to_zero(t, h, spec, log_scale=0.0):
+    lam = spec.system.lambdas
+    return _log_space_root_sum(
+        h.values, t * (-lam + 0.5 * spec.variance_rate()) + log_scale
+    )
+
+
+def levy_mult_profile(rho, h, marks, eta, eps_grid, schedule="eps"):
+    leading = heat_leading_data(h)
+    a_vals = schedule_values(schedule, eps_grid)
+    eps_sorted = sorted((float(e) for e in eps_grid), reverse=True)
+    l1 = leading.lambda_lead
+    l2 = leading.lambda_next
+    profile = math.exp(-l1 * rho) * leading.v_norm
+    rows = []
+    for eps, a in zip(eps_sorted, a_vals):
+        spec = MultLevySpec(h.system, tuple(marks), eta, eps)
+        t = abs(math.log(a)) / l1 + rho
+        if t < 0:
+            raise InvalidTimeError("rho drives the evaluation time negative")
+        dist = levy_distance_to_zero(t, h, spec, log_scale=-math.log(a))
+        residual = abs(dist - profile)
+        rate = a ** (1.0 - l1 / l2) if l2 is not None else a
+        rows.append(
+            {
+                "eps": eps,
+                "a": float(a),
+                "t": t,
+                "distance": dist,
+                "profile": profile,
+                "residual": residual,
+                "rate_ratio": residual / (rate * h.norm),
+            }
+        )
+    return rows
+
+
+def random_jump_case(seed, n_modes, n_marks):
+    """A random spectrum, a nonzero datum and admissible marks (eta = 0.05)."""
+    rng = np.random.default_rng(seed)
+    system = EigenSystem.from_lambdas(np.sort(rng.uniform(0.1, 50.0, n_modes)))
+    values = rng.uniform(-2.0, 2.0, n_modes) * (rng.random(n_modes) < 0.7)
+    values[rng.integers(n_modes)] = 1.0
+    marks = []
+    for _ in range(n_marks):
+        z = rng.standard_normal(n_modes)
+        marks.append(JumpMark(z / np.linalg.norm(z) * rng.uniform(0.06, 0.98),
+                              rng.uniform(0.1, 5.0)))
+    return system, ModeCoefficients(system, values), tuple(marks)
+
+
+def monte_carlo_case(seed):
+    """The 64-mode spectrum and marks of the monte-carlo benchmark workload,
+    with a seeded datum on the first four modes."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, 65, dtype=float)
+    system = EigenSystem.from_lambdas(k * k)
+    values = np.zeros(64)
+    values[:4] = [1.0, *rng.uniform(-0.5, 0.5, 3)]
+    marks = (JumpMark(0.3 / k, 2.0), JumpMark(0.2 * (-1.0) ** k / k, 1.0))
+    return system, ModeCoefficients(system, values), marks
+
+
+class TestMergedJumpArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(0.0, 50.0), log10_eps=st.floats(-8.0, -0.01),
+           log_scale=st.floats(0.0, 100.0), n_modes=st.integers(1, 12),
+           n_marks=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_moment_and_distance_equal_the_jump_forms(
+            self, t, log10_eps, log_scale, n_modes, n_marks, seed):
+        system, h, marks = random_jump_case(seed, n_modes, n_marks)
+        spec = MultLevySpec(system, marks, 0.05, 10.0 ** log10_eps)
+        assert (mult_second_moment_exact(t, h, spec).hex()
+                == levy_second_moment_exact(t, h, spec).hex())
+        assert (mult_distance_to_zero(t, h, spec, log_scale).hex()
+                == levy_distance_to_zero(t, h, spec, log_scale).hex())
+
+    def test_monte_carlo_spectrum(self):
+        for seed in range(200):
+            system, h, marks = monte_carlo_case(seed)
+            rng = np.random.default_rng(10_000 + seed)
+            spec = MultLevySpec(system, marks, 0.05, 10.0 ** rng.uniform(-6.0, -0.31))
+            for t in (2.0, rng.uniform(0.0, 10.0)):
+                assert (mult_second_moment_exact(t, h, spec).hex()
+                        == levy_second_moment_exact(t, h, spec).hex()), (seed, t)
+                log_scale = 4.0 * t
+                assert (mult_distance_to_zero(t, h, spec, log_scale).hex()
+                        == levy_distance_to_zero(t, h, spec, log_scale).hex()), (seed, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rho=st.floats(0.0, 3.0),
+           exponents=st.lists(st.floats(3.0, 12.0), min_size=1, max_size=6),
+           schedule=st.sampled_from(["eps", "sqrt", "log"]),
+           n_modes=st.integers(1, 12), n_marks=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_profile_equals_the_jump_profile(self, rho, exponents, schedule,
+                                             n_modes, n_marks, seed):
+        system, h, marks = random_jump_case(seed, n_modes, n_marks)
+        eps_grid = [10.0 ** -e for e in exponents]
+        old = levy_mult_profile(rho, h, marks, 0.05, eps_grid, schedule)
+        new = mult_profile(rho, h, [MultLevySpec(system, marks, 0.05, e) for e in eps_grid],
+                           schedule)
+        wrapped = multiplicative.levy_mult_profile(rho, h, marks, 0.05, eps_grid, schedule)
+        expect = [{k: v.hex() for k, v in row.items()} for row in old]
+        assert [{k: v.hex() for k, v in row.items()} for row in new] == expect
+        assert [{k: v.hex() for k, v in row.items()} for row in wrapped] == expect

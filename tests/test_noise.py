@@ -43,6 +43,10 @@ class TestHeatGaussianLaw:
         # q = 2 lambda gives unit equilibrium variance
         spec = make_heat_spec(lams=(1.0, 4.0), q=(2.0, 8.0))
         assert np.allclose(heat_gaussian_convolution_law(math.inf, spec), [1.0, 1.0])
+        # the finite-time formula gives q / (2 lambda) bit for bit at t = inf
+        spec = make_heat_spec(lams=(0.3, 7.0 / 3.0), q=(1.0 / 3.0, 0.7))
+        assert (heat_gaussian_convolution_law(math.inf, spec).tobytes()
+                == (spec.gaussian_q / (2.0 * spec.system.lambdas)).tobytes())
 
     def test_explicit_finite_time(self):
         spec = make_heat_spec(lams=(1.0,), q=(2.0,))
@@ -201,9 +205,15 @@ class TestLevyConvolution:
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - target) <= 4.0 * se
 
+    def test_equilibrium_second_moment(self):
+        spec = self.make(lams=(0.3, 7.0 / 3.0), mark=(0.7, -1.0 / 3.0), rate=3.0)
+        mark = spec.jumps[0]
+        expect = (np.zeros(2) + mark.rate * mark.values ** 2) * (1.0 / (2.0 * spec.system.lambdas))
+        assert heat_levy_second_moment(math.inf, spec).tobytes() == expect.tobytes()
+
     def test_jump_realization_statistics(self):
         spec = self.make(rate=5.0)
-        counts = [sample_jump_realization(2.0, spec, stream(17, r)).times.size
+        counts = [sample_jump_realization(2.0, spec.jumps, stream(17, r)).times.size
                   for r in range(4000)]
         mean = np.mean(counts)
         assert abs(mean - 10.0) <= 4.0 * math.sqrt(10.0 / 4000)
