@@ -35,6 +35,7 @@ from .errors import (
     DegenerateNoiseError,
     InvalidDomainError,
     MarkOutOfRangeError,
+    ScheduleRejectedError,
     SpdeCutoffError,
 )
 from .spectral_core import (
@@ -70,6 +71,7 @@ from .multiplicative import (
     levy_stochexp_sample,
     mult_profile,
     mult_second_moment_exact,
+    schedule_values,
 )
 
 SCHEMA_VERSION = 1
@@ -203,8 +205,11 @@ def _levy_marks(cfg: dict) -> list[JumpMark]:
     for i, m in enumerate(_get(cfg, "marks", list, "")):
         if not isinstance(m, dict):
             raise ConfigError(f"/marks/{i}", "expected object")
-        marks.append(JumpMark(np.asarray(_float_list(m, "values", f"/marks/{i}")),
-                              _get(m, "rate", float, f"/marks/{i}")))
+        values = np.asarray(_float_list(m, "values", f"/marks/{i}"))
+        try:
+            marks.append(JumpMark(values, _get(m, "rate", float, f"/marks/{i}")))
+        except DegenerateNoiseError as e:
+            raise ConfigError(f"/marks/{i}/rate", str(e)) from e
     return marks
 
 
@@ -342,6 +347,10 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
         raise ConfigError("/eps_grid", "the schedule needs a finest grid point")
     rho_grid = _float_list(cfg, "rho_grid", "")
     schedule = _get(cfg, "schedule", str, "", default="eps", required=False)
+    try:
+        schedule_values(schedule, eps_grid)
+    except ScheduleRejectedError as e:
+        raise ConfigError("/schedule", str(e)) from e
     p = 2.0
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)
@@ -366,6 +375,8 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     if not (0.0 < eps < 1.0):
         raise ConfigError("/eps", f"eps must lie in (0, 1), got {eps}")
     t = _get(cfg, "t", float, "")
+    if not (0.0 <= t < math.inf):
+        raise ConfigError("/t", f"time must be finite and >= 0, got {t}")
     n_paths = _get(cfg, "n_paths", int, "", default=1000, required=False)
     if n_paths < 2:
         raise ConfigError("/n_paths", f"need at least 2 paths, got {n_paths}")

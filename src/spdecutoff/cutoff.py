@@ -213,13 +213,8 @@ def renormalized_distance_wave(
     w = moved.velocity_values()
     c_t = wave_gaussian_convolution_law(t, spec, wsp)
     c_inf = wave_gaussian_convolution_law(math.inf, spec, wsp)
-    lam = wsp.system.lambdas
-    per_mode = [
-        w2_gaussian_2x2(
-            [u[k], w[k]], c_t[k], [0.0, 0.0], c_inf[k], position_weight=1.0 + lam[k]
-        )
-        for k in range(wsp.n_modes)
-    ]
+    per_mode = w2_gaussian_2x2(np.stack([u, w], axis=-1), c_t, np.zeros(2), c_inf,
+                               position_weight=1.0 + wsp.system.lambdas)
     return w2_product(per_mode)
 
 
@@ -227,12 +222,9 @@ def wave_noise_gap(t: float, z_spectrum: WaveSpectrum, spec: NoiseSpec) -> float
     """W2 between the wave convolution at time t and its equilibrium."""
     c_t = wave_gaussian_convolution_law(t, spec, z_spectrum)
     c_inf = wave_gaussian_convolution_law(math.inf, spec, z_spectrum)
-    lam = z_spectrum.system.lambdas
-    zero = [0.0, 0.0]
-    per_mode = [
-        w2_gaussian_2x2(zero, c_t[k], zero, c_inf[k], position_weight=1.0 + lam[k])
-        for k in range(z_spectrum.n_modes)
-    ]
+    zero = np.zeros(2)
+    per_mode = w2_gaussian_2x2(zero, c_t, zero, c_inf,
+                               position_weight=1.0 + z_spectrum.system.lambdas)
     return w2_product(per_mode)
 
 
@@ -275,7 +267,7 @@ def wave_window_diagnostics(
         raise WrongCaseError("window diagnostics require subcritical damping")
     theta_min = float(np.min(wsp.theta))
     ts = np.linspace(0.0, period_multiples * 2.0 * math.pi / theta_min, grid_points)
-    v_vals = np.array([math.sqrt(max(wave_subcritical_norm_sq(t, z), 0.0)) for t in ts])
+    v_vals = np.sqrt(np.maximum(wave_subcritical_norm_sq(ts, z), 0.0))
     v_min, v_max = float(np.min(v_vals)), float(np.max(v_vals))
     lower_sq, _ = wave_subcritical_bounds(z)
     rows = []

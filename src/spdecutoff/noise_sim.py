@@ -103,17 +103,14 @@ def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum
         raise DegenerateNoiseError("spec has no Gaussian part")
     lam = spec.system.lambdas
     gamma = wspec.gamma
-    n = spec.system.n_modes
-    out = np.zeros((n, 2, 2))
-    for k in range(n):
-        q = float(spec.gaussian_q[k])
-        s_inf = np.array([[q / (2.0 * gamma * lam[k]), 0.0], [0.0, q / (2.0 * gamma)]])
-        if math.isinf(t):
-            out[k] = s_inf
-        else:
-            P = wave_mode_propagator(t, float(lam[k]), gamma)
-            out[k] = s_inf - P @ s_inf @ P.T
-    return out
+    q = spec.gaussian_q
+    s_inf = np.zeros((spec.system.n_modes, 2, 2))
+    s_inf[:, 0, 0] = q / (2.0 * gamma * lam)
+    s_inf[:, 1, 1] = q / (2.0 * gamma)
+    if math.isinf(t):
+        return s_inf
+    P = np.array([wave_mode_propagator(t, lk, gamma) for lk in lam.tolist()])
+    return s_inf - P @ s_inf @ P.transpose(0, 2, 1)
 
 
 def sample_heat_gaussian_convolution(

@@ -227,7 +227,12 @@ def wave_overdamped_leader(z: WaveState) -> OverdampedLeader:
     )
 
 
-def wave_subcritical_norm_sq(t: float, z: WaveState) -> float:
+# times per block of wave_subcritical_norm_sq: bounds the (times x modes)
+# complex temporaries of a long grid
+_TIME_BLOCK = 64
+
+
+def wave_subcritical_norm_sq(t, z: WaveState):
     """|e^{gamma t / 2} S_gamma(t) z|^2 in closed form, subcritical damping.
 
     With all modes oscillatory, the renormalized flow is the almost-periodic
@@ -236,16 +241,31 @@ def wave_subcritical_norm_sq(t: float, z: WaveState) -> float:
 
         sum_j 2 |b_j|^2 (1 + 2 lambda_j)
             + 2 Re( e^{2 i theta_j t} b_j^2 (1 + lambda_j + omega_j^2) ).
+
+    ``t`` is a time (the result is a float) or a 1-D array of times (the
+    result is an array), evaluated in blocks of ``_TIME_BLOCK`` times.
     """
-    t = _check_time(t)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise InvalidTimeError(f"need a time or a 1-D array of times, got shape {ts.shape}")
+    rows = ts.reshape(-1, 1)
+    bad = ~((0.0 <= rows) & (rows <= sys.float_info.max))
+    if bad.any():
+        _check_time(rows[bad][0])
     sp = z.spectrum
     if sp.n_over != 0:
         raise WrongCaseError("closed form needs every mode oscillatory (gamma^2 < 4 lambda_1)")
     lam = sp.lambdas_osc()
     omega = sp.omega_osc()
     const = 2.0 * np.abs(z.b) ** 2 * (1.0 + 2.0 * lam)
-    cross = 2.0 * (np.exp(2j * sp.theta * t) * z.b ** 2 * (1.0 + lam + omega ** 2)).real
-    return float(np.sum(const + cross))
+    b_sq = z.b ** 2
+    weight = 1.0 + lam + omega ** 2
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _TIME_BLOCK):
+        block = rows[i:i + _TIME_BLOCK]
+        cross = 2.0 * (np.exp(2j * sp.theta * block) * b_sq * weight).real
+        out[i:i + _TIME_BLOCK] = np.sum(const + cross, axis=1)
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 def wave_subcritical_bounds(z: WaveState) -> tuple[float, float]:

@@ -51,36 +51,65 @@ def _w2_diag_sd(mean_diff, sd1, sd2) -> float:
     return float(np.sqrt(np.sum(mean_diff ** 2) + np.sum((sd1 - sd2) ** 2)))
 
 
-def _bures_trace_2x2(c1: np.ndarray, c2: np.ndarray) -> float:
-    """tr( (c2^{1/2} c1 c2^{1/2})^{1/2} ) for symmetric PSD 2x2 blocks,
-    via tr sqrt(M) = sqrt(tr M + 2 sqrt(det M))."""
-    tr = float(np.trace(c1 @ c2))
-    det = float(max(np.linalg.det(c1), 0.0) * max(np.linalg.det(c2), 0.0))
-    inner = tr + 2.0 * math.sqrt(max(det, 0.0))
-    return math.sqrt(max(inner, 0.0))
+_BLOCK_FAULTS = (
+    "position weight must be positive",
+    "covariance blocks must be symmetric",
+    "covariance blocks must be PSD",
+    "covariance blocks must be symmetric",
+    "covariance blocks must be PSD",
+)
 
 
-def w2_gaussian_2x2(mean1, cov1, mean2, cov2, position_weight: float = 1.0) -> float:
+def w2_gaussian_2x2(mean1, cov1, mean2, cov2, position_weight=1.0):
     """W2 between bivariate Gaussians in the weighted norm
     w * x_1^2 + x_2^2 (position component weighted by ``position_weight``).
 
     Rescaling the position coordinate by sqrt(w) turns the weighted norm
-    into the Euclidean one, where the Gaussian closed form applies.
+    into the Euclidean one, where the Gelbrich closed form
+
+        |m1 - m2|^2 + tr c1 + tr c2 - 2 tr (c2^{1/2} c1 c2^{1/2})^{1/2}
+
+    applies, with tr sqrt(M) = sqrt(tr M + 2 sqrt(det M)) for 2x2 blocks.
+    Works on stacked blocks: means of shape (..., 2), covariances of shape
+    (..., 2, 2) and weights of shape (...), broadcast together.  Returns the
+    per-block distances, or a float for a single block.  Each block is
+    checked (weight, then symmetry and PSD of each rescaled covariance) and
+    the first fault, in block order, raises.
     """
-    if position_weight <= 0:
-        raise InvalidDomainError("position weight must be positive")
-    d = np.diag([math.sqrt(position_weight), 1.0])
-    m1 = d @ np.asarray(mean1, dtype=float)
-    m2 = d @ np.asarray(mean2, dtype=float)
-    c1 = d @ np.asarray(cov1, dtype=float) @ d
-    c2 = d @ np.asarray(cov2, dtype=float) @ d
-    for c in (c1, c2):
-        if abs(c[0, 1] - c[1, 0]) > 1e-10 * (1.0 + abs(c[0, 1])):
-            raise InvalidDomainError("covariance blocks must be symmetric")
-        if c[0, 0] < 0 or c[1, 1] < 0 or np.linalg.det(c) < -1e-12 * (1 + c[0, 0] + c[1, 1]):
-            raise InvalidDomainError("covariance blocks must be PSD")
-    gap = float(np.trace(c1) + np.trace(c2)) - 2.0 * _bures_trace_2x2(c1, c2)
-    return float(math.sqrt(np.sum((m1 - m2) ** 2) + max(gap, 0.0)))
+    m1 = np.asarray(mean1, dtype=float)
+    m2 = np.asarray(mean2, dtype=float)
+    w = np.asarray(position_weight, dtype=float)
+    batch = np.broadcast_shapes(m1.shape[:-1], m2.shape[:-1], np.shape(cov1)[:-2],
+                                np.shape(cov2)[:-2], w.shape)
+    d = np.zeros(batch + (2, 2))
+    with np.errstate(invalid="ignore"):  # a weight <= 0 raises below
+        sw = np.sqrt(w)
+        d[..., 0, 0] = sw
+        d[..., 1, 1] = 1.0
+        c1 = d @ np.asarray(cov1, dtype=float) @ d
+        c2 = d @ np.asarray(cov2, dtype=float) @ d
+        det1 = np.linalg.det(c1)
+        det2 = np.linalg.det(c2)
+    faults = [np.broadcast_to(w <= 0, batch)]
+    for c, det in ((c1, det1), (c2, det2)):
+        faults.append(np.abs(c[..., 0, 1] - c[..., 1, 0])
+                      > 1e-10 * (1.0 + np.abs(c[..., 0, 1])))
+        faults.append((c[..., 0, 0] < 0) | (c[..., 1, 1] < 0)
+                      | (det < -1e-12 * (1 + c[..., 0, 0] + c[..., 1, 1])))
+    # block-major order: the first True is the first fault of the first bad block
+    faults = np.stack(faults, axis=-1).ravel()
+    if faults.any():
+        raise InvalidDomainError(_BLOCK_FAULTS[int(np.argmax(faults)) % len(_BLOCK_FAULTS)])
+    c12 = c1 @ c2
+    det = np.maximum(np.maximum(det1, 0.0) * np.maximum(det2, 0.0), 0.0)
+    inner = (c12[..., 0, 0] + c12[..., 1, 1]) + 2.0 * np.sqrt(det)
+    bures = np.sqrt(np.maximum(inner, 0.0))
+    trace = (c1[..., 0, 0] + c1[..., 1, 1]) + (c2[..., 0, 0] + c2[..., 1, 1])
+    gap = trace - 2.0 * bures
+    a = sw * m1[..., 0] - sw * m2[..., 0]
+    b = m1[..., 1] - m2[..., 1]
+    out = np.sqrt((a * a + b * b) + np.maximum(gap, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def wp_empirical_1d(x, y, p: float) -> float:

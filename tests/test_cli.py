@@ -139,13 +139,25 @@ class TestConfigValidation:
             ("levy-check", LEVY_CHECK_CFG | {"n_paths": 1}, "/n_paths"),
             ("heat-profile", heat_cfg(error_bound_variant="display"),
              "/error_bound_variant"),
+            ("mult-profile", MULT_CFG | {"schedule": "cubic", "rho_grid": []},
+             "/schedule"),
+            ("mult-profile", MULT_CFG | {"schedule": "cubic"}, "/schedule"),
+            ("mult-profile", MULT_CFG | {"eps_grid": [0.9, 0.8]}, "/schedule"),
+            ("mult-profile", LEVY_MULT_CFG | {"rho_grid": [], "marks": [
+                LEVY_MULT_CFG["marks"][0], {"values": [0.2, 0.1, 0.0], "rate": -2.0}]},
+             "/marks/1/rate"),
+            ("levy-check", LEVY_CHECK_CFG | {"marks": [{"values": [0.3, 0.15],
+                                                        "rate": 0.0}]}, "/marks/0/rate"),
+            ("levy-check", LEVY_CHECK_CFG | {"t": -0.8}, "/t"),
         ],
         ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g",
              "mult-kind-no-rho", "mult-no-g-no-rho",
              "wass-n-negative", "wass-n-zero", "wass-n-one", "wass-n-fraction",
              "mult-empty-eps", "mult-g-length-no-rho", "mult-eta-no-rho",
              "mult-mark-norm-no-rho", "mult-mark-length",
-             "levy-n-paths-negative", "levy-n-paths-one", "heat-display-variant"],
+             "levy-n-paths-negative", "levy-n-paths-one", "heat-display-variant",
+             "mult-schedule-no-rho", "mult-schedule", "mult-schedule-coarse-grid",
+             "mult-mark-rate-negative", "levy-mark-rate-zero", "levy-t-negative"],
     )
     def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
                                                    command, cfg, pointer):

@@ -22,6 +22,7 @@ from spdecutoff import (
     sample_heat_levy_convolution,
     sample_wave_gaussian_convolution,
     wave_gaussian_convolution_law,
+    wave_mode_propagator,
     wave_spectrum,
     stream,
 )
@@ -121,6 +122,50 @@ class TestWaveGaussianLaw:
         traces = [np.trace(wave_gaussian_convolution_law(float(t), spec, wsp)[0])
                   for t in np.linspace(0.05, 12, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
+
+
+def wave_law_loop(t, spec, wsp):
+    """Reference for the stacked wave_gaussian_convolution_law: one 2x2
+    equilibrium block and one propagator conjugation per mode."""
+    lam = spec.system.lambdas
+    gamma = wsp.gamma
+    out = np.zeros((spec.system.n_modes, 2, 2))
+    for k in range(spec.system.n_modes):
+        q = float(spec.gaussian_q[k])
+        s_inf = np.array([[q / (2.0 * gamma * lam[k]), 0.0], [0.0, q / (2.0 * gamma)]])
+        if math.isinf(t):
+            out[k] = s_inf
+        else:
+            P = wave_mode_propagator(t, float(lam[k]), gamma)
+            out[k] = s_inf - P @ s_inf @ P.T
+    return out
+
+
+class TestStackedWaveLaw:
+    @pytest.mark.parametrize(
+        "dims, gamma, q",
+        [
+            ([(1.0, 5)], 100.0, "inverse-square"),  # every mode over-damped
+            ([(math.pi, 201)], 1.0, "inverse-square"),  # every mode under-damped
+            ([(1.0, 21)], 10.0, "flat"),  # one over-damped mode, the rest oscillate
+            ([(2.0, 30)], 3.0, "some-zero"),
+        ],
+    )
+    def test_equals_the_mode_loop_byte_for_byte(self, dims, gamma, q):
+        system = build_box_eigensystem(dims)
+        n = system.n_modes
+        if q == "inverse-square":
+            qs = 1.0 / np.arange(1, n + 1) ** 2
+        elif q == "flat":
+            qs = np.ones(n)
+        else:
+            qs = np.where(np.arange(n) % 3 == 1, 0.0, 0.7 / np.arange(1, n + 1))
+        spec = NoiseSpec(system=system, gaussian_q=qs)
+        wsp = wave_spectrum(gamma, system)
+        ts = np.linspace(0.0, 300.0, 41).tolist() + [1e-300, 0.37, 18.4, 32.6, math.inf]
+        for t in ts:
+            got = wave_gaussian_convolution_law(t, spec, wsp)
+            assert got.tobytes() == wave_law_loop(t, spec, wsp).tobytes(), t
 
 
 class TestGaussianSamplers:

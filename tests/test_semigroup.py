@@ -28,6 +28,7 @@ from spdecutoff.errors import (
     SubcriticalRouteError,
     WrongCaseError,
 )
+from spdecutoff import semigroup
 from spdecutoff.semigroup import wave_subcritical_bounds
 
 
@@ -277,6 +278,46 @@ class TestSubcriticalNorm:
         z = wave_decompose(sp, np.array([1.0, 1.0]), np.zeros(2))
         with pytest.raises(WrongCaseError):
             wave_subcritical_norm_sq(1.0, z)
+
+
+def subcritical_norm_sq_scalar(t, z):
+    """Reference for wave_subcritical_norm_sq: the closed form at one time."""
+    sp = z.spectrum
+    lam = sp.lambdas_osc()
+    omega = sp.omega_osc()
+    const = 2.0 * np.abs(z.b) ** 2 * (1.0 + 2.0 * lam)
+    cross = 2.0 * (np.exp(2j * sp.theta * t) * z.b ** 2 * (1.0 + lam + omega ** 2)).real
+    return float(np.sum(const + cross))
+
+
+class TestSubcriticalNormGrid:
+    @pytest.mark.parametrize("dims, gamma", [([(math.pi, 201)], 1.0), ([(1.0, 7)], 0.3)])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 1), (3, 17), (64, 1)])
+    def test_grid_equals_scalar_calls_byte_for_byte(self, dims, gamma, blocks, extra):
+        sp = wave_spectrum(gamma, build_box_eigensystem(dims))
+        rng = np.random.default_rng(blocks)
+        n = sp.n_modes
+        z = wave_decompose(sp, rng.standard_normal(n), rng.standard_normal(n))
+        size = blocks * semigroup._TIME_BLOCK + extra
+        ts = np.linspace(0.0, 8 * 2.0 * math.pi / float(np.min(sp.theta)), size)
+        ref = np.array([subcritical_norm_sq_scalar(t, z) for t in ts.tolist()])
+        grid = wave_subcritical_norm_sq(ts, z)
+        assert grid.shape == (size,)
+        assert grid.tobytes() == ref.tobytes()
+        singles = [wave_subcritical_norm_sq(t, z) for t in ts.tolist()[:70]]
+        assert all(type(v) is float for v in singles)
+        assert np.array(singles).tobytes() == ref[:70].tobytes()
+
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+    def test_bad_time_in_grid_rejected(self, bad):
+        sp = wave_spectrum(1.0, build_box_eigensystem([(math.pi, 3)]))
+        z = wave_decompose(sp, np.ones(3), np.zeros(3))
+        ts = np.linspace(0.0, 5.0, 100)
+        ts[70] = bad
+        with pytest.raises(InvalidTimeError, match="finite and >= 0"):
+            wave_subcritical_norm_sq(ts, z)
+        with pytest.raises(InvalidTimeError):
+            wave_subcritical_norm_sq(ts.reshape(10, 10), z)
 
 
 class TestDecayConstants:

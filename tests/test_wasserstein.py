@@ -131,6 +131,126 @@ class TestGaussian2x2:
             w2_gaussian_2x2([0, 0], c_bad, [0, 0], np.eye(2))
 
 
+def w2_gaussian_2x2_block(mean1, cov1, mean2, cov2, position_weight=1.0):
+    """Reference for the stacked w2_gaussian_2x2: one block in 2x2 NumPy
+    arithmetic, as the routine computed it block by block."""
+    if position_weight <= 0:
+        raise InvalidDomainError("position weight must be positive")
+    d = np.diag([math.sqrt(position_weight), 1.0])
+    m1 = d @ np.asarray(mean1, dtype=float)
+    m2 = d @ np.asarray(mean2, dtype=float)
+    c1 = d @ np.asarray(cov1, dtype=float) @ d
+    c2 = d @ np.asarray(cov2, dtype=float) @ d
+    for c in (c1, c2):
+        if abs(c[0, 1] - c[1, 0]) > 1e-10 * (1.0 + abs(c[0, 1])):
+            raise InvalidDomainError("covariance blocks must be symmetric")
+        if c[0, 0] < 0 or c[1, 1] < 0 or np.linalg.det(c) < -1e-12 * (1 + c[0, 0] + c[1, 1]):
+            raise InvalidDomainError("covariance blocks must be PSD")
+    tr = float(np.trace(c1 @ c2))
+    det = float(max(np.linalg.det(c1), 0.0) * max(np.linalg.det(c2), 0.0))
+    bures = math.sqrt(max(tr + 2.0 * math.sqrt(max(det, 0.0)), 0.0))
+    gap = float(np.trace(c1) + np.trace(c2)) - 2.0 * bures
+    return float(math.sqrt(np.sum((m1 - m2) ** 2) + max(gap, 0.0)))
+
+
+def w2_gaussian_2x2_loop(mean1, cov1, mean2, cov2, weights):
+    """The per-block loop over the reference, as a list of floats."""
+    return [w2_gaussian_2x2_block(a, c, b, e, position_weight=w)
+            for a, c, b, e, w in zip(mean1, cov1, mean2, cov2, weights)]
+
+
+_entry = st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def psd_block(draw):
+    """A PSD 2x2 block: full rank, rank one, or with exact zero rows."""
+    kind = draw(st.sampled_from(["full", "rank1", "axis", "zero"]))
+    if kind == "full":
+        g = np.array(draw(st.lists(_entry, min_size=4, max_size=4))).reshape(2, 2)
+        return g @ g.T
+    if kind == "rank1":
+        v = np.array(draw(st.lists(_entry, min_size=2, max_size=2)))
+        return np.outer(v, v)
+    if kind == "axis":
+        c = np.zeros((2, 2))
+        i = draw(st.integers(0, 1))
+        c[i, i] = draw(st.floats(0.0, 900.0))
+        return c
+    return np.zeros((2, 2))
+
+
+_block = st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+    psd_block(),
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+    psd_block(),
+    st.floats(1.0, 1e6),
+)
+
+
+class TestStackedGaussian2x2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_block, min_size=1, max_size=12))
+    def test_equals_the_block_loop(self, blocks):
+        m1, c1, m2, c2, w = (np.array(x) for x in zip(*blocks))
+        try:
+            ref = w2_gaussian_2x2_loop(m1, c1, m2, c2, w)
+        except InvalidDomainError as e:
+            with pytest.raises(InvalidDomainError, match=f"^{e}$"):
+                w2_gaussian_2x2(m1, c1, m2, c2, position_weight=w)
+            return
+        got = w2_gaussian_2x2(m1, c1, m2, c2, position_weight=w)
+        assert got.shape == (len(blocks),)
+        assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in ref]
+        singles = [w2_gaussian_2x2(*b[:4], position_weight=b[4]) for b in blocks]
+        assert all(type(x) is float for x in singles)
+        assert [float.hex(x) for x in singles] == [float.hex(x) for x in ref]
+
+    def test_shared_blocks_broadcast(self):
+        rng = stream(9, 0)
+        m1 = rng.standard_normal((7, 2))
+        g = rng.standard_normal((7, 2, 2))
+        c1 = g @ g.transpose(0, 2, 1)
+        c2 = np.array([[1.5, 0.2], [0.2, 0.8]])
+        w = 1.0 + rng.uniform(0, 50, 7)
+        got = w2_gaussian_2x2(m1, c1, np.zeros(2), c2, position_weight=w)
+        ref = w2_gaussian_2x2_loop(m1, c1, [np.zeros(2)] * 7, [c2] * 7, w)
+        assert got.tolist() == ref
+
+    @pytest.mark.parametrize("where", [0, 117, 199])
+    @pytest.mark.parametrize(
+        "bad, side, message",
+        [
+            (np.array([[1.0, 0.5], [0.1, 1.0]]), 0, "symmetric"),
+            (np.array([[1.0, 0.5], [0.1, 1.0]]), 1, "symmetric"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), 0, "PSD"),
+            (np.array([[-1e-3, 0.0], [0.0, 1.0]]), 1, "PSD"),
+        ],
+    )
+    def test_one_bad_block_among_valid_ones_raises(self, where, bad, side, message):
+        rng = stream(9, 1)
+        g = rng.standard_normal((2, 200, 2, 2))
+        covs = g @ g.transpose(0, 1, 3, 2)
+        covs[side, where] = bad
+        means = rng.standard_normal((200, 2))
+        w = 1.0 + rng.uniform(0, 1e3, 200)
+        with pytest.raises(InvalidDomainError, match=message):
+            w2_gaussian_2x2_loop(means, covs[0], means[::-1], covs[1], w)
+        with pytest.raises(InvalidDomainError, match=message):
+            w2_gaussian_2x2(means, covs[0], means[::-1], covs[1], position_weight=w)
+
+    def test_first_bad_block_decides_the_message(self):
+        good = np.eye(2)
+        asym = np.array([[1.0, 0.5], [0.1, 1.0]])
+        c1 = np.stack([good, good, asym, good])
+        w = np.array([1.0, 2.0, 3.0, -1.0])
+        with pytest.raises(InvalidDomainError, match="symmetric"):
+            w2_gaussian_2x2(np.zeros(2), c1, np.zeros(2), good, position_weight=w)
+        with pytest.raises(InvalidDomainError, match="position weight"):
+            w2_gaussian_2x2(np.zeros(2), c1[::-1], np.zeros(2), good, position_weight=w[::-1])
+
+
 class TestEmpirical1d:
     def test_identical_samples(self):
         x = np.array([3.0, 1.0, 2.0])
