@@ -10,7 +10,6 @@ from .spectral_core import (
     WaveSpectrum,
     WaveState,
     build_box_eigensystem,
-    eval_eigenfunction,
     heat_leading_data,
     wave_spectrum,
     wave_decompose,
@@ -18,7 +17,6 @@ from .spectral_core import (
 from .semigroup import (
     OverdampedLeader,
     heat_apply,
-    heat_leader_error,
     wave_apply,
     wave_mode_propagator,
     wave_overdamped_leader,
@@ -30,8 +28,6 @@ from .noise_sim import (
     NoiseSpec,
     heat_gaussian_convolution_law,
     wave_gaussian_convolution_law,
-    sample_heat_gaussian_convolution,
-    sample_wave_gaussian_convolution,
     sample_heat_levy_convolution,
     heat_levy_second_moment,
 )
@@ -43,7 +39,6 @@ from .wasserstein import (
     shift_bounds,
     shift_linearity_check,
     homogeneity_check,
-    ergodic_bound,
 )
 from .cutoff import (
     CutoffReport,

@@ -76,6 +76,9 @@ from .multiplicative import (
 
 SCHEMA_VERSION = 1
 
+# levy-check stores every jump of a pathwise path: cap t * (total jump rate)
+MAX_EXPECTED_JUMPS = 1e6
+
 
 # --------------------------------------------------------------------------
 # Config loading and validation (JSON-pointer style error paths)
@@ -88,8 +91,8 @@ def _get(cfg: dict, key: str, kind, pointer: str, default=None, required=True):
             raise ConfigError(f"{pointer}/{key}", "missing required field")
         return default
     val = cfg[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
+    if kind is float:
+        return _number(val, f"{pointer}/{key}")
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return val
     if kind is list and isinstance(val, list):
@@ -102,17 +105,18 @@ def _get(cfg: dict, key: str, kind, pointer: str, default=None, required=True):
 
 
 def _number(val, pointer: str) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(pointer, "expected number")
-    return float(val)
+    # the comparison rejects NaN, the infinities and ints beyond float range
+    if isinstance(val, (int, float)) and not isinstance(val, bool) \
+            and abs(val) <= sys.float_info.max:
+        return float(val)
+    raise ConfigError(pointer, "expected a finite number")
 
 
 def _numbers(raw: list, pointer: str) -> list[float]:
-    # one C-level pass over the types first: lists can hold 27,000 entries
-    if not set(map(type, raw)) <= {int, float}:
-        for i, v in enumerate(raw):
-            _number(v, f"{pointer}/{i}")
-    return list(map(float, raw))
+    # C-level passes first: lists can hold 27,000 entries
+    if set(map(type, raw)) <= {float} and all(map(math.isfinite, raw)):
+        return list(raw)
+    return [_number(v, f"{pointer}/{i}") for i, v in enumerate(raw)]
 
 
 def _float_list(cfg: dict, key: str, pointer: str, required=True, default=None):
@@ -375,12 +379,14 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     if not (0.0 < eps < 1.0):
         raise ConfigError("/eps", f"eps must lie in (0, 1), got {eps}")
     t = _get(cfg, "t", float, "")
-    if not (0.0 <= t < math.inf):
-        raise ConfigError("/t", f"time must be finite and >= 0, got {t}")
+    if t < 0.0:
+        raise ConfigError("/t", f"time must be >= 0, got {t}")
     n_paths = _get(cfg, "n_paths", int, "", default=1000, required=False)
     if n_paths < 2:
         raise ConfigError("/n_paths", f"need at least 2 paths, got {n_paths}")
     (spec,) = _mult_specs(cfg, system, "levy", [eps])
+    if t * sum(m.rate for m in spec.marks) > MAX_EXPECTED_JUMPS:
+        raise ConfigError("/t", f"expected jumps per path t * rate exceed {MAX_EXPECTED_JUMPS:g}")
 
     worst = 0.0
     for r in range(min(n_paths, 1000)):
@@ -482,6 +488,13 @@ _RUNNERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="spdecutoff",
                                      description=__doc__.splitlines()[0])
@@ -495,14 +508,14 @@ def main(argv=None) -> int:
     for name in _RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=_seed, default=None,
                         help="override master_seed from the config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; runs are serial")
 
     st = sub.add_parser("selftest")
-    st.add_argument("--seed", type=int, default=0)
+    st.add_argument("--seed", type=_seed, default=0)
 
     args = parser.parse_args(argv)
     try:
@@ -521,6 +534,8 @@ def main(argv=None) -> int:
         seed = args.seed
         if seed is None:
             seed = _get(cfg, "master_seed", int, "", default=0, required=False)
+            if seed < 0:
+                raise ConfigError("/master_seed", f"seed must be >= 0, got {seed}")
         report = _RUNNERS[args.command](cfg, seed)
         report.meta.update(experiment=args.command, schema_version=SCHEMA_VERSION,
                            seed=seed, version=__version__)

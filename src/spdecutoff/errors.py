@@ -17,10 +17,6 @@ class InvalidTimeError(SpdeCutoffError):
     """A time argument is negative where only t >= 0 makes sense."""
 
 
-class PointOutsideDomainError(SpdeCutoffError):
-    """Evaluation point lies outside the closed box."""
-
-
 class ZeroInitialDatumError(SpdeCutoffError):
     """An operation that needs a nonzero initial state received zero."""
 

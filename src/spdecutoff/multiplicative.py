@@ -98,7 +98,11 @@ def _log_space_root_sum(values: np.ndarray, exponents: np.ndarray) -> float:
         return 0.0
     logs = 2.0 * (np.log(np.abs(values[nz])) + exponents[nz])
     m = float(np.max(logs))
-    return math.exp(0.5 * m) * math.sqrt(float(np.sum(np.exp(logs - m))))
+    try:
+        scale = math.exp(0.5 * m)
+    except OverflowError:  # the root sum is at least exp(m / 2) > DBL_MAX
+        return math.inf
+    return scale * math.sqrt(float(np.sum(np.exp(logs - m))))
 
 
 def mult_distance_to_zero(t: float, h: ModeCoefficients,

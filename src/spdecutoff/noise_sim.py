@@ -68,10 +68,6 @@ class NoiseSpec:
         if self.gaussian_q is None and not self.jumps:
             raise DegenerateNoiseError("noise spec has neither Gaussian nor jump part")
 
-    def trace(self) -> float:
-        """Total Gaussian intensity; finite by construction (finite modes)."""
-        return 0.0 if self.gaussian_q is None else float(np.sum(self.gaussian_q))
-
     @functools.cached_property
     def heat_equilibrium_sd(self) -> np.ndarray:
         """Per-mode standard deviations sqrt(q_k / (2 lambda_k)) of the heat
@@ -111,35 +107,6 @@ def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum
         return s_inf
     P = np.array([wave_mode_propagator(t, lk, gamma) for lk in lam.tolist()])
     return s_inf - P @ s_inf @ P.transpose(0, 2, 1)
-
-
-def sample_heat_gaussian_convolution(
-    t: float, spec: NoiseSpec, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Exact draws from the heat Gaussian convolution at time t.
-
-    Returns shape (n_modes,) or (size, n_modes).
-    """
-    var = heat_gaussian_convolution_law(t, spec)
-    std = np.sqrt(var)
-    if size is None:
-        return std * rng.standard_normal(spec.system.n_modes)
-    return std * rng.standard_normal((size, spec.system.n_modes))
-
-
-def sample_wave_gaussian_convolution(
-    t: float, spec: NoiseSpec, wspec: WaveSpectrum, rng: np.random.Generator
-) -> np.ndarray:
-    """One exact draw of the wave convolution: (n_modes, 2) array (u, w)."""
-    covs = wave_gaussian_convolution_law(t, spec, wspec)
-    n = spec.system.n_modes
-    out = np.zeros((n, 2))
-    for k in range(n):
-        # eigen-decomposition square root tolerates exactly singular blocks
-        evals, evecs = np.linalg.eigh(covs[k])
-        root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-        out[k] = root @ rng.standard_normal(2)
-    return out
 
 
 @dataclass(frozen=True)

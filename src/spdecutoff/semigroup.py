@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTimeError, SubcriticalRouteError, WrongCaseError
-from .spectral_core import (
-    HeatLeadingData,
-    ModeCoefficients,
-    WaveSpectrum,
-    WaveState,
-    heat_leading_data,
-)
+from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState
 
 
 def _check_time(t: float, last: float = sys.float_info.max) -> float:
@@ -40,24 +34,6 @@ def heat_apply(t: float, h: ModeCoefficients, log_scale: float = 0.0) -> ModeCoe
     t = _check_time(t)
     factors = np.exp(-h.system.lambdas * t + log_scale)
     return ModeCoefficients(h.system, h.values * factors)
-
-
-def heat_leader_error(
-    t: float, h: ModeCoefficients, leading: HeatLeadingData | None = None
-) -> float:
-    """| e^{t lambda_lead} S(t) h - v |  (distance of the renormalized flow
-    from its limit shape), computed stably in log space."""
-    t = _check_time(t)
-    if leading is None:
-        leading = heat_leading_data(h)
-    lam = h.system.lambdas
-    lead = leading.lambda_lead
-    acc = 0.0
-    for i in leading.support:
-        if i in leading.leaders:
-            continue
-        acc += math.exp(2.0 * (lead - lam[i]) * t) * h.values[i] ** 2
-    return math.sqrt(acc)
 
 
 # --------------------------------------------------------------------------
@@ -227,12 +203,7 @@ def wave_overdamped_leader(z: WaveState) -> OverdampedLeader:
     )
 
 
-# times per block of wave_subcritical_norm_sq: bounds the (times x modes)
-# complex temporaries of a long grid
-_TIME_BLOCK = 64
-
-
-def wave_subcritical_norm_sq(t, z: WaveState):
+def wave_subcritical_norm_sq(t: float, z: WaveState) -> float:
     """|e^{gamma t / 2} S_gamma(t) z|^2 in closed form, subcritical damping.
 
     With all modes oscillatory, the renormalized flow is the almost-periodic
@@ -241,52 +212,16 @@ def wave_subcritical_norm_sq(t, z: WaveState):
 
         sum_j 2 |b_j|^2 (1 + 2 lambda_j)
             + 2 Re( e^{2 i theta_j t} b_j^2 (1 + lambda_j + omega_j^2) ).
-
-    ``t`` is a time (the result is a float) or a 1-D array of times (the
-    result is an array), evaluated in blocks of ``_TIME_BLOCK`` times.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise InvalidTimeError(f"need a time or a 1-D array of times, got shape {ts.shape}")
-    rows = ts.reshape(-1, 1)
-    bad = ~((0.0 <= rows) & (rows <= sys.float_info.max))
-    if bad.any():
-        _check_time(rows[bad][0])
+    t = _check_time(t)
     sp = z.spectrum
     if sp.n_over != 0:
         raise WrongCaseError("closed form needs every mode oscillatory (gamma^2 < 4 lambda_1)")
     lam = sp.lambdas_osc()
     omega = sp.omega_osc()
     const = 2.0 * np.abs(z.b) ** 2 * (1.0 + 2.0 * lam)
-    b_sq = z.b ** 2
-    weight = 1.0 + lam + omega ** 2
-    out = np.empty(len(rows))
-    for i in range(0, len(rows), _TIME_BLOCK):
-        block = rows[i:i + _TIME_BLOCK]
-        cross = 2.0 * (np.exp(2j * sp.theta * block) * b_sq * weight).real
-        out[i:i + _TIME_BLOCK] = np.sum(const + cross, axis=1)
-    return float(out[0]) if ts.ndim == 0 else out
-
-
-def wave_subcritical_bounds(z: WaveState) -> tuple[float, float]:
-    """(strictly positive lower bound of the leading mode pair, global upper
-    bound 3 sum (|b_j|^2 + |b_-j|^2)(1 + lambda_j)) for |v(t, z)|^2."""
-    sp = z.spectrum
-    if sp.n_over != 0:
-        raise WrongCaseError("subcritical damping required")
-    nz = np.flatnonzero(np.abs(z.b))
-    if nz.size == 0:
-        raise WrongCaseError("zero state has no oscillatory content")
-    j0 = int(nz[0])
-    lam0 = float(sp.lambdas_osc()[j0])
-    om0 = complex(sp.omega_osc()[j0])
-    b0 = complex(z.b[j0])
-    c = 2.0 * abs(b0) ** 2 * (1.0 + 2.0 * lam0)
-    amp = 2.0 * abs(b0 ** 2 * (1.0 + lam0 + om0 ** 2))
-    lower = max(c - amp, 0.0)
-    lam = sp.lambdas_osc()
-    upper = float(np.sum(3.0 * 2.0 * np.abs(z.b) ** 2 * (1.0 + lam)))
-    return lower, upper
+    cross = 2.0 * (np.exp(2j * sp.theta * t) * z.b ** 2 * (1.0 + lam + omega ** 2)).real
+    return float(np.sum(const + cross))
 
 
 def decay_constants(

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     InvalidDomainError,
-    PointOutsideDomainError,
     ResonanceError,
     ZeroInitialDatumError,
 )
@@ -46,7 +45,7 @@ class EigenSystem:
     """Truncated Dirichlet spectrum on a box, sorted ascending.
 
     ``dims`` is a tuple of (side_length, mode_count) pairs, or None when the
-    spectrum was supplied directly (no eigenfunctions available then).
+    spectrum was supplied directly (no geometry then).
     ``index_map[i]`` is the 1-based multi-index of the i-th sorted mode.
     """
 
@@ -94,16 +93,6 @@ class EigenSystem:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "EigenSystem":
-        obj = json.loads(text)
-        dims = obj["dims"]
-        return cls(
-            dims=None if dims is None else tuple((float(L), int(m)) for L, m in dims),
-            lambdas=np.asarray(obj["lambdas"], dtype=float),
-            index_map=tuple(tuple(int(i) for i in k) for k in obj["index_map"]),
-        )
-
 
 def build_box_eigensystem(dims) -> EigenSystem:
     """Enumerate, sort, and index the truncated box spectrum.
@@ -133,24 +122,6 @@ def build_box_eigensystem(dims) -> EigenSystem:
     return EigenSystem(dims=dims, lambdas=lam, index_map=idx)
 
 
-def eval_eigenfunction(system: EigenSystem, mode: int, x) -> float:
-    """Evaluate the L2-normalized eigenfunction of sorted mode ``mode`` at x."""
-    if system.dims is None:
-        raise InvalidDomainError("eigensystem has no geometry attached")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.size != len(system.dims):
-        raise PointOutsideDomainError(
-            f"point has {xs.size} coordinates, box has {len(system.dims)}"
-        )
-    multi = system.index_map[mode]
-    val = 1.0
-    for xi, ki, (L, _) in zip(xs, multi, system.dims):
-        if xi < 0 or xi > L:
-            raise PointOutsideDomainError(f"coordinate {xi} outside [0, {L}]")
-        val *= math.sqrt(2.0 / L) * math.sin(ki * math.pi * xi / L)
-    return val
-
-
 @dataclass(frozen=True)
 class ModeCoefficients:
     """A vector of coefficients against the sorted eigenbasis."""
@@ -172,9 +143,6 @@ class ModeCoefficients:
 
     def nonzero_indices(self) -> np.ndarray:
         return np.flatnonzero(self.values)
-
-    def scaled(self, c: float) -> "ModeCoefficients":
-        return ModeCoefficients(self.system, c * self.values)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,6 @@ import numpy as np
 from .errors import InvalidDomainError
 
 
-def min_exponent(p: float) -> float:
-    """The outer exponent min(1, 1/p) collapses to: 1/p for p > 1, else 1
-    (and for p < 1 there is no outer root at all, the cost is E|x-y|^p)."""
-    if p <= 0:
-        raise InvalidDomainError(f"order p must be positive, got {p}")
-    return min(1.0, 1.0 / p)
-
-
 def concentration_exponent(p: float) -> float:
     """min(1, p): the power of a scale factor that W_p picks up."""
     if p <= 0:
@@ -253,24 +245,3 @@ def homogeneity_check(
         "factor": factor,
         "pass": bool(abs(diff) <= budget),
     }
-
-
-def ergodic_bound(
-    t: float,
-    h_norm: float,
-    eps: float,
-    p: float,
-    c_star: float,
-    rate: float,
-    abs_moment: float,
-) -> float:
-    """Right side of the exponential ergodic estimate
-
-        W_p(X_t(h), equilibrium) <= (C e^{-rate t} |h|)^{min(1,p)}
-                                    + (eps C e^{-rate t})^{min(1,p)} * m,
-
-    where m is the min(1,p)-th absolute moment of the unit-noise
-    equilibrium."""
-    a = concentration_exponent(p)
-    decay = c_star * math.exp(-rate * t)
-    return (decay * h_norm) ** a + (eps * decay) ** a * abs_moment

@@ -1,9 +1,12 @@
 """CLI tests: config validation, output schema, byte determinism."""
+import copy
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdecutoff.cli import load_config, main, run_heat_profile
 from spdecutoff.errors import ConfigError
@@ -29,6 +32,16 @@ def heat_cfg(**over):
     cfg.update(over)
     return cfg
 
+
+WAVE_PROFILE_CFG = {
+    "schema_version": 1,
+    "dims": [[1.0, 6]],
+    "gamma": 10.0,
+    "initial": {"position": [1.0, 0.3], "velocity": [0.0, 0.1]},
+    "noise": {"gaussian_q": "inverse-square"},
+    "eps_grid": [1e-4, 1e-8],
+    "rho_grid": [-1.0, 0.0, 1.0],
+}
 
 WAVE_WINDOW_CFG = {
     "schema_version": 1,
@@ -149,6 +162,16 @@ class TestConfigValidation:
             ("levy-check", LEVY_CHECK_CFG | {"marks": [{"values": [0.3, 0.15],
                                                         "rate": 0.0}]}, "/marks/0/rate"),
             ("levy-check", LEVY_CHECK_CFG | {"t": -0.8}, "/t"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"u": math.nan}, "/u"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"p_grid": [math.nan]}, "/p_grid/0"),
+            ("heat-profile", heat_cfg(initial=[0, 1, math.inf]), "/initial/2"),
+            ("mult-profile", MULT_CFG | {"g": [[math.nan, 1, 0.2]]}, "/g/0/0"),
+            ("wave-window", WAVE_WINDOW_CFG | {"gamma": math.inf}, "/gamma"),
+            ("heat-profile", heat_cfg(dims=[[-math.inf, 3]]), "/dims/0/0"),
+            ("heat-profile", heat_cfg(master_seed=-1), "/master_seed"),
+            ("levy-check", LEVY_CHECK_CFG | {"t": 1e20}, "/t"),
+            ("levy-check", LEVY_CHECK_CFG | {"marks": [{"values": [0.3, 0.15],
+                                                        "rate": 1e300}]}, "/t"),
         ],
         ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g",
              "mult-kind-no-rho", "mult-no-g-no-rho",
@@ -157,7 +180,10 @@ class TestConfigValidation:
              "mult-mark-norm-no-rho", "mult-mark-length",
              "levy-n-paths-negative", "levy-n-paths-one", "heat-display-variant",
              "mult-schedule-no-rho", "mult-schedule", "mult-schedule-coarse-grid",
-             "mult-mark-rate-negative", "levy-mark-rate-zero", "levy-t-negative"],
+             "mult-mark-rate-negative", "levy-mark-rate-zero", "levy-t-negative",
+             "wass-u-nan", "wass-p-nan", "heat-initial-inf", "mult-g-nan",
+             "wave-gamma-inf", "dims-length-inf", "master-seed-negative",
+             "levy-t-huge", "levy-rate-huge"],
     )
     def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
                                                    command, cfg, pointer):
@@ -166,6 +192,101 @@ class TestConfigValidation:
         assert rc == 2
         assert f"error: {pointer}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("rho_grid", [[0.0], []])
+    def test_zero_wave_window_state_exits_2(self, tmp_path, capsys, rho_grid):
+        cfg = WAVE_WINDOW_CFG | {"rho_grid": rho_grid,
+                                 "initial": {"position": [0.0], "velocity": [0.0, 0.0]}}
+        path = write_cfg(tmp_path, "zero.json", cfg)
+        rc = main(["wave-window", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: zero state has no oscillatory content" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test", "selftest"])
+    def test_negative_seed_argument_exits_2(self, capsys, command):
+        argv = [command, "--seed", "-1"]
+        if command != "selftest":
+            argv += ["--config", "never-read.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
+    def test_overflowing_jump_moment_fails_its_row(self, tmp_path):
+        marks = [LEVY_MULT_CFG["marks"][0] | {"rate": 1e300}, LEVY_MULT_CFG["marks"][1]]
+        path = write_cfg(tmp_path, "m.json", LEVY_MULT_CFG | {"marks": marks})
+        out = tmp_path / "out"
+        assert main(["mult-profile", "--config", path, "--out", str(out)]) == 1
+        rows = (out / "mult_profile.csv").read_text().strip().split("\n")[1:]
+        assert rows and all(r.endswith(",false") for r in rows)
+        assert all(r.split(",")[4] == "inf" for r in rows)
+
+
+# Replacement values of the config fuzz test; DELETE removes the member.
+DELETE = object()
+FUZZ_VALUES = [None, True, "x", [], {}, [[]], math.nan, math.inf, -math.inf,
+               -1, 0, 0.5, 2.5, 1e300, DELETE]
+
+# Every runner on a valid config, with small sample counts.
+FUZZ_CONFIGS = [
+    ("heat-profile", heat_cfg()),
+    ("wave-profile", WAVE_PROFILE_CFG),
+    ("wave-window", WAVE_WINDOW_CFG),
+    ("mult-profile", MULT_CFG),
+    ("mult-profile", LEVY_MULT_CFG),
+    ("levy-check", LEVY_CHECK_CFG | {"n_paths": 20}),
+    ("wasserstein-test", WASSERSTEIN_CFG | {"n": 200}),
+]
+
+
+def json_paths(node, path=()):
+    """Every JSON pointer of ``node`` as a key tuple, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(cfg, path, value):
+    """``cfg`` with the member at ``path`` replaced by ``value`` or deleted."""
+    if not path:
+        return value
+    cfg = copy.deepcopy(cfg)
+    *parent, key = path
+    node = cfg
+    for k in parent:
+        node = node[k]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return cfg
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command, cfg", FUZZ_CONFIGS,
+                             ids=[f"{c}-{i}" for i, (c, _) in enumerate(FUZZ_CONFIGS)])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_any_one_member_changed_runs_or_exits_2(self, command, cfg, data):
+        path = data.draw(st.sampled_from(list(json_paths(cfg))), label="path")
+        value = data.draw(st.sampled_from(FUZZ_VALUES if path else FUZZ_VALUES[:-1]),
+                          label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "fuzz.json")
+            with open(cfg_path, "w") as f:
+                json.dump(mutate(cfg, path, value), f)
+            rc = main([command, "--config", cfg_path, "--out", os.path.join(tmp, "out")])
+        assert rc in (0, 1, 2)
+        if isinstance(value, float) and not math.isfinite(value):
+            assert rc == 2
 
 
 class TestRuns:
@@ -205,16 +326,7 @@ class TestRuns:
                (out2 / "heat_profile.csv").read_bytes()
 
     def test_wave_profile_run(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "dims": [[1.0, 6]],
-            "gamma": 10.0,
-            "initial": {"position": [1.0, 0.3], "velocity": [0.0, 0.1]},
-            "noise": {"gaussian_q": "inverse-square"},
-            "eps_grid": [1e-4, 1e-8],
-            "rho_grid": [-1.0, 0.0, 1.0],
-        }
-        cfg_path = write_cfg(tmp_path, "w.json", cfg)
+        cfg_path = write_cfg(tmp_path, "w.json", WAVE_PROFILE_CFG)
         out = tmp_path / "wout"
         rc = main(["wave-profile", "--config", cfg_path, "--out", str(out)])
         assert rc == 0

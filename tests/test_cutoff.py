@@ -31,12 +31,12 @@ from spdecutoff import (
     wave_overdamped_leader,
     wave_profile_overdamped,
     wave_spectrum,
+    wave_subcritical_norm_sq,
     wave_window_diagnostics,
     w2_diag_gaussian,
 )
 from spdecutoff.cutoff import gaussian_abs_moment_surrogate, heat_noise_gap
 from spdecutoff.errors import InvalidDomainError, WrongCaseError
-from spdecutoff.noise_sim import sample_heat_gaussian_convolution
 from spdecutoff.wasserstein import wp_empirical_1d
 
 
@@ -87,8 +87,10 @@ class TestRenormalizedDistanceHeat:
         eps, t, n = 0.3, 1.0, 200_000
         exact = renormalized_distance_heat(t, h, eps, spec)
         rng = stream(31, 0)
-        xs = (math.exp(-t) * 1.0 + eps * sample_heat_gaussian_convolution(t, spec, rng, n)[:, 0])
-        ys = eps * sample_heat_gaussian_convolution(math.inf, spec, rng, n)[:, 0]
+        sd_t = math.sqrt(heat_gaussian_convolution_law(t, spec)[0])
+        sd_inf = math.sqrt(heat_gaussian_convolution_law(math.inf, spec)[0])
+        xs = math.exp(-t) * 1.0 + eps * (sd_t * rng.standard_normal(n))
+        ys = eps * (sd_inf * rng.standard_normal(n))
         est = wp_empirical_1d(xs, ys, 2.0) / eps
         assert est == pytest.approx(exact, rel=0.02)
 
@@ -97,7 +99,7 @@ class TestRenormalizedDistanceHeat:
         d = renormalized_distance_heat(5000.0, h, 0.5, spec)
         assert d == pytest.approx(0.0, abs=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(t=st.floats(0.0, 300.0), log10_eps=st.floats(-150.0, -0.01),
            seed=st.integers(0, 2**16))
     def test_equals_w2_diag_gaussian_to_the_bit(self, t, log10_eps, seed):
@@ -254,9 +256,13 @@ class TestWaveWindow:
         wsp, z, spec = self.setup()
         rows = wave_window_diagnostics([-2.0, 0.0, 2.0], [1e-4, 1e-8], z, spec)
         assert all(r["pass"] for r in rows)
+        # envelope of |v(t, z)| over eight slow periods
+        ts = np.linspace(0.0, 8 * 2.0 * math.pi / float(np.min(wsp.theta)), 4096)
+        v = [math.sqrt(max(wave_subcritical_norm_sq(t, z), 0.0)) for t in ts.tolist()]
         for r in rows:
-            assert r["env_low"] <= r["center"] * 1.001 + 1e-12
-            assert r["center"] <= r["env_high"] * 1.001 + 1e-12
+            scale = math.exp(-0.5 * wsp.gamma * r["rho"])
+            assert scale * min(v) <= r["center"] * 1.001 + 1e-12
+            assert r["center"] <= scale * max(v) * 1.001 + 1e-12
 
     def test_no_convergence_inside_window(self):
         # the center oscillates: spread over t at fixed rho stays bounded away
@@ -265,7 +271,6 @@ class TestWaveWindow:
         rows = wave_window_diagnostics([0.0], [1e-4, 1e-6, 1e-8], z, spec)
         vals = [r["distance"] for r in rows]
         assert min(vals) > 0.1 * max(vals)
-        assert all(r["osc_floor_sq"] >= 0 for r in rows)
 
     def test_monotone_trend_across_window(self):
         wsp, z, spec = self.setup()

@@ -348,7 +348,7 @@ def monte_carlo_case(seed):
 
 
 class TestMergedJumpArithmetic:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(t=st.floats(0.0, 50.0), log10_eps=st.floats(-8.0, -0.01),
            log_scale=st.floats(0.0, 100.0), n_modes=st.integers(1, 12),
            n_marks=st.integers(1, 3), seed=st.integers(0, 2**16))
@@ -373,7 +373,7 @@ class TestMergedJumpArithmetic:
                 assert (mult_distance_to_zero(t, h, spec, log_scale).hex()
                         == levy_distance_to_zero(t, h, spec, log_scale).hex()), (seed, t)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(rho=st.floats(0.0, 3.0),
            exponents=st.lists(st.floats(3.0, 12.0), min_size=1, max_size=6),
            schedule=st.sampled_from(["eps", "sqrt", "log"]),

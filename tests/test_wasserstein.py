@@ -21,24 +21,21 @@ from spdecutoff import (
     w2_gaussian_2x2,
     w2_product,
     wp_empirical_1d,
-    ergodic_bound,
 )
 from spdecutoff import wasserstein
 from spdecutoff.errors import InvalidDomainError
-from spdecutoff.wasserstein import concentration_exponent, min_exponent
+from spdecutoff.wasserstein import concentration_exponent
 
 
 class TestExponents:
     def test_values(self):
-        assert min_exponent(2.0) == 0.5
-        assert min_exponent(1.0) == 1.0
-        assert min_exponent(0.5) == 1.0
         assert concentration_exponent(2.0) == 1.0
+        assert concentration_exponent(1.0) == 1.0
         assert concentration_exponent(0.5) == 0.5
 
     def test_invalid(self):
         with pytest.raises(InvalidDomainError):
-            min_exponent(0.0)
+            concentration_exponent(0.0)
 
 
 class TestDiagGaussian:
@@ -190,7 +187,7 @@ _block = st.tuples(
 
 
 class TestStackedGaussian2x2:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(_block, min_size=1, max_size=12))
     def test_equals_the_block_loop(self, blocks):
         m1, c1, m2, c2, w = (np.array(x) for x in zip(*blocks))
@@ -297,7 +294,7 @@ class TestShiftAndHomogeneity:
             assert abs(res["estimate"]) <= res["budget"]
             assert res["factor"] == pytest.approx(3.0 ** min(1.0, p))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         seed=st.integers(0, 2**63 - 1),
         n=st.integers(1, 400),
@@ -325,13 +322,3 @@ class TestShiftAndHomogeneity:
         shifted = wp_empirical_1d(x + 5.0, y + 5.0, 2.0)
         assert shifted == pytest.approx(base, rel=1e-12)
 
-
-class TestErgodicBound:
-    def test_decreasing_in_time(self):
-        vals = [ergodic_bound(t, 2.0, 0.01, 2.0, 1.5, 1.0, 0.8)
-                for t in np.linspace(0, 10, 30)]
-        assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_small_p_exponent(self):
-        v = ergodic_bound(0.0, 4.0, 0.25, 0.5, 1.0, 1.0, 1.0)
-        assert v == pytest.approx(4.0**0.5 + 0.25**0.5, rel=1e-13)
