@@ -42,16 +42,13 @@ from .wasserstein import (
 )
 from .cutoff import (
     CutoffReport,
-    heat_cutoff_time,
-    heat_profile,
-    heat_error_bound,
+    cutoff_time,
+    profile,
+    error_bound,
     renormalized_distance_heat,
     renormalized_distance_wave,
     cutoff_inequality_gap,
     simple_cutoff_scan,
-    wave_cutoff_time,
-    wave_profile_overdamped,
-    wave_error_bound,
     wave_window_diagnostics,
     large_data_identity,
 )

@@ -51,15 +51,12 @@ from .noise_sim import JumpMark, NoiseSpec, wave_gaussian_convolution_law
 from .wasserstein import homogeneity_check, shift_linearity_check
 from .cutoff import (
     CutoffReport,
+    cutoff_time,
+    error_bound,
     gaussian_abs_moment_surrogate,
-    heat_cutoff_time,
-    heat_error_bound,
-    heat_profile,
+    profile,
     renormalized_distance_heat,
     simple_cutoff_scan,
-    wave_cutoff_time,
-    wave_error_bound,
-    wave_profile_overdamped,
     renormalized_distance_wave,
     wave_window_diagnostics,
 )
@@ -76,8 +73,14 @@ from .multiplicative import (
 
 SCHEMA_VERSION = 1
 
-# levy-check stores every jump of a pathwise path: cap t * (total jump rate)
+# levy-check stores every jump of a pathwise path: cap t * (total jump rate),
+# and replays paths only until this many jumps have been replayed
 MAX_EXPECTED_JUMPS = 1e6
+# Upper ends of the integer config fields: box modes (all axes together),
+# wasserstein-test's n and levy-check's n_paths times the mode count.
+MAX_BOX_MODES = 10 ** 6
+MAX_SAMPLES = 10 ** 7
+MAX_PATH_ENTRIES = 5 * 10 ** 7
 
 
 # --------------------------------------------------------------------------
@@ -160,12 +163,17 @@ def _build_system(cfg: dict) -> EigenSystem:
         return EigenSystem.from_lambdas(lam)
     dims_raw = _get(cfg, "dims", list, "")
     dims = []
+    total = 1
     for i, d in enumerate(dims_raw):
         if (not isinstance(d, list)) or len(d) != 2:
             raise ConfigError(f"/dims/{i}", "expected [side_length, mode_count]")
         length, modes = _number(d[0], f"/dims/{i}/0"), d[1]
         if not isinstance(modes, int) or isinstance(modes, bool):
             raise ConfigError(f"/dims/{i}/1", "expected integer mode count")
+        total *= max(modes, 1)
+        if total > MAX_BOX_MODES:
+            raise ConfigError(f"/dims/{i}/1",
+                              f"the box would have more than {MAX_BOX_MODES:,} modes")
         dims.append((length, modes))
     return build_box_eigensystem(dims)
 
@@ -230,35 +238,41 @@ def _eps_grid(cfg: dict) -> list[float]:
 # --------------------------------------------------------------------------
 
 
+def _profile_report(eps_grid: list[float], rho_grid: list[float], case: str, p: float,
+                    leader, distance, constants: tuple[float, float], moment: float,
+                    meta: dict) -> CutoffReport:
+    """The (rho, eps) grid of one leader: the exact ``distance(t, eps)`` at
+    t_eps + rho against the profile, with the two-term certificate built
+    from the decay ``constants`` (C, rate) and the equilibrium ``moment``."""
+    report = CutoffReport(meta=meta)
+    for rho in rho_grid:
+        for eps in eps_grid:
+            t = cutoff_time(eps, leader.rate) + rho
+            dist = distance(t, eps)
+            prof = profile(rho, leader, p)
+            bound = error_bound(rho, eps, leader, *constants, moment)
+            report.add(case, p, eps, rho, dist, prof, bound, abs(dist - prof) <= bound)
+    return report
+
+
 def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
     spec = _noise_spec(cfg, system)
     p = _require_p2(cfg, "exact heat profile")
     leading = heat_leading_data(h)
-    c_star, rate = decay_constants("heat", system=system)
+    constants = decay_constants("heat", system=system)
     moment = gaussian_abs_moment_surrogate(spec)
     variant = _get(cfg, "error_bound_variant", str, "", default="proof", required=False)
     if variant != "proof":
         raise ConfigError("/error_bound_variant",
                           f"only the proven bound 'proof' is available, got {variant!r}")
     eps_grid = _eps_grid(cfg)
-    rho_grid = _float_list(cfg, "rho_grid", "")
-    report = CutoffReport()
-    report.meta = {
-        "lambda_lead": leading.lambda_lead,
-        "shape_norm": leading.v_norm,
-        "error_bound_variant": variant,
-    }
-
-    for rho in rho_grid:
-        for eps in eps_grid:
-            t = heat_cutoff_time(eps, leading) + rho
-            dist = renormalized_distance_heat(t, h, eps, spec)
-            prof = heat_profile(rho, leading, p)
-            bound = heat_error_bound(rho, eps, leading, c_star, rate, moment, h.norm)
-            report.add("heat-additive", p, eps, rho, dist, prof, bound,
-                       abs(dist - prof) <= bound)
+    report = _profile_report(
+        eps_grid, _float_list(cfg, "rho_grid", ""), "heat-additive", p, leading,
+        lambda t, eps: renormalized_distance_heat(t, h, eps, spec), constants, moment,
+        {"lambda_lead": leading.lambda_lead, "shape_norm": leading.shape_norm,
+         "error_bound_variant": variant})
     delta_grid = _float_list(cfg, "delta_grid", "", required=False)
     if delta_grid:
         for row in simple_cutoff_scan(delta_grid, eps_grid, h, spec):
@@ -282,31 +296,17 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "exact wave profile")
     leader = wave_overdamped_leader(z)
-    c_star, rate = decay_constants("wave", wave_spec=wsp)
+    constants = decay_constants("wave", wave_spec=wsp)
     # unit-noise equilibrium root second moment in the graph norm
     covs = wave_gaussian_convolution_law(math.inf, spec, wsp)
     lam = wsp.system.lambdas
     moment = math.sqrt(
         float(np.sum((1.0 + lam) * covs[:, 0, 0] + covs[:, 1, 1]))
     )
-    eps_grid = _eps_grid(cfg)
-    rho_grid = _float_list(cfg, "rho_grid", "")
-    report = CutoffReport()
-    report.meta = {
-        "rate": leader.rate,
-        "shape_norm": leader.shape_norm,
-        "leader_case": leader.case,
-    }
-
-    for rho in rho_grid:
-        for eps in eps_grid:
-            t = wave_cutoff_time(eps, leader=leader) + rho
-            dist = renormalized_distance_wave(t, z, eps, spec)
-            prof = wave_profile_overdamped(rho, leader, p)
-            bound = wave_error_bound(rho, eps, leader, c_star, rate, moment)
-            report.add("wave-overdamped", p, eps, rho, dist, prof, bound,
-                       abs(dist - prof) <= bound)
-    return report
+    return _profile_report(
+        _eps_grid(cfg), _float_list(cfg, "rho_grid", ""), "wave-overdamped", p, leader,
+        lambda t, eps: renormalized_distance_wave(t, z, eps, spec), constants, moment,
+        {"rate": leader.rate, "shape_norm": leader.shape_norm, "leader_case": leader.case})
 
 
 def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
@@ -384,17 +384,24 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     n_paths = _get(cfg, "n_paths", int, "", default=1000, required=False)
     if n_paths < 2:
         raise ConfigError("/n_paths", f"need at least 2 paths, got {n_paths}")
+    if n_paths * system.n_modes > MAX_PATH_ENTRIES:
+        raise ConfigError("/n_paths", f"n_paths times the {system.n_modes} modes "
+                                      f"exceeds {MAX_PATH_ENTRIES:,}")
     (spec,) = _mult_specs(cfg, system, "levy", [eps])
     if t * sum(m.rate for m in spec.marks) > MAX_EXPECTED_JUMPS:
         raise ConfigError("/t", f"expected jumps per path t * rate exceed {MAX_EXPECTED_JUMPS:g}")
 
     worst = 0.0
+    replayed = 0
     for r in range(min(n_paths, 1000)):
         rng = stream(seed, 0, r)
         x, jumps = levy_stochexp_sample(t, h, spec, rng)
         y = levy_flow_oracle(t, h, spec, jumps)
         denom = np.maximum(np.abs(y), 1e-300)
         worst = max(worst, float(np.max(np.abs(x - y) / denom)))
+        replayed += jumps.times.size
+        if replayed >= MAX_EXPECTED_JUMPS:
+            break
 
     batch = levy_stochexp_batch(t, h, spec, stream(seed, 1), n_paths)
     sq = np.sum(batch ** 2, axis=1)
@@ -405,6 +412,7 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     report = CutoffReport()
     report.meta = {
         "pathwise_worst_relative": worst,
+        "pathwise_paths": r + 1,
         "mc_second_moment": mc,
         "mc_se": se,
         "exact_second_moment": exact,
@@ -420,6 +428,8 @@ def run_wasserstein_test(cfg: dict, seed: int) -> CutoffReport:
     n = _get(cfg, "n", int, "", default=100_000, required=False)
     if n < 2:
         raise ConfigError("/n", f"need at least 2 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise ConfigError("/n", f"at most {MAX_SAMPLES:,} samples, got {n}")
     p_list = _float_list(cfg, "p_grid", "", required=False, default=[2.0, 0.5])
     report = CutoffReport()
     for i, p in enumerate(p_list):
@@ -455,10 +465,10 @@ def run_selftest(seed: int) -> int:
     check("leading eigenvalue", abs(leading.lambda_lead - 4.0) < 1e-12)
     spec = NoiseSpec(system=system, gaussian_q=1.0 / np.arange(1, 9.0) ** 2)
     eps = 1e-6
-    t = heat_cutoff_time(eps, leading)
+    t = cutoff_time(eps, leading.rate)
     d0 = renormalized_distance_heat(t, h, eps, spec)
     check("distance near profile at cutoff",
-          abs(d0 - leading.v_norm) < 0.1 * leading.v_norm)
+          abs(d0 - leading.shape_norm) < 0.1 * leading.shape_norm)
     rows = simple_cutoff_scan([0.5, 2.0], [1e-8], h, spec)
     check("pre-cutoff large", rows[0]["distance"] > 1e3)
     check("post-cutoff small", rows[1]["distance"] < 1e-3)

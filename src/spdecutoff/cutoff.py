@@ -9,6 +9,10 @@ drops from +infinity to 0 around a deterministic time t_eps that scales like
 |ln eps|.  This module computes t_eps, the limiting profile shape, the exact
 renormalized distance in the Gaussian cases, and two-term error certificates
 that dominate |distance - profile| on finite grids.
+
+Heat and overdamped wave leaders share the fields ``rate``, ``shape_norm``,
+``margin`` and ``amplitude``, so one cutoff time, profile and certificate
+serve both equations.
 """
 from __future__ import annotations
 
@@ -25,13 +29,11 @@ from .noise_sim import (
     wave_gaussian_convolution_law,
 )
 from .semigroup import (
-    OverdampedLeader,
     heat_apply,
     wave_apply,
     wave_subcritical_norm_sq,
 )
 from .spectral_core import (
-    HeatLeadingData,
     ModeCoefficients,
     WaveSpectrum,
     WaveState,
@@ -47,22 +49,41 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
+def cutoff_time(eps: float, rate: float) -> float:
+    """t_eps = |ln eps| / rate: ``leader.rate`` for a heat or overdamped wave
+    leader, gamma / 2 for purely oscillatory damping."""
+    eps = _check_eps(eps)
+    return abs(math.log(eps)) / rate
+
+
+def profile(rho: float, leader, p: float = 2.0) -> float:
+    """Limiting profile (e^{-rho rate} |shape|)^{min(1,p)}; exact for
+    p >= 1, where the shift identity removes the equilibrium law."""
+    return (math.exp(-leader.rate * rho) * leader.shape_norm) ** min(1.0, p)
+
+
+def error_bound(rho: float, eps: float, leader, c_star: float, rate: float,
+                moment: float) -> float:
+    """Two-term certificate dominating |d_eps(t_eps + rho) - profile(rho)|.
+
+    It evaluates the two true inequalities at t = t_eps + rho:
+
+        C e^{-rate t} m   +   e^{-rho leader.rate} e^{margin t} amplitude,
+
+    the noise relaxation (decay constants C, rate and equilibrium moment m)
+    plus the leader's own certificate, absent when margin is -inf.
+    """
+    t = cutoff_time(eps, leader.rate) + rho
+    noise = c_star * moment * math.exp(-rate * t)
+    if leader.margin == -math.inf:
+        return noise
+    return noise + (math.exp(-leader.rate * rho) * math.exp(leader.margin * t)
+                    * leader.amplitude)
+
+
 # --------------------------------------------------------------------------
 # Heat equation
 # --------------------------------------------------------------------------
-
-
-def heat_cutoff_time(eps: float, leading: HeatLeadingData) -> float:
-    """t_eps = |ln eps| / lambda_lead."""
-    eps = _check_eps(eps)
-    return abs(math.log(eps)) / leading.lambda_lead
-
-
-def heat_profile(rho: float, leading: HeatLeadingData, p: float = 2.0) -> float:
-    """Limiting profile (e^{-rho lambda_lead} |v|)^{min(1,p)}; exact for
-    p >= 1, where the shift identity removes the equilibrium law."""
-    val = math.exp(-leading.lambda_lead * rho) * leading.v_norm
-    return val ** min(1.0, p)
 
 
 def renormalized_distance_heat(
@@ -114,33 +135,6 @@ def cutoff_inequality_gap(
     return {"lhs": lhs, "mid": mid, "gap": gap, "bound": bound, "pass": bool(gap <= bound + 1e-12)}
 
 
-def heat_error_bound(
-    rho: float,
-    eps: float,
-    leading: HeatLeadingData,
-    c_star: float,
-    rate: float,
-    abs_moment: float,
-    h_norm: float,
-) -> float:
-    """Two-term certificate dominating |d_eps(t_eps + rho) - profile(rho)|.
-
-    It evaluates the two true inequalities at t = t_eps + rho:
-
-        C e^{-rate t} m   +   e^{-rho l_1} e^{(l_1 - l_2) t} |h|,
-
-    with l_1 the leading and l_2 the next supported eigenvalue (both eps
-    powers follow with exponent divided by l_1).
-    """
-    eps = _check_eps(eps)
-    l1 = leading.lambda_lead
-    l2 = leading.lambda_next
-    t = abs(math.log(eps)) / l1 + rho
-    term1 = c_star * abs_moment * math.exp(-rate * t)
-    term2 = 0.0 if l2 is None else math.exp(-l1 * rho) * math.exp((l1 - l2) * t) * h_norm
-    return term1 + term2
-
-
 def simple_cutoff_scan(
     delta_grid,
     eps_grid,
@@ -162,7 +156,7 @@ def simple_cutoff_scan(
         if abs(delta - 1.0) <= 1e-12:
             raise InvalidDomainError("delta == 1 sits on the cutoff, scan excludes it")
         for eps in eps_grid:
-            t = delta * heat_cutoff_time(eps, leading)
+            t = delta * cutoff_time(eps, leading.rate)
             rows.append(
                 {
                     "delta": delta,
@@ -178,23 +172,6 @@ def simple_cutoff_scan(
 # --------------------------------------------------------------------------
 # Damped wave equation
 # --------------------------------------------------------------------------
-
-
-def wave_cutoff_time(eps: float, *, leader: OverdampedLeader | None = None,
-                     gamma: float | None = None) -> float:
-    """t_eps = |ln eps| / rate in the overdamped-leader case, or
-    2 |ln eps| / gamma in the purely oscillatory case."""
-    eps = _check_eps(eps)
-    if leader is not None:
-        return abs(math.log(eps)) / leader.rate
-    if gamma is not None:
-        return 2.0 * abs(math.log(eps)) / gamma
-    raise InvalidDomainError("need either an overdamped leader or gamma")
-
-
-def wave_profile_overdamped(rho: float, leader: OverdampedLeader, p: float = 2.0) -> float:
-    """(e^{-rho rate} |shape|)^{min(1,p)} -- the overdamped wave profile."""
-    return (math.exp(-leader.rate * rho) * leader.shape_norm) ** min(1.0, p)
 
 
 def renormalized_distance_wave(
@@ -227,23 +204,6 @@ def wave_noise_gap(t: float, z_spectrum: WaveSpectrum, spec: NoiseSpec) -> float
     return w2_product(per_mode)
 
 
-def wave_error_bound(
-    rho: float,
-    eps: float,
-    leader: OverdampedLeader,
-    c_star: float,
-    rate: float,
-    abs_moment: float,
-) -> float:
-    """Two-term certificate for the overdamped wave profile at t_eps + rho:
-    the noise relaxation term plus the leader's own decay certificate."""
-    eps = _check_eps(eps)
-    t = abs(math.log(eps)) / leader.rate + rho
-    term1 = c_star * abs_moment * math.exp(-rate * t)
-    term2 = math.exp(-leader.rate * rho) * leader.amplitude * math.exp(leader.margin * t)
-    return term1 + term2
-
-
 def wave_window_diagnostics(rho_grid, eps_grid, z: WaveState, spec: NoiseSpec) -> list[dict]:
     """Oscillatory-damping window study at t_eps + rho.
 
@@ -261,8 +221,7 @@ def wave_window_diagnostics(rho_grid, eps_grid, z: WaveState, spec: NoiseSpec) -
     rows = []
     for rho in rho_grid:
         for eps in eps_grid:
-            eps = _check_eps(eps)
-            t = wave_cutoff_time(eps, gamma=wsp.gamma) + float(rho)
+            t = cutoff_time(eps, 0.5 * wsp.gamma) + float(rho)
             dist = renormalized_distance_wave(t, z, eps, spec)
             center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
                 max(wave_subcritical_norm_sq(t, z), 0.0)

@@ -169,7 +169,7 @@ def mult_profile(
     a_vals = schedule_values(schedule, [s.eps for s in specs])
     l1 = leading.lambda_lead
     l2 = leading.lambda_next
-    profile = math.exp(-l1 * rho) * leading.v_norm
+    profile = math.exp(-l1 * rho) * leading.shape_norm
     rows = []
     for spec, a in zip(specs, a_vals):
         t = abs(math.log(a)) / l1 + rho

@@ -154,7 +154,9 @@ class HeatLeadingData:
     ``next_index``: smallest supported index beyond the leaders (None if the
     datum is concentrated on the leading eigenvalue).  ``v`` is the
     projection onto the leaders, the large-time shape of the renormalized
-    flow.
+    flow.  As a leader of the cutoff module (like the overdamped wave
+    leader) it decays at ``rate`` = lambda_lead towards ``shape_norm`` = |v|,
+    with error at most ``amplitude`` = |h| times e^{margin t}.
     """
 
     support: tuple[int, ...]
@@ -162,17 +164,26 @@ class HeatLeadingData:
     leaders: tuple[int, ...]
     next_index: int | None
     v: ModeCoefficients
-    v_norm: float
+    shape_norm: float
+    amplitude: float
 
     @property
     def lambda_lead(self) -> float:
         return float(self.v.system.lambdas[self.first])
+
+    rate = lambda_lead
 
     @property
     def lambda_next(self) -> float | None:
         if self.next_index is None:
             return None
         return float(self.v.system.lambdas[self.next_index])
+
+    @property
+    def margin(self) -> float:
+        """lambda_lead - lambda_next, or -inf for a datum on the leaders alone."""
+        l2 = self.lambda_next
+        return -math.inf if l2 is None else self.lambda_lead - l2
 
 
 def heat_leading_data(h: ModeCoefficients) -> HeatLeadingData:
@@ -195,7 +206,8 @@ def heat_leading_data(h: ModeCoefficients) -> HeatLeadingData:
         leaders=leaders,
         next_index=next_index,
         v=v,
-        v_norm=v.norm,
+        shape_norm=v.norm,
+        amplitude=h.norm,
     )
 
 

@@ -21,27 +21,25 @@ from spdecutoff import (
     NoiseSpec,
     build_box_eigensystem,
     cutoff_inequality_gap,
+    cutoff_time,
     decay_constants,
-    heat_cutoff_time,
-    heat_error_bound,
+    error_bound,
     heat_leading_data,
-    heat_profile,
     large_data_identity,
     levy_flow_oracle,
     levy_stochexp_sample,
     mult_brownian_flow_sample,
     mult_profile,
     mult_second_moment_exact,
+    profile,
     renormalized_distance_heat,
     renormalized_distance_wave,
     simple_cutoff_scan,
     stream,
     w2_diag_gaussian,
     wave_apply,
-    wave_cutoff_time,
     wave_decompose,
     wave_overdamped_leader,
-    wave_profile_overdamped,
     wave_spectrum,
     wave_subcritical_norm_sq,
     wave_window_diagnostics,
@@ -110,11 +108,11 @@ def test_criterion_02_heat_profile():
     for rho in (-1.0, 0.0, 1.0):
         prev = math.inf
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-            t = heat_cutoff_time(eps, lead) + rho
+            t = cutoff_time(eps, lead.rate) + rho
             dist = renormalized_distance_heat(t, h, eps, spec)
-            prof = heat_profile(rho, lead)
+            prof = profile(rho, lead)
             assert prof == pytest.approx(math.exp(-4.0 * rho), rel=1e-12)
-            bound = heat_error_bound(rho, eps, lead, c, rate, moment, h.norm)
+            bound = error_bound(rho, eps, lead, c, rate, moment)
             resid = abs(dist - prof)
             ok = ok and resid <= bound and resid <= prev + 1e-18
             prev = resid
@@ -177,9 +175,9 @@ def test_criterion_05_wave_overdamped():
     eps = 1e-8
     worst_rel = 0.0
     for rho in (-1.0, 0.0, 1.0):
-        t = wave_cutoff_time(eps, leader=lead) + rho
+        t = cutoff_time(eps, lead.rate) + rho
         dist = renormalized_distance_wave(t, z, eps, spec)
-        prof = wave_profile_overdamped(rho, lead)
+        prof = profile(rho, lead)
         worst_rel = max(worst_rel, abs(dist - prof) / prof)
     ok = violations == 0 and worst_rel <= 0.10
     report("criterion 5 (wave overdamped profile)", ok,

@@ -5,11 +5,15 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spdecutoff.cli as cli
+from spdecutoff import JumpMark, stream
 from spdecutoff.cli import load_config, main, run_heat_profile
 from spdecutoff.errors import ConfigError
+from spdecutoff.noise_sim import sample_jump_realization
 
 
 def write_cfg(tmp_path, name, payload):
@@ -172,6 +176,15 @@ class TestConfigValidation:
             ("levy-check", LEVY_CHECK_CFG | {"t": 1e20}, "/t"),
             ("levy-check", LEVY_CHECK_CFG | {"marks": [{"values": [0.3, 0.15],
                                                         "rate": 1e300}]}, "/t"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"n": 10 ** 20}, "/n"),
+            ("wasserstein-test", WASSERSTEIN_CFG | {"n": 10 ** 7 + 1}, "/n"),
+            ("levy-check", LEVY_CHECK_CFG | {"n_paths": 10 ** 20}, "/n_paths"),
+            # two modes: 2 * 25,000,001 paths pass 5e7 entries
+            ("levy-check", LEVY_CHECK_CFG | {"n_paths": 25_000_001}, "/n_paths"),
+            ("heat-profile", heat_cfg(dims=[[1.0, 10 ** 20]]), "/dims/0/1"),
+            ("heat-profile", heat_cfg(dims=[[1.0, 1000], [1.0, 1000], [1.0, 2]]),
+             "/dims/2/1"),
+            ("spectrum", {"schema_version": 1, "dims": [[1.0, 10 ** 6 + 1]]}, "/dims/0/1"),
         ],
         ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g",
              "mult-kind-no-rho", "mult-no-g-no-rho",
@@ -183,7 +196,9 @@ class TestConfigValidation:
              "mult-mark-rate-negative", "levy-mark-rate-zero", "levy-t-negative",
              "wass-u-nan", "wass-p-nan", "heat-initial-inf", "mult-g-nan",
              "wave-gamma-inf", "dims-length-inf", "master-seed-negative",
-             "levy-t-huge", "levy-rate-huge"],
+             "levy-t-huge", "levy-rate-huge", "wass-n-huge", "wass-n-above-cap",
+             "levy-n-paths-huge", "levy-n-paths-times-modes", "dims-modes-huge",
+             "dims-modes-product", "spectrum-modes-above-cap"],
     )
     def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
                                                    command, cfg, pointer):
@@ -351,6 +366,25 @@ class TestRuns:
         out = tmp_path / "lout"
         rc = main(["levy-check", "--config", cfg_path, "--out", str(out)])
         assert rc == 0
+        meta = json.loads((out / "levy_check.json").read_text())["meta"]
+        assert meta["pathwise_paths"] == 1000
+
+    def test_levy_check_replay_stops_at_the_jump_cap(self, tmp_path, monkeypatch):
+        cap = 5
+        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", cap)
+        cfg_path = write_cfg(tmp_path, "l.json", LEVY_CHECK_CFG)
+        out = tmp_path / "lout"
+        assert main(["levy-check", "--config", cfg_path, "--out", str(out)]) == 0
+        meta = json.loads((out / "levy_check.json").read_text())["meta"]
+        # the same jump draws as the run: path r uses stream(seed, 0, r)
+        marks = tuple(JumpMark(np.array(m["values"]), m["rate"])
+                      for m in LEVY_CHECK_CFG["marks"])
+        replayed = paths = 0
+        while replayed < cap:
+            jumps = sample_jump_realization(LEVY_CHECK_CFG["t"], marks, stream(0, 0, paths))
+            replayed += jumps.times.size
+            paths += 1
+        assert 1 <= meta["pathwise_paths"] == paths < 1000
 
     def test_spectrum_dump(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "s.json",

@@ -1,6 +1,7 @@
 """Cutoff time / profile / window tests against exact Gaussian formulas
 and Monte-Carlo oracles."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,23 +14,20 @@ from spdecutoff import (
     NoiseSpec,
     build_box_eigensystem,
     cutoff_inequality_gap,
+    cutoff_time,
     decay_constants,
+    error_bound,
     heat_apply,
-    heat_cutoff_time,
     heat_gaussian_convolution_law,
-    heat_error_bound,
     heat_leading_data,
-    heat_profile,
     large_data_identity,
+    profile,
     renormalized_distance_heat,
     renormalized_distance_wave,
     simple_cutoff_scan,
     stream,
-    wave_cutoff_time,
     wave_decompose,
-    wave_error_bound,
     wave_overdamped_leader,
-    wave_profile_overdamped,
     wave_spectrum,
     wave_subcritical_norm_sq,
     wave_window_diagnostics,
@@ -37,6 +35,7 @@ from spdecutoff import (
 )
 from spdecutoff.cutoff import gaussian_abs_moment_surrogate, heat_noise_gap
 from spdecutoff.errors import InvalidDomainError, WrongCaseError
+from spdecutoff.spectral_core import WaveState
 from spdecutoff.wasserstein import wp_empirical_1d
 
 
@@ -47,25 +46,64 @@ def heat_setup(n=8):
     return system, h, NoiseSpec(system=system, gaussian_q=q)
 
 
-class TestHeatTimesAndProfiles:
-    def test_cutoff_time(self):
-        _, h, _ = heat_setup()
-        lead = heat_leading_data(h)
-        assert heat_cutoff_time(1e-4, lead) == pytest.approx(math.log(1e4) / 4.0, rel=1e-13)
+def heat_leader():
+    return heat_leading_data(heat_setup()[1])
 
-    def test_profile_values(self):
-        _, h, _ = heat_setup()
-        lead = heat_leading_data(h)
-        assert heat_profile(0.0, lead) == pytest.approx(1.0)
-        assert heat_profile(1.0, lead) == pytest.approx(math.exp(-4.0), rel=1e-13)
-        assert heat_profile(1.0, lead, p=0.5) == pytest.approx(math.exp(-2.0), rel=1e-13)
 
-    def test_eps_bounds(self):
-        _, h, _ = heat_setup()
-        lead = heat_leading_data(h)
+def wave_leader():
+    return wave_overdamped_leader(wave_over_setup()[1])
+
+
+def whole_wave_leader():
+    """A state on the first slow coordinate alone: the leader is the whole datum."""
+    wsp = wave_over_setup()[0]
+    z = WaveState(wsp, np.array([2.0]), np.zeros(1), np.zeros(wsp.n_osc, dtype=complex))
+    return wave_overdamped_leader(z)
+
+
+def wave_rate_and_shape_norm():
+    # slow root of u'' + 10 u' + lambda_1 u with lambda_1 = pi^2; the shape is
+    # the slow coordinate alone, (a, r a) in the graph norm
+    _, z, _ = wave_over_setup()
+    r = -5.0 + math.sqrt(25.0 - math.pi ** 2)
+    a = float(z.a_slow[0])
+    return -r, abs(a) * math.sqrt(1.0 + math.pi ** 2 + r * r)
+
+
+LEADERS = {
+    "heat": (heat_leader, lambda: (4.0, 1.0)),
+    "wave": (wave_leader, wave_rate_and_shape_norm),
+}
+
+
+@pytest.mark.parametrize("kind", LEADERS)
+class TestCutoffTimeAndProfile:
+    def test_cutoff_time(self, kind):
+        make, expect = LEADERS[kind]
+        rate, _ = expect()
+        assert cutoff_time(1e-4, make().rate) == pytest.approx(math.log(1e4) / rate,
+                                                               rel=1e-12)
+
+    def test_profile_values(self, kind):
+        make, expect = LEADERS[kind]
+        lead = make()
+        rate, norm = expect()
+        assert profile(0.0, lead) == pytest.approx(norm, rel=1e-12)
+        assert profile(1.0, lead) == pytest.approx(math.exp(-rate) * norm, rel=1e-12)
+        assert profile(1.0, lead, p=0.5) == pytest.approx(
+            math.sqrt(math.exp(-rate) * norm), rel=1e-12)
+
+    def test_eps_bounds(self, kind):
+        lead = LEADERS[kind][0]()
         for bad in (0.0, 1.0, 2.0, -0.5):
             with pytest.raises(InvalidDomainError):
-                heat_cutoff_time(bad, lead)
+                cutoff_time(bad, lead.rate)
+
+
+@settings(max_examples=200)
+@given(eps=st.floats(1e-300, 1.0, exclude_max=True), gamma=st.floats(1e-3, 1e3))
+def test_oscillatory_cutoff_time_is_two_ln_eps_over_gamma(eps, gamma):
+    assert cutoff_time(eps, 0.5 * gamma) == 2.0 * abs(math.log(eps)) / gamma
 
 
 class TestRenormalizedDistanceHeat:
@@ -121,7 +159,7 @@ class TestRenormalizedDistanceHeat:
         _, h, spec = heat_setup()
         lead = heat_leading_data(h)
         eps = 1e-300  # cutoff time ~ 172; naive e^{-lam t}/eps would overflow/underflow
-        t = heat_cutoff_time(eps, lead)
+        t = cutoff_time(eps, lead.rate)
         d = renormalized_distance_heat(t, h, eps, spec)
         assert d == pytest.approx(1.0, rel=1e-6)
 
@@ -134,10 +172,10 @@ class TestErrorBound:
         moment = gaussian_abs_moment_surrogate(spec)
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             for rho in (-1.0, 0.0, 1.0):
-                t = heat_cutoff_time(eps, lead) + rho
+                t = cutoff_time(eps, lead.rate) + rho
                 dist = renormalized_distance_heat(t, h, eps, spec)
-                prof = heat_profile(rho, lead)
-                bound = heat_error_bound(rho, eps, lead, c, rate, moment, h.norm)
+                prof = profile(rho, lead)
+                bound = error_bound(rho, eps, lead, c, rate, moment)
                 assert abs(dist - prof) <= bound
 
     def test_concentrated_datum_single_term(self):
@@ -147,8 +185,53 @@ class TestErrorBound:
         lead = heat_leading_data(h)
         c, rate = decay_constants("heat", system=system)
         moment = gaussian_abs_moment_surrogate(spec)
-        b = heat_error_bound(0.0, 1e-3, lead, c, rate, moment, h.norm)
+        b = error_bound(0.0, 1e-3, lead, c, rate, moment)
         assert b == pytest.approx(c * moment * 1e-3, rel=1e-12)
+
+    @settings(max_examples=200)
+    @given(rho=st.floats(-5.0, 5.0), log10_eps=st.floats(-14.0, -0.01),
+           c=st.floats(0.0, 10.0), rate=st.floats(0.1, 20.0), moment=st.floats(0.0, 5.0))
+    def test_heat_leader_matches_the_heat_formula_to_the_bit(self, rho, log10_eps, c,
+                                                             rate, moment):
+        _, h, _ = heat_setup()
+        lead = heat_leading_data(h)
+        eps = 10.0 ** log10_eps
+        l1, l2 = lead.lambda_lead, lead.lambda_next
+        t = abs(math.log(eps)) / l1 + rho
+        expect = (c * moment * math.exp(-rate * t)
+                  + math.exp(-l1 * rho) * math.exp((l1 - l2) * t) * h.norm)
+        assert error_bound(rho, eps, lead, c, rate, moment).hex() == expect.hex()
+
+    @settings(max_examples=200)
+    @given(rho=st.floats(-5.0, 5.0), log10_eps=st.floats(-14.0, -0.01),
+           c=st.floats(0.0, 10.0), rate=st.floats(0.1, 20.0), moment=st.floats(0.0, 5.0))
+    def test_wave_leader_within_rounding_of_the_wave_order(self, rho, log10_eps, c,
+                                                           rate, moment):
+        # The overdamped wave bound multiplied amplitude before e^{margin t}.
+        # Two orders of a three-factor product round apart by at most 4u
+        # (u = 2^-53), the sums by 2u more; 2 ulp apart does occur.
+        lead = wave_leader()
+        eps = 10.0 ** log10_eps
+        t = abs(math.log(eps)) / lead.rate + rho
+        expect = (c * moment * math.exp(-rate * t)
+                  + math.exp(-lead.rate * rho) * lead.amplitude * math.exp(lead.margin * t))
+        got = error_bound(rho, eps, lead, c, rate, moment)
+        assert abs(got - expect) <= 4.0 * sys.float_info.epsilon * expect
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat_leading_data(ModeCoefficients(EigenSystem.from_lambdas([1.0, 4.0]),
+                                                   np.array([2.0, 0.0]))),
+        whole_wave_leader,
+    ], ids=["heat", "wave"])
+    def test_whole_datum_leader_gives_the_noise_term_alone(self, make):
+        lead = make()
+        assert lead.margin == -math.inf
+        c, rate, moment, eps = 1.5, 0.7, 0.3, 1e-3
+        t_eps = cutoff_time(eps, lead.rate)
+        for rho in (-2.0 * t_eps, -t_eps, 0.0, 1.0):
+            t = t_eps + rho
+            noise = c * moment * math.exp(-rate * t)
+            assert error_bound(rho, eps, lead, c, rate, moment) == noise
 
 
 class TestCutoffInequality:
@@ -205,24 +288,14 @@ def wave_over_setup():
 
 
 class TestWaveProfile:
-    def test_cutoff_times(self):
-        wsp, z, _ = wave_over_setup()
-        lead = wave_overdamped_leader(z)
-        assert wave_cutoff_time(1e-3, leader=lead) == pytest.approx(
-            math.log(1e3) / lead.rate, rel=1e-13)
-        assert wave_cutoff_time(1e-3, gamma=10.0) == pytest.approx(
-            2.0 * math.log(1e3) / 10.0, rel=1e-13)
-        with pytest.raises(InvalidDomainError):
-            wave_cutoff_time(1e-3)
-
     def test_profile_matches_distance_at_small_eps(self):
         wsp, z, spec = wave_over_setup()
         lead = wave_overdamped_leader(z)
         eps = 1e-8
         for rho in (-1.0, 0.0, 1.0):
-            t = wave_cutoff_time(eps, leader=lead) + rho
+            t = cutoff_time(eps, lead.rate) + rho
             d = renormalized_distance_wave(t, z, eps, spec)
-            prof = wave_profile_overdamped(rho, lead)
+            prof = profile(rho, lead)
             assert d == pytest.approx(prof, rel=1e-2)
 
     def test_error_bound_dominates(self):
@@ -236,10 +309,10 @@ class TestWaveProfile:
         moment = math.sqrt(float(np.sum((1 + lam) * covs[:, 0, 0] + covs[:, 1, 1])))
         for eps in (1e-3, 1e-5, 1e-8):
             for rho in (-1.0, 0.0, 1.0):
-                t = wave_cutoff_time(eps, leader=lead) + rho
+                t = cutoff_time(eps, lead.rate) + rho
                 d = renormalized_distance_wave(t, z, eps, spec)
-                prof = wave_profile_overdamped(rho, lead)
-                bound = wave_error_bound(rho, eps, lead, c, rate, moment)
+                prof = profile(rho, lead)
+                bound = error_bound(rho, eps, lead, c, rate, moment)
                 assert abs(d - prof) <= bound
 
 

@@ -297,7 +297,7 @@ def levy_mult_profile(rho, h, marks, eta, eps_grid, schedule="eps"):
     eps_sorted = sorted((float(e) for e in eps_grid), reverse=True)
     l1 = leading.lambda_lead
     l2 = leading.lambda_next
-    profile = math.exp(-l1 * rho) * leading.v_norm
+    profile = math.exp(-l1 * rho) * leading.shape_norm
     rows = []
     for eps, a in zip(eps_sorted, a_vals):
         spec = MultLevySpec(h.system, tuple(marks), eta, eps)

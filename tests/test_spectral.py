@@ -157,7 +157,11 @@ class TestHeatLeadingData:
         assert lead.next_index == 2
         assert lead.lambda_lead == pytest.approx(4.0)
         assert lead.lambda_next == pytest.approx(9.0)
-        assert lead.v_norm == pytest.approx(1.0)
+        assert lead.shape_norm == pytest.approx(1.0)
+        # the leader interface shared with the overdamped wave leader
+        assert lead.rate == lead.lambda_lead
+        assert lead.margin == lead.lambda_lead - lead.lambda_next
+        assert lead.amplitude == h.norm
 
     def test_tied_leaders_pythagoras(self):
         system = EigenSystem.from_lambdas([2.0, 2.0, 5.0])
@@ -165,13 +169,14 @@ class TestHeatLeadingData:
         lead = heat_leading_data(h)
         assert lead.leaders == (0, 1)
         assert lead.next_index == 2
-        assert lead.v_norm == pytest.approx(5.0)
+        assert lead.shape_norm == pytest.approx(5.0)
 
     def test_concentrated_datum_has_no_next(self):
         system = build_box_eigensystem([(math.pi, 3)])
         h = ModeCoefficients(system, np.array([0.0, 2.0, 0.0]))
         lead = heat_leading_data(h)
         assert lead.next_index is None and lead.lambda_next is None
+        assert lead.margin == -math.inf
 
     def test_zero_datum_rejected(self):
         system = build_box_eigensystem([(math.pi, 3)])
