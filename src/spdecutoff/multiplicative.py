@@ -28,6 +28,10 @@ from .noise_sim import JumpMark, JumpRealization, sample_jump_realization
 from .semigroup import _check_time
 from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data
 
+# Entries (rows x modes) per block of levy_stochexp_batch's distinct count
+# vectors; bounds its working memory independently of the path count.
+_BLOCK_ENTRIES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class MultBrownianSpec:
@@ -313,11 +317,40 @@ def levy_stochexp_batch(
     t: float, h: ModeCoefficients, spec: MultLevySpec,
     rng: np.random.Generator, size: int,
 ) -> np.ndarray:
-    """(size, n_modes) exact draws; jump counts per mark are sufficient
-    statistics, so the batch needs one Poisson array per mark."""
+    """(size,) exact draws of |X_t(h)|^2.
+
+    The flow depends on a path only through its jump count per mark, so the
+    batch draws one Poisson array per mark and evaluates
+    sum_j (h_j exp(theta_j))^2 once per distinct count vector, in blocks of
+    at most ``_BLOCK_ENTRIES`` modes x rows: memory stays O(size + n_modes).
+    Each value is bit-identical to the full (size, n_modes) evaluation.
+    """
     lam = spec.system.lambdas
-    theta = np.broadcast_to((-lam - spec.compensator_drift()) * t, (size, lam.size)).copy()
-    for m in spec.marks:
-        counts = rng.poisson(m.rate * t, size=size)
-        theta += counts[:, None] * np.log1p(spec.eps * m.values)[None, :]
-    return h.values * np.exp(theta)
+    counts = np.empty((size, len(spec.marks)), dtype=np.int64)
+    for mi, m in enumerate(spec.marks):
+        counts[:, mi] = rng.poisson(m.rate * t, size=size)
+    # equal count vectors become neighbours; new_row marks the first of each
+    order = np.lexsort(counts.T)
+    counts = counts[order]
+    new_row = np.empty(size, dtype=bool)
+    new_row[:1] = True
+    np.any(counts[1:] != counts[:-1], axis=1, out=new_row[1:])
+    distinct = counts[new_row]
+    del counts
+    base = (-lam - spec.compensator_drift()) * t
+    logs = [np.log1p(spec.eps * m.values) for m in spec.marks]
+    rows = max(1, _BLOCK_ENTRIES // lam.size)
+    sq = np.empty(len(distinct))
+    for lo in range(0, len(distinct), rows):
+        block = distinct[lo:lo + rows]
+        theta = np.broadcast_to(base, (len(block), lam.size)).copy()
+        for mi, log_m in enumerate(logs):
+            theta += block[:, mi, None] * log_m[None, :]
+        # in place: exp(theta) * h, then squared, as (h * exp(theta)) ** 2
+        np.exp(theta, out=theta)
+        theta *= h.values
+        theta **= 2
+        sq[lo:lo + rows] = np.sum(theta, axis=1)
+    out = np.empty(size)
+    out[order] = sq[np.cumsum(new_row) - 1]
+    return out

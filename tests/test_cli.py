@@ -368,6 +368,24 @@ class TestRuns:
         assert rc == 0
         meta = json.loads((out / "levy_check.json").read_text())["meta"]
         assert meta["pathwise_paths"] == 1000
+        assert meta["pathwise_underflow_paths"] == 0
+
+    @pytest.mark.parametrize("over", [
+        # exp(-1000 t) is 0 in double precision: both flows and the exact
+        # moment vanish, so neither row has anything to compare
+        {"lambdas": [1000.0, 2000.0]},
+        # exp(-730) is subnormal, below the relative error's 1e-300 floor
+        {"lambdas": [730.0], "initial": [1.0], "marks": [{"values": [0.3], "rate": 2.0}]},
+    ])
+    def test_levy_check_fails_when_the_flow_underflows(self, tmp_path, over):
+        cfg = LEVY_CHECK_CFG | {"t": 1.0, "n_paths": 1000} | over
+        cfg_path = write_cfg(tmp_path, "l.json", cfg)
+        out = tmp_path / "lout"
+        assert main(["levy-check", "--config", cfg_path, "--out", str(out)]) == 1
+        report = json.loads((out / "levy_check.json").read_text())
+        assert report["meta"]["pathwise_underflow_paths"] == 1000
+        assert report["meta"]["exact_second_moment"] == 0.0
+        assert [r["pass"] for r in report["rows"]] == [False, False]
 
     def test_levy_check_replay_stops_at_the_jump_cap(self, tmp_path, monkeypatch):
         cap = 5

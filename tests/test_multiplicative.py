@@ -4,7 +4,10 @@ Oracles: Euler-Maruyama pathwise integration for the Brownian flow,
 Kolmogorov-Smirnov against the exact lognormal marginal, quadrature/Campbell
 cross-checks and the interlacing evaluation for the jump flow.
 """
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from spdecutoff.errors import (
     MarkOutOfRangeError,
     ScheduleRejectedError,
 )
-from spdecutoff import multiplicative
+from spdecutoff import cli, multiplicative
 from spdecutoff.multiplicative import (
     _log_space_root_sum,
     levy_stochexp_batch,
@@ -225,8 +228,7 @@ class TestLevyFlow:
     def test_second_moment_vs_mc(self):
         system, h, spec = levy_setup(eps=0.08)
         t = 0.9
-        batch = levy_stochexp_batch(t, h, spec, stream(7, 0), 100_000)
-        sq = np.sum(batch**2, axis=1)
+        sq = levy_stochexp_batch(t, h, spec, stream(7, 0), 100_000)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - mult_second_moment_exact(t, h, spec)) <= 4 * se
 
@@ -234,12 +236,11 @@ class TestLevyFlow:
         system, h, spec = levy_setup()
         t = 0.5
         batch = levy_stochexp_batch(t, h, spec, stream(8, 0), 50_000)
-        loop = np.array([levy_stochexp_sample(t, h, spec, stream(9, r))[0]
+        loop = np.array([np.sum(levy_stochexp_sample(t, h, spec, stream(9, r))[0] ** 2)
                          for r in range(5_000)])
-        bm, lm = batch.mean(axis=0), loop.mean(axis=0)
-        bs = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
-        ls = loop.std(axis=0, ddof=1) / math.sqrt(loop.shape[0])
-        assert np.all(np.abs(bm - lm) <= 4 * np.sqrt(bs**2 + ls**2))
+        bs = batch.std(ddof=1) / math.sqrt(batch.size)
+        ls = loop.std(ddof=1) / math.sqrt(loop.size)
+        assert abs(batch.mean() - loop.mean()) <= 4 * math.sqrt(bs**2 + ls**2)
 
     def test_distance_log_space(self):
         system, h, spec = levy_setup(eps=0.01)
@@ -390,3 +391,85 @@ class TestMergedJumpArithmetic:
         expect = [{k: v.hex() for k, v in row.items()} for row in old]
         assert [{k: v.hex() for k, v in row.items()} for row in new] == expect
         assert [{k: v.hex() for k, v in row.items()} for row in wrapped] == expect
+
+
+# --------------------------------------------------------------------------
+# The batch as the full (size, n_modes) matrix, before it was evaluated once
+# per distinct count vector: the reference the batch must equal bit for bit.
+# --------------------------------------------------------------------------
+
+
+def dense_levy_sq(t, h, spec, rng, size):
+    lam = spec.system.lambdas
+    theta = np.broadcast_to((-lam - spec.compensator_drift()) * t, (size, lam.size)).copy()
+    for m in spec.marks:
+        counts = rng.poisson(m.rate * t, size=size)
+        theta += counts[:, None] * np.log1p(spec.eps * m.values)[None, :]
+    batch = h.values * np.exp(theta)
+    return np.sum(batch ** 2, axis=1)
+
+
+def distinct_count_vectors(t, spec, rng, size):
+    counts = np.stack([rng.poisson(m.rate * t, size=size) for m in spec.marks], axis=1)
+    return len(np.unique(counts, axis=0))
+
+
+class TestLevyBatchEqualsDense:
+    @settings(max_examples=150)
+    @given(t=st.floats(0.0, 3.0), log10_eps=st.floats(-6.0, -0.01),
+           log10_rate=st.floats(-2.0, 3.0), n_modes=st.integers(1, 64),
+           n_marks=st.integers(1, 3), size=st.integers(1, 3000),
+           block_entries=st.sampled_from([1, 5, 64, 2 ** 20]),
+           seed=st.integers(0, 2**16))
+    def test_bit_identical(self, t, log10_eps, log10_rate, n_modes, n_marks, size,
+                           block_entries, seed):
+        system, h, marks = random_jump_case(seed, n_modes, n_marks)
+        marks = tuple(JumpMark(m.values, m.rate * 10.0 ** log10_rate) for m in marks)
+        spec = MultLevySpec(system, marks, 0.05, 10.0 ** log10_eps)
+        with mock.patch.object(multiplicative, "_BLOCK_ENTRIES", block_entries):
+            got = levy_stochexp_batch(t, h, spec, stream(seed, 1), size)
+        want = dense_levy_sq(t, h, spec, stream(seed, 1), size)
+        assert got.shape == (size,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bit_identical_when_almost_every_count_vector_is_distinct(self):
+        # rate * t = 10^4 per mark on three marks: the 40,000 paths fill
+        # several blocks of the shipped size
+        system, h, marks = monte_carlo_case(3)
+        marks = marks + (JumpMark(0.1 / np.arange(1, 65), 1.0),)
+        marks = tuple(JumpMark(m.values, 5000.0) for m in marks)
+        spec = MultLevySpec(system, marks, 0.05, 1e-3)
+        t, size = 2.0, 40_000
+        distinct = distinct_count_vectors(t, spec, stream(4, 1), size)
+        assert distinct > 0.9 * size
+        assert distinct > 2 * (multiplicative._BLOCK_ENTRIES // system.n_modes)
+        got = levy_stochexp_batch(t, h, spec, stream(4, 1), size)
+        assert got.tobytes() == dense_levy_sq(t, h, spec, stream(4, 1), size).tobytes()
+
+    def test_memory_is_linear_in_the_path_count(self):
+        # the full matrix at this size takes about 300 MB
+        system, h, marks = monte_carlo_case(0)
+        spec = MultLevySpec(system, marks, 0.05, 0.05)
+        tracemalloc.start()
+        try:
+            levy_stochexp_batch(2.0, h, spec, stream(5, 1), 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_levy_check_moment_equals_dense(self, tmp_path):
+        # the README levy-check config, at its default seed 0
+        cfg = {"schema_version": 1, "lambdas": [1.0, 4.0], "initial": [1.0, 0.5],
+               "marks": [{"values": [0.3, 0.15], "rate": 2.0}], "eta": 0.05,
+               "eps": 0.05, "t": 0.8, "n_paths": 1000}
+        path = tmp_path / "levy.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["levy-check", "--config", str(path), "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "levy_check.json").read_text())["meta"]
+        system = EigenSystem.from_lambdas(cfg["lambdas"])
+        spec = MultLevySpec(system, (JumpMark(np.array([0.3, 0.15]), 2.0),), 0.05, 0.05)
+        h = ModeCoefficients(system, np.array(cfg["initial"]))
+        sq = dense_levy_sq(cfg["t"], h, spec, stream(0, 1), cfg["n_paths"])
+        assert meta["mc_second_moment"] == float(np.mean(sq))
+        assert meta["mc_se"] == float(np.std(sq, ddof=1) / math.sqrt(sq.size))
