@@ -46,7 +46,7 @@ from .cutoff import (
     profile,
     error_bound,
     renormalized_distance_heat,
-    renormalized_distance_wave,
+    wave_distance_and_gap,
     cutoff_inequality_gap,
     simple_cutoff_scan,
     wave_window_diagnostics,

@@ -47,7 +47,7 @@ from .spectral_core import (
     wave_spectrum,
 )
 from .semigroup import decay_constants, wave_overdamped_leader
-from .noise_sim import JumpMark, NoiseSpec, wave_gaussian_convolution_law
+from .noise_sim import JumpMark, NoiseSpec
 from .wasserstein import homogeneity_check, shift_linearity_check
 from .cutoff import (
     CutoffReport,
@@ -57,7 +57,8 @@ from .cutoff import (
     profile,
     renormalized_distance_heat,
     simple_cutoff_scan,
-    renormalized_distance_wave,
+    wave_abs_moment_surrogate,
+    wave_distance_and_gap,
     wave_window_diagnostics,
 )
 from .multiplicative import (
@@ -160,17 +161,26 @@ def load_config(path: str) -> dict:
 def _build_system(cfg: dict) -> EigenSystem:
     if "lambdas" in cfg:
         lam = _float_list(cfg, "lambdas", "")
-        return EigenSystem.from_lambdas(lam)
+        try:
+            return EigenSystem.from_lambdas(lam)
+        except InvalidDomainError as e:
+            raise ConfigError("/lambdas", str(e)) from e
     dims_raw = _get(cfg, "dims", list, "")
+    if not dims_raw:
+        raise ConfigError("/dims", "need at least one axis")
     dims = []
     total = 1
     for i, d in enumerate(dims_raw):
         if (not isinstance(d, list)) or len(d) != 2:
             raise ConfigError(f"/dims/{i}", "expected [side_length, mode_count]")
         length, modes = _number(d[0], f"/dims/{i}/0"), d[1]
+        if length <= 0:
+            raise ConfigError(f"/dims/{i}/0", f"side length must be positive, got {length}")
         if not isinstance(modes, int) or isinstance(modes, bool):
             raise ConfigError(f"/dims/{i}/1", "expected integer mode count")
-        total *= max(modes, 1)
+        if modes < 1:
+            raise ConfigError(f"/dims/{i}/1", f"mode count must be >= 1, got {modes}")
+        total *= modes
         if total > MAX_BOX_MODES:
             raise ConfigError(f"/dims/{i}/1",
                               f"the box would have more than {MAX_BOX_MODES:,} modes")
@@ -197,6 +207,9 @@ def _noise_spec(cfg: dict, system: EigenSystem) -> NoiseSpec:
         q = np.asarray(_numbers(q_raw, "/noise/gaussian_q"))
         if q.size != system.n_modes:
             raise ConfigError("/noise/gaussian_q", "length must equal mode count")
+        if np.any(q < 0):
+            raise ConfigError(f"/noise/gaussian_q/{np.argmax(q < 0)}",
+                              "gaussian intensities must be >= 0")
     else:
         raise ConfigError("/noise/gaussian_q", "expected list or preset name")
     return NoiseSpec(system=system, gaussian_q=q)
@@ -268,12 +281,17 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
         raise ConfigError("/error_bound_variant",
                           f"only the proven bound 'proof' is available, got {variant!r}")
     eps_grid = _eps_grid(cfg)
+    rho_grid = _float_list(cfg, "rho_grid", "")
+    delta_grid = _float_list(cfg, "delta_grid", "", required=False)
+    for i, delta in enumerate(delta_grid or ()):
+        if delta <= 0 or abs(delta - 1.0) <= 1e-12:
+            raise ConfigError(f"/delta_grid/{i}",
+                              f"delta must be positive and not the cutoff 1, got {delta}")
     report = _profile_report(
-        eps_grid, _float_list(cfg, "rho_grid", ""), "heat-additive", p, leading,
+        eps_grid, rho_grid, "heat-additive", p, leading,
         lambda t, eps: renormalized_distance_heat(t, h, eps, spec), constants, moment,
         {"lambda_lead": leading.lambda_lead, "shape_norm": leading.shape_norm,
          "error_bound_variant": variant})
-    delta_grid = _float_list(cfg, "delta_grid", "", required=False)
     if delta_grid:
         for row in simple_cutoff_scan(delta_grid, eps_grid, h, spec):
             report.add("heat-simple", p, row["eps"], row["delta"],
@@ -285,6 +303,8 @@ def _wave_setup(cfg: dict):
     """wave-profile's and wave-window's spectrum, initial state and noise."""
     system = _build_system(cfg)
     gamma = _get(cfg, "gamma", float, "")
+    if gamma <= 0:
+        raise ConfigError("/gamma", f"damping must be positive, got {gamma}")
     wsp = wave_spectrum(gamma, system)
     initial = _get(cfg, "initial", dict, "")
     u = _coeffs(system, _get(initial, "position", list, "/initial"), "/initial/position")
@@ -297,15 +317,10 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "exact wave profile")
     leader = wave_overdamped_leader(z)
     constants = decay_constants("wave", wave_spec=wsp)
-    # unit-noise equilibrium root second moment in the graph norm
-    covs = wave_gaussian_convolution_law(math.inf, spec, wsp)
-    lam = wsp.system.lambdas
-    moment = math.sqrt(
-        float(np.sum((1.0 + lam) * covs[:, 0, 0] + covs[:, 1, 1]))
-    )
+    moment = wave_abs_moment_surrogate(spec, wsp)
     return _profile_report(
         _eps_grid(cfg), _float_list(cfg, "rho_grid", ""), "wave-overdamped", p, leader,
-        lambda t, eps: renormalized_distance_wave(t, z, eps, spec), constants, moment,
+        lambda t, eps: wave_distance_and_gap(t, z, eps, spec)[0], constants, moment,
         {"rate": leader.rate, "shape_norm": leader.shape_norm, "leader_case": leader.case})
 
 

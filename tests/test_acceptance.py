@@ -33,12 +33,12 @@ from spdecutoff import (
     mult_second_moment_exact,
     profile,
     renormalized_distance_heat,
-    renormalized_distance_wave,
     simple_cutoff_scan,
     stream,
     w2_diag_gaussian,
     wave_apply,
     wave_decompose,
+    wave_distance_and_gap,
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
@@ -176,7 +176,7 @@ def test_criterion_05_wave_overdamped():
     worst_rel = 0.0
     for rho in (-1.0, 0.0, 1.0):
         t = cutoff_time(eps, lead.rate) + rho
-        dist = renormalized_distance_wave(t, z, eps, spec)
+        dist, _ = wave_distance_and_gap(t, z, eps, spec)
         prof = profile(rho, lead)
         worst_rel = max(worst_rel, abs(dist - prof) / prof)
     ok = violations == 0 and worst_rel <= 0.10

@@ -185,6 +185,20 @@ class TestConfigValidation:
             ("heat-profile", heat_cfg(dims=[[1.0, 1000], [1.0, 1000], [1.0, 2]]),
              "/dims/2/1"),
             ("spectrum", {"schema_version": 1, "dims": [[1.0, 10 ** 6 + 1]]}, "/dims/0/1"),
+            ("heat-profile", heat_cfg(noise={"gaussian_q": [1.0] * 3 + [-0.5] + [1.0] * 12}),
+             "/noise/gaussian_q/3"),
+            ("levy-check", LEVY_CHECK_CFG | {"lambdas": []}, "/lambdas"),
+            ("levy-check", LEVY_CHECK_CFG | {"lambdas": [1.0, -4.0]}, "/lambdas"),
+            ("mult-profile", MULT_CFG | {"lambdas": [1.0, 0.0, 9.0]}, "/lambdas"),
+            ("heat-profile", heat_cfg(dims=[]), "/dims"),
+            ("heat-profile", heat_cfg(dims=[[0.0, 16]]), "/dims/0/0"),
+            ("heat-profile", heat_cfg(dims=[[math.pi, 4], [-1.0, 4]]), "/dims/1/0"),
+            ("heat-profile", heat_cfg(dims=[[math.pi, 16], [1.0, 0]]), "/dims/1/1"),
+            ("spectrum", {"schema_version": 1, "dims": [[1.0, 0]]}, "/dims/0/1"),
+            ("wave-window", WAVE_WINDOW_CFG | {"gamma": 0.0}, "/gamma"),
+            ("wave-profile", WAVE_PROFILE_CFG | {"gamma": -10.0}, "/gamma"),
+            ("heat-profile", heat_cfg(delta_grid=[0.5, -2.0]), "/delta_grid/1"),
+            ("heat-profile", heat_cfg(delta_grid=[1.0]), "/delta_grid/0"),
         ],
         ids=["wave-window-p", "dims-length", "dims-modes", "ragged-g",
              "mult-kind-no-rho", "mult-no-g-no-rho",
@@ -198,7 +212,11 @@ class TestConfigValidation:
              "wave-gamma-inf", "dims-length-inf", "master-seed-negative",
              "levy-t-huge", "levy-rate-huge", "wass-n-huge", "wass-n-above-cap",
              "levy-n-paths-huge", "levy-n-paths-times-modes", "dims-modes-huge",
-             "dims-modes-product", "spectrum-modes-above-cap"],
+             "dims-modes-product", "spectrum-modes-above-cap",
+             "noise-q-negative", "lambdas-empty", "lambdas-negative", "lambdas-zero",
+             "dims-empty", "dims-length-zero", "dims-length-negative", "dims-modes-zero",
+             "spectrum-modes-zero", "wave-gamma-zero", "wave-gamma-negative",
+             "delta-negative", "delta-one"],
     )
     def test_malformed_config_exits_2_with_pointer(self, tmp_path, capsys,
                                                    command, cfg, pointer):

@@ -23,20 +23,26 @@ from spdecutoff import (
     large_data_identity,
     profile,
     renormalized_distance_heat,
-    renormalized_distance_wave,
     simple_cutoff_scan,
     stream,
+    wave_apply,
     wave_decompose,
+    wave_distance_and_gap,
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
     wave_window_diagnostics,
     w2_diag_gaussian,
 )
-from spdecutoff.cutoff import gaussian_abs_moment_surrogate, heat_noise_gap
+from spdecutoff import cutoff, noise_sim
+from spdecutoff.cutoff import (
+    gaussian_abs_moment_surrogate,
+    heat_noise_gap,
+    wave_abs_moment_surrogate,
+)
 from spdecutoff.errors import InvalidDomainError, WrongCaseError
 from spdecutoff.spectral_core import WaveState
-from spdecutoff.wasserstein import wp_empirical_1d
+from spdecutoff.wasserstein import w2_gaussian_2x2, w2_product, wp_empirical_1d
 
 
 def heat_setup(n=8):
@@ -294,7 +300,7 @@ class TestWaveProfile:
         eps = 1e-8
         for rho in (-1.0, 0.0, 1.0):
             t = cutoff_time(eps, lead.rate) + rho
-            d = renormalized_distance_wave(t, z, eps, spec)
+            d, _ = wave_distance_and_gap(t, z, eps, spec)
             prof = profile(rho, lead)
             assert d == pytest.approx(prof, rel=1e-2)
 
@@ -302,15 +308,11 @@ class TestWaveProfile:
         wsp, z, spec = wave_over_setup()
         lead = wave_overdamped_leader(z)
         c, rate = decay_constants("wave", wave_spec=wsp)
-        lam = wsp.system.lambdas
-        from spdecutoff.noise_sim import wave_gaussian_convolution_law
-
-        covs = wave_gaussian_convolution_law(math.inf, spec, wsp)
-        moment = math.sqrt(float(np.sum((1 + lam) * covs[:, 0, 0] + covs[:, 1, 1])))
+        moment = wave_abs_moment_surrogate(spec, wsp)
         for eps in (1e-3, 1e-5, 1e-8):
             for rho in (-1.0, 0.0, 1.0):
                 t = cutoff_time(eps, lead.rate) + rho
-                d = renormalized_distance_wave(t, z, eps, spec)
+                d, _ = wave_distance_and_gap(t, z, eps, spec)
                 prof = profile(rho, lead)
                 bound = error_bound(rho, eps, lead, c, rate, moment)
                 assert abs(d - prof) <= bound
@@ -354,6 +356,178 @@ class TestWaveWindow:
         wsp, z, spec = wave_over_setup()
         with pytest.raises(WrongCaseError):
             wave_window_diagnostics([0.0], [1e-4], z, spec)
+
+
+# The separate distance, gap and moment computations that
+# wave_distance_and_gap, heat_noise_gap and wave_abs_moment_surrogate replace,
+# kept as byte-for-byte references.  The laws are looked up on noise_sim at
+# call time so that a test can corrupt them for both sides.
+
+
+def reference_distance_wave(t, z, eps, spec):
+    eps = cutoff._check_eps(eps)
+    wsp = z.spectrum
+    moved = wave_apply(t, z, log_scale=-math.log(eps))
+    u = moved.position_values()
+    w = moved.velocity_values()
+    c_t = noise_sim.wave_gaussian_convolution_law(t, spec, wsp)
+    c_inf = noise_sim.wave_gaussian_convolution_law(math.inf, spec, wsp)
+    per_mode = w2_gaussian_2x2(np.stack([u, w], axis=-1), c_t, np.zeros(2), c_inf,
+                               position_weight=1.0 + wsp.system.lambdas)
+    return w2_product(per_mode)
+
+
+def reference_wave_noise_gap(t, z_spectrum, spec):
+    c_t = noise_sim.wave_gaussian_convolution_law(t, spec, z_spectrum)
+    c_inf = noise_sim.wave_gaussian_convolution_law(math.inf, spec, z_spectrum)
+    zero = np.zeros(2)
+    per_mode = w2_gaussian_2x2(zero, c_t, zero, c_inf,
+                               position_weight=1.0 + z_spectrum.system.lambdas)
+    return w2_product(per_mode)
+
+
+def reference_heat_noise_gap(t, spec):
+    v_t = noise_sim.heat_gaussian_convolution_law(t, spec)
+    v_inf = noise_sim.heat_gaussian_convolution_law(math.inf, spec)
+    z = np.zeros_like(v_t)
+    return w2_diag_gaussian(z, v_t, z, v_inf)
+
+
+def reference_wave_moment(spec, wsp):
+    covs = noise_sim.wave_gaussian_convolution_law(math.inf, spec, wsp)
+    lam = wsp.system.lambdas
+    return math.sqrt(
+        float(np.sum((1.0 + lam) * covs[:, 0, 0] + covs[:, 1, 1]))
+    )
+
+
+def outcome(call):
+    """``call()``'s float in hex, or the message of the error it raises."""
+    try:
+        return call().hex()
+    except InvalidDomainError as e:
+        return f"raises: {e}"
+
+
+INTENSITY = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+
+
+@st.composite
+def wave_cases(draw):
+    """A wave state and noise on an all-overdamped, all-oscillatory or mixed
+    simple spectrum, with some intensities switched off."""
+    kind = draw(st.sampled_from(["overdamped", "oscillatory", "mixed"]))
+    n = draw(st.integers(2 if kind == "mixed" else 1, 6))
+    lam0 = draw(st.floats(0.5, 20.0))
+    gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=n - 1, max_size=n - 1))
+    system = EigenSystem.from_lambdas(np.cumsum([lam0] + gaps))
+    lam = system.lambdas
+    if kind == "overdamped":
+        gamma = 3.0 * math.sqrt(lam[-1])
+    elif kind == "oscillatory":
+        gamma = math.sqrt(lam[0])
+    else:  # gamma^2 / 4 halfway between lambda_1 and lambda_2
+        gamma = math.sqrt(2.0 * (lam[0] + lam[1]))
+    wsp = wave_spectrum(gamma, system)
+    assert (wsp.n_over, wsp.n_osc) == {"overdamped": (n, 0), "oscillatory": (0, n),
+                                       "mixed": (1, n - 1)}[kind]
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    z = wave_decompose(wsp, np.array(draw(coords)), np.array(draw(coords)))
+    q = draw(st.lists(INTENSITY, min_size=n, max_size=n))
+    return wsp, z, NoiseSpec(system=system, gaussian_q=np.array(q))
+
+
+def corrupt_law(monkeypatch, name, corrupt):
+    """Make the law ``name`` pass through ``corrupt(law, t)`` for the
+    library and the references alike."""
+    law = getattr(noise_sim, name)
+
+    def bad_law(t, *args):
+        out = law(t, *args).copy()
+        corrupt(out, t)
+        return out
+
+    monkeypatch.setattr(noise_sim, name, bad_law)
+    monkeypatch.setattr(cutoff, name, bad_law)
+
+
+def asymmetric_at_t(c, t):
+    if math.isfinite(t):
+        c[2, 0, 1] += 1.0
+
+
+def negative_at_inf(c, t):
+    if math.isinf(t):
+        c[1, 1, 1] = -1.0
+
+
+def bad_at_t_and_earlier_at_inf(c, t):
+    if math.isfinite(t):
+        c[4, 1, 0] += 1.0
+    else:
+        c[1, 0, 0] = -1.0
+
+
+class TestOneLawPerTime:
+    @settings(max_examples=300, deadline=None)
+    @given(case=wave_cases(), t=st.floats(0.0, 300.0),
+           log10_eps=st.floats(-12.0, math.log10(0.9)))
+    def test_wave_distance_and_gap_equal_the_separate_calls(self, case, t, log10_eps):
+        # near t = 0 a rounded law can fail the PSD check: the first bad
+        # block must then raise the same message as before
+        wsp, z, spec = case
+        eps = 10.0 ** log10_eps
+        try:
+            dist, gap = (x.hex() for x in wave_distance_and_gap(t, z, eps, spec))
+        except InvalidDomainError as e:
+            dist = gap = f"raises: {e}"
+        assert dist == outcome(lambda: reference_distance_wave(t, z, eps, spec))
+        assert gap == outcome(lambda: reference_wave_noise_gap(t, wsp, spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=wave_cases())
+    def test_wave_moment_equals_the_old_cli_expression(self, case):
+        wsp, _, spec = case
+        assert (wave_abs_moment_surrogate(spec, wsp).hex()
+                == reference_wave_moment(spec, wsp).hex())
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), t=st.floats(0.0, 300.0), data=st.data())
+    def test_heat_noise_gap_equals_the_two_law_version(self, n, t, data):
+        system = build_box_eigensystem([(math.pi, n)])
+        q = data.draw(st.lists(INTENSITY, min_size=n, max_size=n))
+        spec = NoiseSpec(system=system, gaussian_q=np.array(q))
+        assert heat_noise_gap(t, spec).hex() == reference_heat_noise_gap(t, spec).hex()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (asymmetric_at_t, "covariance blocks must be symmetric"),
+        (negative_at_inf, "covariance blocks must be PSD"),
+        (bad_at_t_and_earlier_at_inf, "covariance blocks must be PSD"),
+    ], ids=["asymmetric-at-t", "negative-at-inf", "first-bad-block-first"])
+    def test_bad_wave_block_raises_the_old_message(self, monkeypatch, corrupt, message):
+        wsp, z, spec = wave_over_setup()
+        corrupt_law(monkeypatch, "wave_gaussian_convolution_law", corrupt)
+        t, eps = 1.5, 1e-4
+        raised = []
+        for call in (lambda: wave_distance_and_gap(t, z, eps, spec),
+                     lambda: reference_distance_wave(t, z, eps, spec),
+                     lambda: reference_wave_noise_gap(t, wsp, spec)):
+            with pytest.raises(InvalidDomainError) as exc:
+                call()
+            raised.append(str(exc.value))
+        assert raised == [message] * 3
+
+    def test_negative_heat_variance_raises_the_old_message(self, monkeypatch):
+        _, _, spec = heat_setup()
+
+        def corrupt(v, t):
+            if math.isfinite(t):
+                v[3] = -1.0
+
+        corrupt_law(monkeypatch, "heat_gaussian_convolution_law", corrupt)
+        for gap in (heat_noise_gap, reference_heat_noise_gap):
+            with pytest.raises(InvalidDomainError, match="^variances must be >= 0$"):
+                gap(1.0, spec)
 
 
 class TestReport:
