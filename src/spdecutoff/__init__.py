@@ -26,6 +26,7 @@ from .semigroup import (
 from .noise_sim import (
     JumpMark,
     NoiseSpec,
+    heat_convolution_sd,
     heat_gaussian_convolution_law,
     wave_gaussian_convolution_law,
     sample_heat_levy_convolution,

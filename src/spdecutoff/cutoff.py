@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InvalidDomainError, WrongCaseError
 from .noise_sim import (
     NoiseSpec,
+    heat_convolution_sd,
     heat_gaussian_convolution_law,
     wave_gaussian_convolution_law,
 )
@@ -97,26 +98,28 @@ def renormalized_distance_heat(
     """
     eps = _check_eps(eps)
     mean = heat_apply(t, h, log_scale=-math.log(eps)).values
-    v_t = heat_gaussian_convolution_law(t, spec)
-    if np.any(v_t < 0):
-        raise InvalidDomainError("variances must be >= 0")
-    return _w2_diag_sd(mean, np.sqrt(v_t), spec.heat_equilibrium_sd)
+    return _w2_diag_sd(mean, heat_convolution_sd(t, spec), spec.heat_equilibrium_sd)
 
 
 def heat_noise_gap(t: float, spec: NoiseSpec) -> float:
     """W2 between the Gaussian convolution at time t and its equilibrium --
-    the exact width of the cutoff inequality."""
-    v_t = heat_gaussian_convolution_law(t, spec)
-    if np.any(v_t < 0):
-        raise InvalidDomainError("variances must be >= 0")
-    return _w2_diag_sd(np.zeros_like(v_t), np.sqrt(v_t), spec.heat_equilibrium_sd)
+    the exact width of the cutoff inequality.
+
+    Each mode's sd_inf - sd_t is taken from the variance deficit,
+    v_inf e^{-2 lambda t} / (sd_inf + sd_t), so it keeps its relative
+    accuracy where the two standard deviations agree to many digits.
+    """
+    sd_t = heat_convolution_sd(t, spec)
+    sd_sum = spec.heat_equilibrium_sd + sd_t
+    deficit = spec.heat_equilibrium_var * np.exp(-2.0 * spec.system.lambdas * t)
+    np.divide(deficit, sd_sum, out=deficit, where=sd_sum > 0)  # q_k = 0: deficit 0
+    return math.hypot(*deficit)  # scaled: squares of deficits below 1e-154 underflow
 
 
 def gaussian_abs_moment_surrogate(spec: NoiseSpec) -> float:
     """Deterministic stand-in for E|equilibrium| at unit noise: the root
     second moment sqrt(sum q_k / (2 lambda_k)), an upper bound by Jensen."""
-    v_inf = heat_gaussian_convolution_law(math.inf, spec)
-    return float(math.sqrt(np.sum(v_inf)))
+    return float(math.sqrt(np.sum(spec.heat_equilibrium_var)))
 
 
 def cutoff_inequality_gap(
@@ -128,8 +131,10 @@ def cutoff_inequality_gap(
 
     The middle term uses shift linearity: W2(S(t)h/eps + U, U) = |S(t)h|/eps.
     """
-    lhs = renormalized_distance_heat(t, h, eps, spec)
-    mid = float(np.linalg.norm(heat_apply(t, h, log_scale=-math.log(eps)).values))
+    eps = _check_eps(eps)
+    mean = heat_apply(t, h, log_scale=-math.log(eps)).values
+    lhs = _w2_diag_sd(mean, heat_convolution_sd(t, spec), spec.heat_equilibrium_sd)
+    mid = float(np.linalg.norm(mean))
     bound = heat_noise_gap(t, spec)
     gap = abs(lhs - mid)
     return {"lhs": lhs, "mid": mid, "gap": gap, "bound": bound, "pass": bool(gap <= bound + 1e-12)}
@@ -250,8 +255,7 @@ def large_data_identity(
     lhs = renormalized_distance_heat(t, h, eps, spec)
     mean = heat_apply(t, ModeCoefficients(h.system, h.values / eps)).values
     v_t = heat_gaussian_convolution_law(t, spec)
-    v_inf = heat_gaussian_convolution_law(math.inf, spec)
-    rhs = w2_diag_gaussian(mean, v_t, np.zeros_like(mean), v_inf)
+    rhs = w2_diag_gaussian(mean, v_t, np.zeros_like(mean), spec.heat_equilibrium_var)
     return lhs, rhs
 
 

@@ -69,22 +69,56 @@ class NoiseSpec:
             raise DegenerateNoiseError("noise spec has neither Gaussian nor jump part")
 
     @functools.cached_property
+    def heat_equilibrium_var(self) -> np.ndarray:
+        """Per-mode variances q_k / (2 lambda_k) of the heat equilibrium law,
+        computed and checked once per spec."""
+        if self.gaussian_q is None:
+            raise DegenerateNoiseError("spec has no Gaussian part")
+        v_inf = self.gaussian_q / (2.0 * self.system.lambdas)
+        if np.any(v_inf < 0):
+            raise InvalidDomainError("variances must be >= 0")
+        return v_inf
+
+    @functools.cached_property
     def heat_equilibrium_sd(self) -> np.ndarray:
         """Per-mode standard deviations sqrt(q_k / (2 lambda_k)) of the heat
         equilibrium law, computed once per spec."""
-        v_inf = heat_gaussian_convolution_law(math.inf, self)
-        if np.any(v_inf < 0):
-            raise InvalidDomainError("variances must be >= 0")
-        return np.sqrt(v_inf)
+        return np.sqrt(self.heat_equilibrium_var)
+
+
+def _unrelaxed_heat_variances(t: float, spec: NoiseSpec) -> np.ndarray:
+    """Heat variances at time t (t may be inf) of the leading modes with
+    2 lambda_k t < 40.  On every later mode (the lambdas are sorted)
+    expm1(-2 lambda t) rounds to exactly -1, as it does from about -37.4
+    down, so the variance there is the cached equilibrium one bit for bit."""
+    t = _check_time(t, math.inf)
+    q = spec.gaussian_q
+    if q is None:
+        raise DegenerateNoiseError("spec has no Gaussian part")
+    lam = spec.system.lambdas
+    if t > 0.0:  # every mode is unrelaxed at t = 0
+        k = 0 if math.isinf(t) else int(np.searchsorted(lam, 20.0 / t))
+        q, lam = q[:k], lam[:k]
+    return q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)
 
 
 def heat_gaussian_convolution_law(t: float, spec: NoiseSpec) -> np.ndarray:
     """Per-mode variances of the heat convolution at time t (t may be inf)."""
-    t = _check_time(t, math.inf)
-    if spec.gaussian_q is None:
-        raise DegenerateNoiseError("spec has no Gaussian part")
-    lam = spec.system.lambdas
-    return spec.gaussian_q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)  # q/(2 lambda) at inf
+    v = _unrelaxed_heat_variances(t, spec)
+    out = spec.heat_equilibrium_var.copy()
+    out[:v.size] = v
+    return out
+
+
+def heat_convolution_sd(t: float, spec: NoiseSpec) -> np.ndarray:
+    """Per-mode standard deviations of the heat convolution at time t
+    (t may be inf), the relaxed modes copied from ``heat_equilibrium_sd``."""
+    v = _unrelaxed_heat_variances(t, spec)
+    if np.any(v < 0):
+        raise InvalidDomainError("variances must be >= 0")
+    out = spec.heat_equilibrium_sd.copy()
+    out[:v.size] = np.sqrt(v)
+    return out
 
 
 def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum) -> np.ndarray:

@@ -30,10 +30,16 @@ def _check_time(t: float, last: float = sys.float_info.max) -> float:
 
 
 def heat_apply(t: float, h: ModeCoefficients, log_scale: float = 0.0) -> ModeCoefficients:
-    """exp(log_scale) * S(t) h for the heat semigroup S(t) = e^{-t Laplacian}."""
+    """exp(log_scale) * S(t) h for the heat semigroup S(t) = e^{-t Laplacian}.
+
+    Only the datum's support is evaluated; zero coefficients stay exact
+    zeros even where the factor overflows.
+    """
     t = _check_time(t)
-    factors = np.exp(-h.system.lambdas * t + log_scale)
-    return ModeCoefficients(h.system, h.values * factors)
+    values = h.values.copy()
+    nz = h.nonzero_indices()
+    values[nz] *= np.exp(-h.system.lambdas[nz] * t + log_scale)
+    return ModeCoefficients(h.system, values)
 
 
 # --------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class ModeCoefficients:
         return float(np.linalg.norm(self.values))
 
     def nonzero_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.values)
+        return np.flatnonzero(self.values != 0.0)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ and Monte-Carlo oracles."""
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from spdecutoff import (
     decay_constants,
     error_bound,
     heat_apply,
+    heat_convolution_sd,
     heat_gaussian_convolution_law,
     heat_leading_data,
     large_data_identity,
@@ -42,7 +44,7 @@ from spdecutoff.cutoff import (
 )
 from spdecutoff.errors import InvalidDomainError, WrongCaseError
 from spdecutoff.spectral_core import WaveState
-from spdecutoff.wasserstein import w2_gaussian_2x2, w2_product, wp_empirical_1d
+from spdecutoff.wasserstein import _w2_diag_sd, w2_gaussian_2x2, w2_product, wp_empirical_1d
 
 
 def heat_setup(n=8):
@@ -359,8 +361,8 @@ class TestWaveWindow:
 
 
 # The separate distance, gap and moment computations that
-# wave_distance_and_gap, heat_noise_gap and wave_abs_moment_surrogate replace,
-# kept as byte-for-byte references.  The laws are looked up on noise_sim at
+# wave_distance_and_gap and wave_abs_moment_surrogate replace, kept as
+# byte-for-byte references.  The laws are looked up on noise_sim at
 # call time so that a test can corrupt them for both sides.
 
 
@@ -384,13 +386,6 @@ def reference_wave_noise_gap(t, z_spectrum, spec):
     per_mode = w2_gaussian_2x2(zero, c_t, zero, c_inf,
                                position_weight=1.0 + z_spectrum.system.lambdas)
     return w2_product(per_mode)
-
-
-def reference_heat_noise_gap(t, spec):
-    v_t = noise_sim.heat_gaussian_convolution_law(t, spec)
-    v_inf = noise_sim.heat_gaussian_convolution_law(math.inf, spec)
-    z = np.zeros_like(v_t)
-    return w2_diag_gaussian(z, v_t, z, v_inf)
 
 
 def reference_wave_moment(spec, wsp):
@@ -491,14 +486,6 @@ class TestOneLawPerTime:
         assert (wave_abs_moment_surrogate(spec, wsp).hex()
                 == reference_wave_moment(spec, wsp).hex())
 
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 12), t=st.floats(0.0, 300.0), data=st.data())
-    def test_heat_noise_gap_equals_the_two_law_version(self, n, t, data):
-        system = build_box_eigensystem([(math.pi, n)])
-        q = data.draw(st.lists(INTENSITY, min_size=n, max_size=n))
-        spec = NoiseSpec(system=system, gaussian_q=np.array(q))
-        assert heat_noise_gap(t, spec).hex() == reference_heat_noise_gap(t, spec).hex()
-
     @pytest.mark.parametrize("corrupt, message", [
         (asymmetric_at_t, "covariance blocks must be symmetric"),
         (negative_at_inf, "covariance blocks must be PSD"),
@@ -518,16 +505,170 @@ class TestOneLawPerTime:
         assert raised == [message] * 3
 
     def test_negative_heat_variance_raises_the_old_message(self, monkeypatch):
-        _, _, spec = heat_setup()
+        _, h, spec = heat_setup()
+        law = noise_sim._unrelaxed_heat_variances
 
-        def corrupt(v, t):
-            if math.isfinite(t):
-                v[3] = -1.0
+        def bad_law(t, spec):
+            v = law(t, spec)
+            v[3] = -1.0  # modes 0-3 are unrelaxed at t = 1 (lambda < 20)
+            return v
 
-        corrupt_law(monkeypatch, "heat_gaussian_convolution_law", corrupt)
-        for gap in (heat_noise_gap, reference_heat_noise_gap):
+        monkeypatch.setattr(noise_sim, "_unrelaxed_heat_variances", bad_law)
+        for call in (lambda: heat_noise_gap(1.0, spec),
+                     lambda: renormalized_distance_heat(1.0, h, 0.1, spec)):
             with pytest.raises(InvalidDomainError, match="^variances must be >= 0$"):
-                gap(1.0, spec)
+                call()
+
+
+# The full-length heat flow, noise law and distance that evaluate exp and
+# expm1 on every mode, kept as byte-for-byte references for the flow on the
+# datum's support and the noise law on the unrelaxed modes.
+
+
+def reference_heat_apply(t, h, log_scale=0.0):
+    factors = np.exp(-h.system.lambdas * t + log_scale)
+    return h.values * factors
+
+
+def reference_heat_variances(t, spec):
+    lam = spec.system.lambdas
+    return spec.gaussian_q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)
+
+
+def reference_distance_heat(t, h, eps, spec):
+    mean = reference_heat_apply(t, h, log_scale=-math.log(eps))
+    v_t = reference_heat_variances(t, spec)
+    v_inf = reference_heat_variances(math.inf, spec)
+    return _w2_diag_sd(mean, np.sqrt(v_t), np.sqrt(v_inf))
+
+
+@st.composite
+def heat_cases(draw):
+    """A datum with empty, sparse or full support and noise with some modes
+    off, on a spectrum spread over six decades so that the relaxed modes
+    start anywhere from the first mode to past the last."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    system = EigenSystem.from_lambdas(10.0 ** rng.uniform(-2.0, 4.0, n))
+    q = rng.uniform(0.0, 2.0, n)
+    q[rng.random(n) < 0.2] = 0.0
+    values = np.zeros(n)
+    support = draw(st.sampled_from(["empty", "sparse", "full"]))
+    if support == "sparse":
+        idx = rng.choice(n, size=min(n, 7), replace=False)
+        values[idx] = rng.normal(size=idx.size)
+    elif support == "full":
+        values = rng.normal(size=n)
+    return ModeCoefficients(system, values), NoiseSpec(system=system, gaussian_q=q)
+
+
+def mp_heat_noise_gap(t, spec):
+    """sqrt(sum (sd_inf - sd_t)^2) by direct subtraction in mpmath, with
+    enough working digits that the slowest-relaxing mode keeps 50 of them."""
+    lam = [mpmath.mpf(x) for x in spec.system.lambdas]
+    q = [mpmath.mpf(x) for x in spec.gaussian_q]
+    on = [x for x, qk in zip(spec.system.lambdas, spec.gaussian_q) if qk > 0]
+    if math.isinf(t) or not on:
+        return 0.0
+    lost = int(2.0 * on[0] * t / math.log(10.0))
+    with mpmath.workdps(50 + lost):
+        total = mpmath.mpf(0)
+        for lk, qk in zip(lam, q):
+            v_inf = qk / (2 * lk)
+            v_t = v_inf * -mpmath.expm1(-2 * lk * mpmath.mpf(t))
+            total += (mpmath.sqrt(v_inf) - mpmath.sqrt(v_t)) ** 2
+        return float(mpmath.sqrt(total))
+
+
+class TestHeatLiveModes:
+    @settings(max_examples=300, deadline=None)
+    @given(case=heat_cases(),
+           t=st.one_of(st.sampled_from([0.0, 5e-324, 1e6]), st.floats(0.0, 300.0)),
+           log_eps=st.floats(-700.0, -0.01))
+    def test_flow_law_and_distance_equal_the_full_length_versions(self, case, t, log_eps):
+        h, spec = case
+        eps = math.exp(log_eps)
+        log_scale = -math.log(eps)
+        with np.errstate(over="ignore"):  # |S(t)h/eps|^2 may overflow on both sides
+            mean = reference_heat_apply(t, h, log_scale)
+            assert heat_apply(t, h, log_scale).values.tobytes() == mean.tobytes()
+            v_t = reference_heat_variances(t, spec)
+            v_inf = reference_heat_variances(math.inf, spec)
+            assert heat_gaussian_convolution_law(t, spec).tobytes() == v_t.tobytes()
+            assert heat_convolution_sd(t, spec).tobytes() == np.sqrt(v_t).tobytes()
+            assert spec.heat_equilibrium_var.tobytes() == v_inf.tobytes()
+            dist = reference_distance_heat(t, h, eps, spec)
+            assert renormalized_distance_heat(t, h, eps, spec).hex() == dist.hex()
+            res = cutoff_inequality_gap(t, h, eps, spec)
+            assert res["lhs"].hex() == dist.hex()
+            assert res["mid"].hex() == float(np.linalg.norm(mean)).hex()
+        assert (gaussian_abs_moment_surrogate(spec).hex()
+                == math.sqrt(np.sum(v_inf)).hex())
+
+    def test_every_heat_3d_cell_equals_the_full_length_distance(self):
+        # the heat-profile grid on the 27,000-mode box: 13 rho and 6 delta
+        # cells per eps, a datum on modes 1-7 with mode 1 leading
+        system = build_box_eigensystem([(math.pi, 30), (1.1 * math.pi, 30),
+                                        (1.3 * math.pi, 30)])
+        rng = np.random.default_rng(14)
+        values = np.zeros(system.n_modes)
+        values[1] = 1.0
+        values[2:8] = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.05, 0.5, 6)
+        h = ModeCoefficients(system, values)
+        spec = NoiseSpec(system=system,
+                         gaussian_q=1.0 / np.arange(1.0, system.n_modes + 1) ** 2)
+        rate = heat_leading_data(h).rate
+        cells = 0
+        for eps in (10.0 ** -k for k in range(3, 15)):
+            t_eps = cutoff_time(eps, rate)
+            times = ([t_eps + 0.25 * k for k in range(-6, 7)]
+                     + [d * t_eps for d in (0.25, 0.5, 0.75, 1.5, 2.0, 3.0)])
+            for t in times:
+                assert (renormalized_distance_heat(t, h, eps, spec).hex()
+                        == reference_distance_heat(t, h, eps, spec).hex())
+                cells += 1
+        assert cells == 228
+
+    def test_expm1_is_minus_one_where_the_modes_count_as_relaxed(self):
+        # a mode counts as relaxed when lambda >= 20 / t, so 2 lambda t is at
+        # least 40 up to rounding
+        t = np.geomspace(5e-324, 1.7e308, 20_001)
+        with np.errstate(over="ignore"):  # 20 / t = inf: every mode is unrelaxed
+            assert np.all(-2.0 * (20.0 / t) * t <= -38.0)
+        x = np.concatenate([np.linspace(-38.0, -800.0, 1_000_001),
+                            -np.geomspace(800.0, 1.7e308, 10_001), [-np.inf]])
+        assert np.all(np.expm1(x) == -1.0)
+
+    def test_zero_coefficient_whose_factor_overflows_stays_zero(self):
+        # -log eps - lambda_1 t = 712.8 > 709.78: e^{712.8} overflows, and the
+        # full-length flow turned 0 * inf into NaN on the zero mode
+        system = EigenSystem.from_lambdas([1.0, 400.0])
+        h = ModeCoefficients(system, np.array([0.0, 1.0]))
+        spec = NoiseSpec(system=system, gaussian_q=np.array([1.0, 1.0]))
+        eps, t = 1e-310, 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(reference_distance_heat(t, h, eps, spec))
+        assert heat_apply(t, h, log_scale=-math.log(eps)).values[0] == 0.0
+        assert renormalized_distance_heat(t, h, eps, spec) == pytest.approx(
+            math.exp(-400.0 - math.log(eps)), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-3, 0.5, 1.0, 5.0, 17.0, 18.0, 20.0,
+                                   100.0, 300.0, math.inf])
+    def test_heat_noise_gap_matches_a_50_digit_oracle(self, t):
+        # the README heat config: 32 modes on (0, pi), inverse-square q
+        spec = NoiseSpec(system=build_box_eigensystem([(math.pi, 32)]),
+                         gaussian_q=1.0 / np.arange(1.0, 33.0) ** 2)
+        want = mp_heat_noise_gap(t, spec)
+        assert abs(heat_noise_gap(t, spec) - want) <= 1e-13 * want
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 32), t=st.floats(0.0, 300.0), data=st.data())
+    def test_heat_noise_gap_matches_a_50_digit_oracle_with_modes_off(self, n, t, data):
+        system = build_box_eigensystem([(math.pi, n)])
+        q = data.draw(st.lists(INTENSITY, min_size=n, max_size=n))
+        spec = NoiseSpec(system=system, gaussian_q=np.array(q))
+        want = mp_heat_noise_gap(t, spec)
+        assert abs(heat_noise_gap(t, spec) - want) <= 1e-13 * want
 
 
 class TestReport:

@@ -191,6 +191,12 @@ class TestHeatLeadingData:
         assert np.array_equal(lead.v.values, [0.5, -0.5, 0.0, 0.0])
         assert lead.next_index == 3
 
+    def test_support_keeps_nan_and_inf_and_drops_signed_zeros(self):
+        values = np.array([0.0, -0.0, np.nan, 1e-320, -np.inf, 0.0, -2.0])
+        h = ModeCoefficients(EigenSystem.from_lambdas(np.arange(1.0, 8.0)), values)
+        assert np.array_equal(h.nonzero_indices(), np.flatnonzero(values))
+        assert h.nonzero_indices().tolist() == [2, 3, 4, 6]
+
 
 class TestWaveSpectrum:
     def test_roots_against_numpy(self):
