@@ -46,11 +46,11 @@ from .cutoff import (
     cutoff_time,
     profile,
     error_bound,
+    profile_cell,
     renormalized_distance_heat,
     wave_distance_and_gap,
+    window_cell,
     cutoff_inequality_gap,
-    simple_cutoff_scan,
-    wave_window_diagnostics,
     large_data_identity,
 )
 from .multiplicative import (

@@ -52,14 +52,12 @@ from .wasserstein import homogeneity_check, shift_linearity_check
 from .cutoff import (
     CutoffReport,
     cutoff_time,
-    error_bound,
     gaussian_abs_moment_surrogate,
-    profile,
+    profile_cell,
     renormalized_distance_heat,
-    simple_cutoff_scan,
     wave_abs_moment_surrogate,
     wave_distance_and_gap,
-    wave_window_diagnostics,
+    window_cell,
 )
 from .multiplicative import (
     MultBrownianSpec,
@@ -251,23 +249,6 @@ def _eps_grid(cfg: dict) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def _profile_report(eps_grid: list[float], rho_grid: list[float], case: str, p: float,
-                    leader, distance, constants: tuple[float, float], moment: float,
-                    meta: dict) -> CutoffReport:
-    """The (rho, eps) grid of one leader: the exact ``distance(t, eps)`` at
-    t_eps + rho against the profile, with the two-term certificate built
-    from the decay ``constants`` (C, rate) and the equilibrium ``moment``."""
-    report = CutoffReport(meta=meta)
-    for rho in rho_grid:
-        for eps in eps_grid:
-            t = cutoff_time(eps, leader.rate) + rho
-            dist = distance(t, eps)
-            prof = profile(rho, leader, p)
-            bound = error_bound(rho, eps, leader, *constants, moment)
-            report.add(case, p, eps, rho, dist, prof, bound, abs(dist - prof) <= bound)
-    return report
-
-
 def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
@@ -287,16 +268,17 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
         if delta <= 0 or abs(delta - 1.0) <= 1e-12:
             raise ConfigError(f"/delta_grid/{i}",
                               f"delta must be positive and not the cutoff 1, got {delta}")
-    report = _profile_report(
-        eps_grid, rho_grid, "heat-additive", p, leading,
-        lambda t, eps: renormalized_distance_heat(t, h, eps, spec), constants, moment,
-        {"lambda_lead": leading.lambda_lead, "shape_norm": leading.shape_norm,
-         "error_bound_variant": variant})
-    if delta_grid:
-        for row in simple_cutoff_scan(delta_grid, eps_grid, h, spec):
-            report.add("heat-simple", p, row["eps"], row["delta"],
-                       row["distance"], 0.0, 0.0, True)
-    return report
+    report = CutoffReport(meta={"lambda_lead": leading.lambda_lead,
+                                "shape_norm": leading.shape_norm,
+                                "error_bound_variant": variant})
+    report.add_grid("heat-additive", p, rho_grid, eps_grid, profile_cell(
+        leading, p, lambda t, eps: renormalized_distance_heat(t, h, eps, spec),
+        constants, moment))
+    # simple cutoff at delta * t_eps: divergence for delta < 1, collapse for
+    # delta > 1; no certificate yet, so bound 0 and pass by construction
+    return report.add_grid("heat-simple", p, delta_grid or (), eps_grid, lambda delta, eps: (
+        renormalized_distance_heat(delta * cutoff_time(eps, leading.rate), h, eps, spec),
+        0.0, 0.0, True))
 
 
 def _wave_setup(cfg: dict):
@@ -318,10 +300,13 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     leader = wave_overdamped_leader(z)
     constants = decay_constants("wave", wave_spec=wsp)
     moment = wave_abs_moment_surrogate(spec, wsp)
-    return _profile_report(
-        _eps_grid(cfg), _float_list(cfg, "rho_grid", ""), "wave-overdamped", p, leader,
-        lambda t, eps: wave_distance_and_gap(t, z, eps, spec)[0], constants, moment,
-        {"rate": leader.rate, "shape_norm": leader.shape_norm, "leader_case": leader.case})
+    eps_grid = _eps_grid(cfg)
+    rho_grid = _float_list(cfg, "rho_grid", "")
+    report = CutoffReport(meta={"rate": leader.rate, "shape_norm": leader.shape_norm,
+                                "leader_case": leader.case})
+    return report.add_grid("wave-overdamped", p, rho_grid, eps_grid, profile_cell(
+        leader, p, lambda t, eps: wave_distance_and_gap(t, z, eps, spec)[0],
+        constants, moment))
 
 
 def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
@@ -329,13 +314,8 @@ def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "wave window")
     eps_grid = _eps_grid(cfg)
     rho_grid = _float_list(cfg, "rho_grid", "")
-    rows = wave_window_diagnostics(rho_grid, eps_grid, z, spec)
-    report = CutoffReport()
-    report.meta = {"gamma": wsp.gamma}
-    for row in rows:
-        report.add("wave-window", p, row["eps"], row["rho"],
-                   row["distance"], row["center"], row["slack"], row["pass"])
-    return report
+    return CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
+        "wave-window", p, rho_grid, eps_grid, window_cell(z, spec))
 
 
 def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]):
@@ -493,9 +473,10 @@ def run_selftest(seed: int) -> int:
     d0 = renormalized_distance_heat(t, h, eps, spec)
     check("distance near profile at cutoff",
           abs(d0 - leading.shape_norm) < 0.1 * leading.shape_norm)
-    rows = simple_cutoff_scan([0.5, 2.0], [1e-8], h, spec)
-    check("pre-cutoff large", rows[0]["distance"] > 1e3)
-    check("post-cutoff small", rows[1]["distance"] < 1e-3)
+    t_8 = cutoff_time(1e-8, leading.rate)
+    pre, post = (renormalized_distance_heat(delta * t_8, h, 1e-8, spec) for delta in (0.5, 2.0))
+    check("pre-cutoff large", pre > 1e3)
+    check("post-cutoff small", post < 1e-3)
     wsys = build_box_eigensystem([(1.0, 4)])
     wsp = wave_spectrum(10.0, wsys)
     z = wave_decompose(wsp, np.array([1.0, 0.3, 0, 0]), np.zeros(4))

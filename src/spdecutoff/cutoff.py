@@ -38,7 +38,6 @@ from .spectral_core import (
     ModeCoefficients,
     WaveSpectrum,
     WaveState,
-    heat_leading_data,
 )
 from .wasserstein import _w2_diag_sd, w2_diag_gaussian, w2_gaussian_2x2, w2_product
 
@@ -80,6 +79,22 @@ def error_bound(rho: float, eps: float, leader, c_star: float, rate: float,
         return noise
     return noise + (math.exp(-leader.rate * rho) * math.exp(leader.margin * t)
                     * leader.amplitude)
+
+
+def profile_cell(leader, p: float, distance, constants: tuple[float, float],
+                 moment: float):
+    """The profile grid's cell at (rho, eps): the exact ``distance(t, eps)``
+    at t = t_eps + rho, the profile, the two-term certificate built from the
+    decay ``constants`` (C, rate) and the equilibrium ``moment``, and
+    whether the certificate holds."""
+    def cell(rho: float, eps: float):
+        t = cutoff_time(eps, leader.rate) + rho
+        dist = distance(t, eps)
+        prof = profile(rho, leader, p)
+        bound = error_bound(rho, eps, leader, *constants, moment)
+        return dist, prof, bound, abs(dist - prof) <= bound
+
+    return cell
 
 
 # --------------------------------------------------------------------------
@@ -140,40 +155,6 @@ def cutoff_inequality_gap(
     return {"lhs": lhs, "mid": mid, "gap": gap, "bound": bound, "pass": bool(gap <= bound + 1e-12)}
 
 
-def simple_cutoff_scan(
-    delta_grid,
-    eps_grid,
-    h: ModeCoefficients,
-    spec: NoiseSpec,
-) -> list[dict]:
-    """Evaluate d_eps at delta * t_eps over a (delta, eps) grid.
-
-    Around the cutoff the distance diverges for delta < 1 and vanishes for
-    delta > 1 as eps -> 0; delta == 1 is rejected, the limit there is the
-    profile, not 0 or infinity.
-    """
-    leading = heat_leading_data(h)
-    rows = []
-    for delta in delta_grid:
-        delta = float(delta)
-        if delta <= 0:
-            raise InvalidDomainError("delta must be positive")
-        if abs(delta - 1.0) <= 1e-12:
-            raise InvalidDomainError("delta == 1 sits on the cutoff, scan excludes it")
-        for eps in eps_grid:
-            t = delta * cutoff_time(eps, leading.rate)
-            rows.append(
-                {
-                    "delta": delta,
-                    "eps": float(eps),
-                    "t": t,
-                    "distance": renormalized_distance_heat(t, h, eps, spec),
-                    "regime": "pre" if delta < 1 else "post",
-                }
-            )
-    return rows
-
-
 # --------------------------------------------------------------------------
 # Damped wave equation
 # --------------------------------------------------------------------------
@@ -206,40 +187,31 @@ def wave_distance_and_gap(
     return w2_product(per_mode[0]), w2_product(per_mode[1])
 
 
-def wave_window_diagnostics(rho_grid, eps_grid, z: WaveState, spec: NoiseSpec) -> list[dict]:
-    """Oscillatory-damping window study at t_eps + rho.
+def window_cell(z: WaveState, spec: NoiseSpec):
+    """The oscillatory-damping window's cell at (rho, eps), t = t_eps + rho.
 
     In the subcritical regime the renormalized flow never settles to a
     single shape: |e^{gamma t/2} S(t) z| oscillates between positive bounds.
-    Each cell reports the exact Gaussian distance, the oscillating center
-    e^{-gamma rho / 2} |v(t_eps + rho, z)|, and a pass flag for the rigorous
-    check |distance - center| <= noise relaxation gap.
+    The cell returns the exact Gaussian distance, the oscillating center
+    e^{-gamma rho / 2} |v(t_eps + rho, z)|, the noise relaxation gap and
+    the rigorous check |distance - center| <= gap.  An overdamped mode or a
+    zero state raises before any cell is evaluated.
     """
     wsp = z.spectrum
     if wsp.n_over != 0:
         raise WrongCaseError("window diagnostics require subcritical damping")
     if z.is_zero():
         raise WrongCaseError("zero state has no oscillatory content")
-    rows = []
-    for rho in rho_grid:
-        for eps in eps_grid:
-            t = cutoff_time(eps, 0.5 * wsp.gamma) + float(rho)
-            dist, slack = wave_distance_and_gap(t, z, eps, spec)
-            center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
-                max(wave_subcritical_norm_sq(t, z), 0.0)
-            )
-            rows.append(
-                {
-                    "rho": float(rho),
-                    "eps": float(eps),
-                    "t": t,
-                    "distance": dist,
-                    "center": center,
-                    "slack": slack,
-                    "pass": bool(abs(dist - center) <= slack + 1e-10 * (1.0 + dist)),
-                }
-            )
-    return rows
+
+    def cell(rho: float, eps: float):
+        t = cutoff_time(eps, 0.5 * wsp.gamma) + rho
+        dist, slack = wave_distance_and_gap(t, z, eps, spec)
+        center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
+            max(wave_subcritical_norm_sq(t, z), 0.0)
+        )
+        return dist, center, slack, abs(dist - center) <= slack + 1e-10 * (1.0 + dist)
+
+    return cell
 
 
 def large_data_identity(
@@ -291,6 +263,14 @@ class CutoffReport:
                 "pass": bool(ok),
             }
         )
+
+    def add_grid(self, case: str, p: float, outer, eps_grid, cell) -> "CutoffReport":
+        """One row per (x, eps) of ``outer`` x ``eps_grid``, x outermost:
+        ``cell(x, eps)`` gives (renormalized, profile, bound, pass)."""
+        for x in outer:
+            for eps in eps_grid:
+                self.add(case, p, eps, x, *cell(x, eps))
+        return self
 
     @property
     def all_pass(self) -> bool:

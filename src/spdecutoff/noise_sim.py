@@ -139,6 +139,8 @@ def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum
     s_inf[:, 1, 1] = q / (2.0 * gamma)
     if math.isinf(t):
         return s_inf
+    if t == 0.0:  # an empty interval: P_0 = I may round, the law is exactly 0
+        return np.zeros_like(s_inf)
     P = np.array([wave_mode_propagator(t, lk, gamma) for lk in lam.tolist()])
     return s_inf - P @ s_inf @ P.transpose(0, 2, 1)
 

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from scipy.stats import norm
 
 from spdecutoff import (
+    CutoffReport,
     EigenSystem,
     JumpMark,
     ModeCoefficients,
@@ -33,7 +34,6 @@ from spdecutoff import (
     mult_second_moment_exact,
     profile,
     renormalized_distance_heat,
-    simple_cutoff_scan,
     stream,
     w2_diag_gaussian,
     wave_apply,
@@ -42,10 +42,10 @@ from spdecutoff import (
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
-    wave_window_diagnostics,
+    window_cell,
     wp_empirical_1d,
 )
-from spdecutoff.cli import main
+from spdecutoff.cli import main, run_heat_profile
 from spdecutoff.cutoff import gaussian_abs_moment_surrogate
 from spdecutoff.multiplicative import levy_stochexp_batch
 
@@ -124,10 +124,12 @@ def test_criterion_02_heat_profile():
 
 
 def test_criterion_03_simple_cutoff():
-    _, h, spec = heat_reference_setup()
-    rows = simple_cutoff_scan([0.5, 2.0], [1e-8], h, spec)
-    pre = rows[0]["distance"]
-    post = rows[1]["distance"]
+    # heat_reference_setup's system, datum and noise as a heat-profile
+    # config: its heat-simple rows at delta * t_eps
+    cfg = {"dims": [[math.pi, 32]], "initial": [0.0, 1.0, 0.5],
+           "noise": {"gaussian_q": "inverse-square"}, "eps_grid": [1e-8],
+           "rho_grid": [], "delta_grid": [0.5, 2.0]}
+    pre, post = (r["renormalized"] for r in run_heat_profile(cfg, 0).rows)
     ok = pre > 1e3 and post < 1e-3
     report("criterion 3 (simple cutoff)", ok,
            f"delta=1/2: {pre:.4g} > 1e3; delta=2: {post:.4g} < 1e-3")
@@ -214,8 +216,9 @@ def test_criterion_06_wave_subcritical():
     ok_min = grid_min > 0.0
     q = 1.0 / np.arange(1.0, 9.0) ** 2
     spec = NoiseSpec(system=system, gaussian_q=q)
-    rows = wave_window_diagnostics([-5.0, 5.0], [1e-8], z, spec)
-    ratio = rows[0]["distance"] / rows[1]["distance"]
+    rows = CutoffReport().add_grid("wave-window", 2.0, [-5.0, 5.0], [1e-8],
+                                   window_cell(z, spec)).rows
+    ratio = rows[0]["renormalized"] / rows[1]["renormalized"]
     ok_window = ratio > 100.0
     report("criterion 6 (wave subcritical window)",
            ok_oracle and ok_min and ok_window,

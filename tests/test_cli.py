@@ -10,9 +10,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spdecutoff.cli as cli
-from spdecutoff import JumpMark, stream
+from spdecutoff import (
+    CutoffReport,
+    JumpMark,
+    cutoff_time,
+    decay_constants,
+    error_bound,
+    heat_leading_data,
+    profile,
+    renormalized_distance_heat,
+    stream,
+    wave_distance_and_gap,
+    wave_overdamped_leader,
+    wave_subcritical_norm_sq,
+)
 from spdecutoff.cli import load_config, main, run_heat_profile
-from spdecutoff.errors import ConfigError
+from spdecutoff.cutoff import gaussian_abs_moment_surrogate, wave_abs_moment_surrogate
+from spdecutoff.errors import (
+    ConfigError,
+    InvalidDomainError,
+    SpdeCutoffError,
+    WrongCaseError,
+)
 from spdecutoff.noise_sim import sample_jump_realization
 
 
@@ -440,3 +459,214 @@ class TestRuns:
         rc = main(["heat-profile", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+# The grid walks that CutoffReport.add_grid replaces, kept as byte-for-byte
+# references: the CLI's profile-report loop, the simple-cutoff scan and the
+# window diagnostics with their row dicts, and the runners that re-mapped
+# those dicts into report rows.
+
+
+def reference_profile_report(eps_grid, rho_grid, case, p, leader, distance, constants,
+                             moment, meta):
+    report = CutoffReport(meta=meta)
+    for rho in rho_grid:
+        for eps in eps_grid:
+            t = cutoff_time(eps, leader.rate) + rho
+            dist = distance(t, eps)
+            prof = profile(rho, leader, p)
+            bound = error_bound(rho, eps, leader, *constants, moment)
+            report.add(case, p, eps, rho, dist, prof, bound, abs(dist - prof) <= bound)
+    return report
+
+
+def reference_simple_cutoff_scan(delta_grid, eps_grid, h, spec):
+    leading = heat_leading_data(h)
+    rows = []
+    for delta in delta_grid:
+        delta = float(delta)
+        if delta <= 0:
+            raise InvalidDomainError("delta must be positive")
+        if abs(delta - 1.0) <= 1e-12:
+            raise InvalidDomainError("delta == 1 sits on the cutoff, scan excludes it")
+        for eps in eps_grid:
+            t = delta * cutoff_time(eps, leading.rate)
+            rows.append(
+                {
+                    "delta": delta,
+                    "eps": float(eps),
+                    "t": t,
+                    "distance": renormalized_distance_heat(t, h, eps, spec),
+                    "regime": "pre" if delta < 1 else "post",
+                }
+            )
+    return rows
+
+
+def reference_wave_window_diagnostics(rho_grid, eps_grid, z, spec):
+    wsp = z.spectrum
+    if wsp.n_over != 0:
+        raise WrongCaseError("window diagnostics require subcritical damping")
+    if z.is_zero():
+        raise WrongCaseError("zero state has no oscillatory content")
+    rows = []
+    for rho in rho_grid:
+        for eps in eps_grid:
+            t = cutoff_time(eps, 0.5 * wsp.gamma) + float(rho)
+            dist, slack = wave_distance_and_gap(t, z, eps, spec)
+            center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
+                max(wave_subcritical_norm_sq(t, z), 0.0)
+            )
+            rows.append(
+                {
+                    "rho": float(rho),
+                    "eps": float(eps),
+                    "t": t,
+                    "distance": dist,
+                    "center": center,
+                    "slack": slack,
+                    "pass": bool(abs(dist - center) <= slack + 1e-10 * (1.0 + dist)),
+                }
+            )
+    return rows
+
+
+def reference_heat_profile(cfg, seed):
+    system = cli._build_system(cfg)
+    h = cli._coeffs(system, cfg["initial"], "/initial")
+    spec = cli._noise_spec(cfg, system)
+    leading = heat_leading_data(h)
+    report = reference_profile_report(
+        cfg["eps_grid"], cfg["rho_grid"], "heat-additive", 2.0, leading,
+        lambda t, eps: renormalized_distance_heat(t, h, eps, spec),
+        decay_constants("heat", system=system), gaussian_abs_moment_surrogate(spec),
+        {"lambda_lead": leading.lambda_lead, "shape_norm": leading.shape_norm,
+         "error_bound_variant": "proof"})
+    if cfg.get("delta_grid"):
+        for row in reference_simple_cutoff_scan(cfg["delta_grid"], cfg["eps_grid"], h, spec):
+            report.add("heat-simple", 2.0, row["eps"], row["delta"],
+                       row["distance"], 0.0, 0.0, True)
+    return report
+
+
+def reference_wave_profile(cfg, seed):
+    wsp, z, spec = cli._wave_setup(cfg)
+    leader = wave_overdamped_leader(z)
+    return reference_profile_report(
+        cfg["eps_grid"], cfg["rho_grid"], "wave-overdamped", 2.0, leader,
+        lambda t, eps: wave_distance_and_gap(t, z, eps, spec)[0],
+        decay_constants("wave", wave_spec=wsp), wave_abs_moment_surrogate(spec, wsp),
+        {"rate": leader.rate, "shape_norm": leader.shape_norm, "leader_case": leader.case})
+
+
+def reference_wave_window(cfg, seed):
+    wsp, z, spec = cli._wave_setup(cfg)
+    report = CutoffReport(meta={"gamma": wsp.gamma})
+    for row in reference_wave_window_diagnostics(cfg["rho_grid"], cfg["eps_grid"], z, spec):
+        report.add("wave-window", 2.0, row["eps"], row["rho"],
+                   row["distance"], row["center"], row["slack"], row["pass"])
+    return report
+
+
+HEAT_RUNNERS = (cli.run_heat_profile, reference_heat_profile)
+WAVE_PROFILE_RUNNERS = (cli.run_wave_profile, reference_wave_profile)
+WAVE_WINDOW_RUNNERS = (cli.run_wave_window, reference_wave_window)
+
+
+def report_outcome(run, cfg):
+    """The rows of ``run(cfg, 0)`` with every float in hex, and its meta; or
+    the error it raises."""
+    try:
+        report = run(cfg, 0)
+    except SpdeCutoffError as e:
+        return f"raises {type(e).__name__}: {e}"
+    rows = [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()}
+            for r in report.rows]
+    return rows, report.meta
+
+
+# The README's heat-profile and wave-profile / wave-window examples (the
+# latter's gamma = 10 leaves mode 1 overdamped, so its wave-window raises),
+# and this file's configs for the three commands.
+README_HEAT_CFG = {
+    "schema_version": 1,
+    "dims": [[3.141592653589793, 32]],
+    "initial": [0.0, 1.0, 0.5],
+    "noise": {"gaussian_q": "inverse-square"},
+    "eps_grid": [1e-2, 1e-4, 1e-6, 1e-8],
+    "rho_grid": [-1.0, 0.0, 1.0],
+    "p": 2.0,
+    "delta_grid": [0.5, 2.0],
+    "master_seed": 7,
+}
+
+README_WAVE_CFG = {
+    "schema_version": 1,
+    "dims": [[1.0, 11]],
+    "gamma": 10.0,
+    "initial": {"position": [1.0, 0.3], "velocity": [0.0, 0.1]},
+    "noise": {"gaussian_q": "inverse-square"},
+    "eps_grid": [1e-4, 1e-6, 1e-8],
+    "rho_grid": [-5.0, 0.0, 5.0],
+    "master_seed": 7,
+}
+
+GRID_CASES = {
+    "heat-profile-readme": (HEAT_RUNNERS, README_HEAT_CFG),
+    "heat-profile": (HEAT_RUNNERS, heat_cfg(delta_grid=[0.5, 2.0])),
+    "wave-profile-readme": (WAVE_PROFILE_RUNNERS, README_WAVE_CFG),
+    "wave-window-readme": (WAVE_WINDOW_RUNNERS, README_WAVE_CFG),
+    "wave-profile": (WAVE_PROFILE_RUNNERS, WAVE_PROFILE_CFG),
+    "wave-window": (WAVE_WINDOW_RUNNERS, WAVE_WINDOW_CFG),
+}
+
+
+@st.composite
+def grid_configs(draw):
+    """A heat and a wave config on one small simple spectrum: data and noise
+    with some modes off, damping that leaves the wave modes overdamped,
+    oscillatory or mixed, and grids of one to three points (zero to three
+    for delta)."""
+    kind = draw(st.sampled_from(["overdamped", "oscillatory", "mixed"]))
+    n = draw(st.integers(2 if kind == "mixed" else 1, 5))
+    lam0 = draw(st.floats(0.5, 20.0))
+    gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=n - 1, max_size=n - 1))
+    lam = np.cumsum([lam0] + gaps).tolist()
+    if kind == "overdamped":
+        gamma = 3.0 * math.sqrt(lam[-1])
+    elif kind == "oscillatory":
+        gamma = math.sqrt(lam[0])
+    else:  # gamma^2 / 4 halfway between lambda_1 and lambda_2
+        gamma = math.sqrt(2.0 * (lam[0] + lam[1]))
+    # mode 1 on, so that the data mostly have a leader; later modes may be off
+    first = st.floats(0.1, 2.0).flatmap(lambda x: st.sampled_from([x, -x]))
+    rest = st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), max_size=n - 1)
+    coeffs = st.builds(lambda a, b: [a] + b, first, rest)
+    q = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 2.0)), min_size=n, max_size=n)
+    eps_grid = st.lists(st.floats(-12.0, -0.5).map(lambda u: 10.0 ** u), min_size=1,
+                        max_size=3)
+    rho_grid = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
+    common = {"lambdas": lam, "noise": {"gaussian_q": draw(q)},
+              "eps_grid": draw(eps_grid), "rho_grid": draw(rho_grid)}
+    delta = st.floats(0.1, 3.0).filter(lambda d: abs(d - 1.0) > 1e-12)
+    heat = common | {"initial": draw(coeffs), "delta_grid": draw(st.lists(delta, max_size=3))}
+    wave = common | {"gamma": gamma,
+                     "initial": {"position": draw(coeffs), "velocity": draw(coeffs)}}
+    return heat, wave
+
+
+class TestOneGridLoop:
+    @pytest.mark.parametrize("name", GRID_CASES)
+    def test_rows_equal_the_reference_walks(self, name):
+        (run, reference), cfg = GRID_CASES[name]
+        outcome = report_outcome(run, cfg)
+        assert outcome == report_outcome(reference, cfg)
+        assert isinstance(outcome, str) == (name == "wave-window-readme")
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfgs=grid_configs())
+    def test_small_spectra_and_grids_equal_the_reference_walks(self, cfgs):
+        heat, wave = cfgs
+        for (run, reference), cfg in [(HEAT_RUNNERS, heat), (WAVE_PROFILE_RUNNERS, wave),
+                                      (WAVE_WINDOW_RUNNERS, wave)]:
+            assert report_outcome(run, cfg) == report_outcome(reference, cfg)

@@ -24,8 +24,8 @@ from spdecutoff import (
     heat_leading_data,
     large_data_identity,
     profile,
+    profile_cell,
     renormalized_distance_heat,
-    simple_cutoff_scan,
     stream,
     wave_apply,
     wave_decompose,
@@ -33,10 +33,11 @@ from spdecutoff import (
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
-    wave_window_diagnostics,
+    window_cell,
     w2_diag_gaussian,
 )
 from spdecutoff import cutoff, noise_sim
+from spdecutoff.cli import run_heat_profile
 from spdecutoff.cutoff import (
     gaussian_abs_moment_surrogate,
     heat_noise_gap,
@@ -262,16 +263,19 @@ class TestCutoffInequality:
 
 class TestSimpleCutoffScan:
     def test_divergence_and_collapse(self):
+        # the heat-simple rows of heat-profile at delta * t_eps
         _, h, spec = heat_setup()
-        rows = simple_cutoff_scan([0.5, 2.0], [1e-6, 1e-8], h, spec)
-        by = {(r["delta"], r["eps"]): r["distance"] for r in rows}
+        cfg = {"dims": [[math.pi, 8]], "initial": [0.0, 1.0, 0.5],
+               "noise": {"gaussian_q": "inverse-square"}, "eps_grid": [1e-6, 1e-8],
+               "rho_grid": [], "delta_grid": [0.5, 2.0]}
+        rows = run_heat_profile(cfg, 0).rows
+        assert [r["case"] for r in rows] == ["heat-simple"] * 4
+        by = {(r["rho_or_delta"], r["eps"]): r["renormalized"] for r in rows}
         assert by[(0.5, 1e-8)] > by[(0.5, 1e-6)] > 1.0
         assert by[(2.0, 1e-8)] < by[(2.0, 1e-6)] < 1.0
-
-    def test_delta_one_rejected(self):
-        _, h, spec = heat_setup()
-        with pytest.raises(InvalidDomainError):
-            simple_cutoff_scan([1.0], [1e-4], h, spec)
+        rate = heat_leading_data(h).rate
+        assert by[(0.5, 1e-8)] == renormalized_distance_heat(
+            0.5 * cutoff_time(1e-8, rate), h, 1e-8, spec)
 
 
 class TestLargeData:
@@ -320,6 +324,13 @@ class TestWaveProfile:
                 assert abs(d - prof) <= bound
 
 
+def window_rows(rho_grid, eps_grid, z, spec):
+    """wave-window's rows: renormalized is the distance, profile the
+    oscillating center and bound the noise gap."""
+    return CutoffReport().add_grid("wave-window", 2.0, rho_grid, eps_grid,
+                                   window_cell(z, spec)).rows
+
+
 class TestWaveWindow:
     def setup(self):
         system = build_box_eigensystem([(math.pi, 5)])
@@ -331,33 +342,81 @@ class TestWaveWindow:
 
     def test_rows_pass_rigorous_check(self):
         wsp, z, spec = self.setup()
-        rows = wave_window_diagnostics([-2.0, 0.0, 2.0], [1e-4, 1e-8], z, spec)
+        rows = window_rows([-2.0, 0.0, 2.0], [1e-4, 1e-8], z, spec)
         assert all(r["pass"] for r in rows)
         # envelope of |v(t, z)| over eight slow periods
         ts = np.linspace(0.0, 8 * 2.0 * math.pi / float(np.min(wsp.theta)), 4096)
         v = [math.sqrt(max(wave_subcritical_norm_sq(t, z), 0.0)) for t in ts.tolist()]
         for r in rows:
-            scale = math.exp(-0.5 * wsp.gamma * r["rho"])
-            assert scale * min(v) <= r["center"] * 1.001 + 1e-12
-            assert r["center"] <= scale * max(v) * 1.001 + 1e-12
+            scale = math.exp(-0.5 * wsp.gamma * r["rho_or_delta"])
+            assert scale * min(v) <= r["profile"] * 1.001 + 1e-12
+            assert r["profile"] <= scale * max(v) * 1.001 + 1e-12
 
     def test_no_convergence_inside_window(self):
         # the center oscillates: spread over t at fixed rho stays bounded away
         # from zero while eps -> 0
         wsp, z, spec = self.setup()
-        rows = wave_window_diagnostics([0.0], [1e-4, 1e-6, 1e-8], z, spec)
-        vals = [r["distance"] for r in rows]
+        rows = window_rows([0.0], [1e-4, 1e-6, 1e-8], z, spec)
+        vals = [r["renormalized"] for r in rows]
         assert min(vals) > 0.1 * max(vals)
 
     def test_monotone_trend_across_window(self):
         wsp, z, spec = self.setup()
-        rows = wave_window_diagnostics([-5.0, 5.0], [1e-8], z, spec)
-        assert rows[0]["distance"] > 100.0 * rows[1]["distance"]
+        rows = window_rows([-5.0, 5.0], [1e-8], z, spec)
+        assert rows[0]["renormalized"] > 100.0 * rows[1]["renormalized"]
 
     def test_overdamped_state_rejected(self):
         wsp, z, spec = wave_over_setup()
         with pytest.raises(WrongCaseError):
-            wave_window_diagnostics([0.0], [1e-4], z, spec)
+            window_rows([0.0], [1e-4], z, spec)
+
+
+# The t = 0 case where the overdamped propagator rounds P_0 to
+# 1.0000000000000002 on the diagonal, so that Sigma_inf - P_0 Sigma_inf P_0^T
+# had a negative variance and the W2 call raised "covariance blocks must be
+# PSD".  The oscillatory propagator is exactly I at t = 0, so the window
+# cell (subcritical damping only) never met it.
+
+
+def zero_time_case():
+    system = EigenSystem.from_lambdas([1.375, 2.375, 6.375, 26.140625])
+    wsp = wave_spectrum(15.33837100216317, system)
+    z = wave_decompose(wsp, np.array([1.0, 0.3, 0.0, 0.0]), np.array([0.0, 0.1, 0.0, 0.0]))
+    return wsp, z, NoiseSpec(system=system, gaussian_q=np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+class TestWaveLawAtTimeZero:
+    def test_law_is_zero(self):
+        wsp, _, spec = zero_time_case()
+        law = noise_sim.wave_gaussian_convolution_law(0.0, spec, wsp)
+        assert law.shape == (4, 2, 2) and not np.any(law)
+
+    def test_distance_and_gap_are_the_equilibrium_moments(self):
+        # at t = 0 the process is the point z/eps: its W2 to the equilibrium
+        # is sqrt(|z/eps|^2 + m^2), m the equilibrium's root second moment
+        wsp, z, spec = zero_time_case()
+        eps = 1e-3
+        dist, gap = wave_distance_and_gap(0.0, z, eps, spec)
+        moment = wave_abs_moment_surrogate(spec, wsp)
+        assert gap == pytest.approx(moment, rel=1e-14)
+        lam = wsp.system.lambdas
+        norm_sq = float(np.sum((1.0 + lam) * z.position_values() ** 2
+                               + z.velocity_values() ** 2)) / eps ** 2
+        assert dist == pytest.approx(math.sqrt(norm_sq + moment ** 2), rel=1e-12)
+
+    def test_profile_cell_at_minus_the_cutoff_time(self):
+        # rho = -t_eps puts the wave-profile cell at t = 0 exactly
+        wsp, z, spec = zero_time_case()
+        lead = wave_overdamped_leader(z)
+        eps = 1e-4
+        rho = -cutoff_time(eps, lead.rate)
+        assert cutoff_time(eps, lead.rate) + rho == 0.0
+        cell = profile_cell(lead, 2.0, lambda t, e: wave_distance_and_gap(t, z, e, spec)[0],
+                            decay_constants("wave", wave_spec=wsp),
+                            wave_abs_moment_surrogate(spec, wsp))
+        dist, prof, bound, _ = cell(rho, eps)
+        assert dist == wave_distance_and_gap(0.0, z, eps, spec)[0]
+        assert all(map(math.isfinite, (dist, prof, bound)))
 
 
 # The separate distance, gap and moment computations that

@@ -1,0 +1,106 @@
+"""Compare the CLI outputs of two source trees on the benchmark workloads.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--seeds 0-11]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+For each seed, the configs of every workload in ``perfbench/workloads.py``
+are written once, and each command runs in a fresh ``python -m
+spdecutoff.cli`` process per tree, with PYTHONPATH set to that tree (the two
+trees' processes run side by side).  The script lists every CSV or JSON
+file that differs or exists on one side only and every non-zero exit, then
+prints a summary line; it exits 1 if it listed anything, 0 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import workloads  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> list[int]:
+    """``A-B`` (inclusive) or a single seed."""
+    lo, _, hi = text.partition("-")
+    try:
+        seeds = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B or N, got {text!r}") from None
+    if not seeds or seeds[0] < 0:
+        raise argparse.ArgumentTypeError(f"expected 0 <= A <= B, got {text!r}")
+    return seeds
+
+
+def output_files(directory: str) -> set[str]:
+    found = set()
+    for dirpath, _, names in os.walk(directory):
+        found.update(os.path.relpath(os.path.join(dirpath, n), directory)
+                     for n in names if n.endswith((".csv", ".json")))
+    return found
+
+
+def read(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+
+
+def run_commands(trees: dict, argvs: dict) -> list[str]:
+    """Run each command on both trees at once; one line per non-zero exit."""
+    faults = []
+    for i in range(len(argvs["parent"])):
+        procs = {}
+        for side in SIDES:
+            env = dict(os.environ, PYTHONPATH=trees[side])
+            procs[side] = subprocess.Popen(
+                [sys.executable, "-m", "spdecutoff.cli", *argvs[side][i]], env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for side, proc in procs.items():
+            _, err = proc.communicate()
+            if proc.returncode != 0:
+                last = err.strip().splitlines()[-1:] or [""]
+                faults.append(f"exit {proc.returncode}: {side} {argvs[side][i][0]}: {last[0]}")
+    return faults
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-11"))
+    args = parser.parse_args(argv)
+    trees = {"parent": os.path.abspath(args.parent_src),
+             "change": os.path.abspath(args.change_src)}
+    faults = []
+    compared = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
+        for seed in args.seeds:
+            for workload in workloads.WORKLOADS:
+                base = os.path.join(work, f"{workload}-{seed}")
+                configs = os.path.join(base, "configs")
+                outs = {side: os.path.join(base, side) for side in SIDES}
+                argvs = {side: workloads.write_commands(workload, seed, configs, outs[side])
+                         for side in SIDES}
+                faults += [f"seed {seed} {workload} {line}"
+                           for line in run_commands(trees, argvs)]
+                for rel in sorted(output_files(outs["parent"]) | output_files(outs["change"])):
+                    compared += 1
+                    if read(os.path.join(outs["parent"], rel)) != read(
+                            os.path.join(outs["change"], rel)):
+                        faults.append(f"seed {seed} {workload} differs: {rel}")
+    for line in faults:
+        print(line)
+    print(f"{compared} files compared over seeds {args.seeds[0]}-{args.seeds[-1]} "
+          f"of {len(workloads.WORKLOADS)} workloads; {len(faults)} faults")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
