@@ -284,10 +284,10 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
 def _wave_setup(cfg: dict):
     """wave-profile's and wave-window's spectrum, initial state and noise."""
     system = _build_system(cfg)
-    gamma = _get(cfg, "gamma", float, "")
-    if gamma <= 0:
-        raise ConfigError("/gamma", f"damping must be positive, got {gamma}")
-    wsp = wave_spectrum(gamma, system)
+    try:
+        wsp = wave_spectrum(_get(cfg, "gamma", float, ""), system)
+    except InvalidDomainError as e:
+        raise ConfigError("/gamma", str(e)) from e
     initial = _get(cfg, "initial", dict, "")
     u = _coeffs(system, _get(initial, "position", list, "/initial"), "/initial/position")
     w = _coeffs(system, _get(initial, "velocity", list, "/initial"), "/initial/velocity")

@@ -179,7 +179,7 @@ def wave_distance_and_gap(
     eps = _check_eps(eps)
     wsp = z.spectrum
     moved = wave_apply(t, z, log_scale=-math.log(eps))
-    mean = np.stack([moved.position_values(), moved.velocity_values()], axis=-1)
+    mean = np.stack([moved.position, moved.velocity], axis=-1)
     c_t = wave_gaussian_convolution_law(t, spec, wsp)
     c_inf = wave_gaussian_convolution_law(math.inf, spec, wsp)
     per_mode = w2_gaussian_2x2(np.stack([mean, np.zeros_like(mean)]), c_t, np.zeros(2),
@@ -206,9 +206,7 @@ def window_cell(z: WaveState, spec: NoiseSpec):
     def cell(rho: float, eps: float):
         t = cutoff_time(eps, 0.5 * wsp.gamma) + rho
         dist, slack = wave_distance_and_gap(t, z, eps, spec)
-        center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
-            max(wave_subcritical_norm_sq(t, z), 0.0)
-        )
+        center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(wave_subcritical_norm_sq(t, z))
         return dist, center, slack, abs(dist - center) <= slack + 1e-10 * (1.0 + dist)
 
     return cell

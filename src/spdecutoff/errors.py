@@ -21,15 +21,6 @@ class ZeroInitialDatumError(SpdeCutoffError):
     """An operation that needs a nonzero initial state received zero."""
 
 
-class ResonanceError(SpdeCutoffError):
-    """gamma^2 == 4*lambda_k within tolerance: the damped-wave mode matrix
-    is not diagonalizable and the two-root decomposition breaks down."""
-
-
-class DegenerateSpectrumError(SpdeCutoffError):
-    """The wave construction requires a simple (tie-free) spectrum."""
-
-
 class WrongCaseError(SpdeCutoffError):
     """Operation called on the wrong damping regime (overdamped helpers on
     purely oscillatory data, or vice versa)."""

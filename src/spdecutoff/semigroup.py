@@ -1,13 +1,14 @@
 """Deterministic linear flows: heat semigroup and damped-wave group.
 
-Both act diagonally in mode space.  Every evaluation accepts an optional
-``log_scale`` so that renormalized quantities like exp(lambda_lead * t) S(t)h
-or S(t)h / eps are computed inside a single exponential per mode -- at
-cutoff-size times the unscaled factors underflow long before the scaled
-product does.
+Both act mode by mode: the heat flow as a scalar, the wave group as one
+2x2 block per mode.  Every evaluation accepts an optional ``log_scale`` so
+that renormalized quantities like exp(lambda_lead * t) S(t)h or S(t)h / eps
+are computed inside a single exponential per mode -- at cutoff-size times
+the unscaled factors underflow long before the scaled product does.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTimeError, SubcriticalRouteError, WrongCaseError
-from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState
+from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState, damping_gap
 
 
 def _check_time(t: float, last: float = sys.float_info.max) -> float:
@@ -47,61 +48,67 @@ def heat_apply(t: float, h: ModeCoefficients, log_scale: float = 0.0) -> ModeCoe
 # --------------------------------------------------------------------------
 
 
-def wave_apply(t: float, z: WaveState, log_scale: float = 0.0) -> WaveState:
-    """exp(log_scale) * S_gamma(t) z for the damped-wave group.
+def _propagator_coefficients(t: float, sp: WaveSpectrum, log_scale: float):
+    """Per-mode (c, s) with e^{log_scale} P_k(t) = c_k I + s_k (A_k + gamma/2 I),
+    A_k = [[0, 1], [-lambda_k, -gamma]]: :func:`wave_mode_propagator`'s
+    formula on every mode of ``sp`` at once."""
+    e = np.exp(sp.root_slow * t + log_scale)
+    x = 2.0 * sp.s * t
+    damp = math.exp(-0.5 * sp.gamma * t + log_scale)
+    phase = sp.theta * t
+    c = np.concatenate([0.5 * e * (1.0 + np.exp(-x)), damp * np.cos(phase)])
+    s = np.concatenate([
+        e * np.divide(-np.expm1(-x), 2.0 * sp.s, out=np.full(sp.n_over, t), where=sp.s > 0),
+        damp * (np.sin(phase) / sp.theta)])
+    return c, s
 
-    Modal coordinates evolve independently: a_slow/a_fast pick up
-    e^{r t}, each oscillatory b picks up e^{(-gamma/2 + i theta) t}.
-    """
+
+def wave_apply(t: float, z: WaveState, log_scale: float = 0.0) -> WaveState:
+    """exp(log_scale) * S_gamma(t) z for the damped-wave group: each mode's
+    (u, w) moves by c I + s (A + gamma/2 I), whatever its damping."""
     t = _check_time(t)
     sp = z.spectrum
-    a_s = z.a_slow * np.exp(sp.root_slow * t + log_scale)
-    a_f = z.a_fast * np.exp(sp.root_fast * t + log_scale)
-    b = z.b * np.exp((-0.5 * sp.gamma + 1j * sp.theta) * t + log_scale)
-    return WaveState(spectrum=sp, a_slow=a_s, a_fast=a_f, b=b)
+    c, s = _propagator_coefficients(t, sp, log_scale)
+    h = 0.5 * sp.gamma
+    u, w = z.position, z.velocity
+    return WaveState(sp, c * u + s * (h * u + w), c * w - s * (sp.system.lambdas * u + h * w))
+
+
+@functools.lru_cache(maxsize=1024)
+def _mode_gap(lam: float, h: float) -> tuple[float, float]:
+    """damping_gap of one mode, kept: decay_constants asks for each mode's
+    propagator at every time of its grid."""
+    return damping_gap(lam, h, math.sqrt)
 
 
 def wave_mode_propagator(t: float, lam: float, gamma: float) -> np.ndarray:
     """Closed-form 2x2 exponential of [[0, 1], [-lambda, -gamma]] * t.
 
-    Uses the two characteristic roots; oscillatory modes go through the
-    real cos/sin form to stay real.  Entries are computed as Python floats
-    (libm exp/cos/sin, IEEE arithmetic), the same values as the matrix
-    form ``(e^{r+ t}(A - r- I) - e^{r- t}(A - r+ I)) / (r+ - r-)`` and
-    ``e^{-gamma t/2} (cos(theta t) I + sin(theta t)/theta (A + gamma/2 I))``
-    evaluated entrywise, including the products with the 0/1 entries of I.
-    Building the 2x2 result from four floats keeps a call at about 2 us,
-    which matters to ``decay_constants`` (grid_points x modes calls).
+    P(t) = c I + s (A + gamma/2 I) in every damping regime.  With
+    s_0^2 = (gamma/2 - sqrt(lambda)) (gamma/2 + sqrt(lambda)) >= 0 (from
+    :func:`damping_gap`) and the slow root r = -lambda / (gamma/2 + s_0),
+
+        c = e^{rt} (1 + e^{-2 s_0 t}) / 2,   s = e^{rt} (1 - e^{-2 s_0 t}) / (2 s_0),
+
+    which is t e^{rt} at critical damping (s_0 = 0); for s_0^2 < 0, with
+    theta^2 = -s_0^2, c = e^{-gamma t/2} cos(theta t) and
+    s = e^{-gamma t/2} sin(theta t) / theta.  Entries are computed as Python
+    floats, which keeps a call at about 2 us: ``decay_constants`` makes
+    grid_points x modes calls.
     """
     t = _check_time(t)
-    g2 = gamma * gamma
-    if g2 > 4.0 * lam:
-        s = math.sqrt(g2 - 4.0 * lam) / 2.0
-        rp = -0.5 * gamma + s
-        rm = -0.5 * gamma - s
-        ep, em, d = math.exp(rp * t), math.exp(rm * t), rp - rm
-        return np.array(
-            [
-                (ep * (0.0 - rm) - em * (0.0 - rp)) / d,
-                (ep * (1.0 - rm * 0.0) - em * (1.0 - rp * 0.0)) / d,
-                (ep * (-lam - rm * 0.0) - em * (-lam - rp * 0.0)) / d,
-                (ep * (-gamma - rm) - em * (-gamma - rp)) / d,
-            ]
-        ).reshape(2, 2)
-    theta = math.sqrt(4.0 * lam - g2) / 2.0
     h = 0.5 * gamma
-    damp = math.exp(-0.5 * gamma * t)
-    c = math.cos(theta * t)
-    sn = math.sin(theta * t) / theta
-    z = c * 0.0
-    return np.array(
-        [
-            damp * (c + sn * (0.0 + h)),
-            damp * (z + sn * (1.0 + h * 0.0)),
-            damp * (z + sn * (-lam + h * 0.0)),
-            damp * (c + sn * (-gamma + h)),
-        ]
-    ).reshape(2, 2)
+    below, gap = _mode_gap(lam, h)
+    if below >= 0.0:
+        e = math.exp(-lam / (h + gap) * t)
+        x = 2.0 * gap * t
+        c = 0.5 * e * (1.0 + math.exp(-x))
+        s = e * (-math.expm1(-x) / (2.0 * gap)) if gap > 0 else e * t
+    else:
+        damp = math.exp(-h * t)
+        c = damp * math.cos(gap * t)
+        s = damp * (math.sin(gap * t) / gap)
+    return np.array([c + s * h, s, -lam * s, c - s * h]).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,9 @@ class OverdampedLeader:
     ``amplitude * exp(margin * t)``; ``margin`` < 0 whenever the certificate
     is meaningful (it is -inf if the leader is the only nonzero term).
     ``case`` is "slow" when a slow-root coordinate leads and "fast" when all
-    slow coordinates vanish and the largest-index fast coordinate leads.
+    slow coordinates vanish and the largest-index fast coordinate leads;
+    ``mode`` is the leading mode and ``coefficient`` its modal coordinate.
+    Modes tied with it (same root, bit for bit) lead with it in ``shape``.
     """
 
     rate: float
@@ -128,71 +137,72 @@ class OverdampedLeader:
         return self.shape.norm
 
 
-def _basis_norms(sp: WaveSpectrum):
-    lam_o = sp.lambdas_over()
-    n_slow = np.sqrt(1.0 + lam_o + sp.root_slow ** 2)
-    n_fast = np.sqrt(1.0 + lam_o + sp.root_fast ** 2)
-    # |(e_k, omega e_k)| with |omega|^2 = lambda
-    n_osc = np.sqrt(1.0 + 2.0 * sp.lambdas_osc())
-    return n_slow, n_fast, n_osc
-
-
 def wave_overdamped_leader(z: WaveState) -> OverdampedLeader:
     """Identify the slowest-decaying modal term of an overdamped state.
 
-    Requires some nonzero overdamped coordinate.  If a slow-root coordinate
-    is populated the smallest-index one wins (it has the least-negative
-    root); otherwise the largest-index fast-root coordinate wins.  The decay
-    margin is the worst relative exponent among the remaining nonzero terms;
-    if any of them decays no faster than the leader, the state has no
+    Each overdamped mode splits into modal coordinates (p, q) with
+    (u, w) = p (1, r_slow) + q (1, r_fast).  If a slow-root coordinate is
+    populated the smallest-index one wins (it has the least-negative root);
+    otherwise the largest-index fast-root coordinate wins.  The decay margin is the worst
+    relative exponent among the remaining nonzero terms; if any of them
+    decays no faster than the leader, or a critically damped mode (whose
+    t e^{-gamma t/2} term has no modal split) carries data, the state has no
     single-term limit and a WrongCaseError is raised.
     """
     sp = z.spectrum
-    if sp.n_over == 0:
+    no = sp.n_over
+    if no == 0:
         raise SubcriticalRouteError(
             "no overdamped modes: use the oscillatory window route"
         )
-    slow_nz = np.flatnonzero(z.a_slow)
-    fast_nz = np.flatnonzero(z.a_fast)
+    u, w = z.position, z.velocity
+    split = sp.s > 0
+    if np.any(u[:no][~split]) or np.any(w[:no][~split]):
+        raise WrongCaseError(
+            "a critically damped mode carries data: its t e^{-gamma t/2} term "
+            "has no single-exponential limit"
+        )
+    rs = sp.root_slow
+    rf = -0.5 * sp.gamma - sp.s
+    d = rs - rf
+    slow = np.divide(w[:no] - rf * u[:no], d, out=np.zeros(no), where=split)
+    fast = np.divide(w[:no] - rs * u[:no], -d, out=np.zeros(no), where=split)
+    slow_nz = np.flatnonzero(slow)
+    fast_nz = np.flatnonzero(fast)
     if slow_nz.size == 0 and fast_nz.size == 0:
         raise SubcriticalRouteError(
             "no overdamped content in the state: use the oscillatory window route"
         )
     if slow_nz.size:
-        j = int(slow_nz[0])
-        case = "slow"
-        rate = -float(sp.root_slow[j])
-        coeff = float(z.a_slow[j])
+        case, roots, coords, j = "slow", rs, slow, int(slow_nz[0])
     else:
-        j = int(fast_nz[-1])
-        case = "fast"
-        rate = -float(sp.root_fast[j])
-        coeff = float(z.a_fast[j])
-    a_s = np.zeros(sp.n_over)
-    a_f = np.zeros(sp.n_over)
-    if case == "slow":
-        a_s[j] = coeff
-    else:
-        a_f[j] = coeff
-    shape = WaveState(sp, a_s, a_f, np.zeros(sp.n_osc, dtype=complex))
+        case, roots, coords, j = "fast", rf, fast, int(fast_nz[-1])
+    rate = -float(roots[j])
+    lead = np.flatnonzero(coords)
+    lead = lead[roots[lead] == roots[j]]
+    shape_u = np.zeros(sp.n_modes)
+    shape_w = np.zeros(sp.n_modes)
+    shape_u[lead] = coords[lead]
+    shape_w[lead] = roots[lead] * coords[lead]
 
-    n_slow, n_fast, n_osc = _basis_norms(sp)
+    # the other terms: a |(1, r)| e^{rt} per modal coordinate, and
+    # 2 Re(b e^{omega t} (1, omega)) per oscillatory mode, where
+    # 2 |b| = |(w + gamma/2 u, theta u)| / theta and |(1, omega)|^2 = 1 + 2 lambda
+    lam = sp.system.lambdas
     margin = -math.inf
     amplitude = 0.0
-    for i in slow_nz:
-        if case == "slow" and i == j:
-            continue
-        margin = max(margin, rate + float(sp.root_slow[i]))
-        amplitude += abs(z.a_slow[i]) * n_slow[i]
-    for i in fast_nz:
-        if case == "fast" and i == j:
-            continue
-        margin = max(margin, rate + float(sp.root_fast[i]))
-        amplitude += abs(z.a_fast[i]) * n_fast[i]
-    osc_nz = np.flatnonzero(np.abs(z.b))
-    for i in osc_nz:
+    for a, r in ((slow, rs), (fast, rf)):
+        rest = np.flatnonzero(a)
+        if a is coords:
+            rest = rest[r[rest] != r[j]]
+        for i in rest:
+            margin = max(margin, rate + float(r[i]))
+            amplitude += abs(float(a[i])) * math.hypot(math.sqrt(1.0 + lam[i]), r[i])
+    u_o, w_o = u[no:], w[no:]
+    two_b = np.hypot(w_o + 0.5 * sp.gamma * u_o, sp.theta * u_o) / sp.theta
+    for i in np.flatnonzero(two_b):
         margin = max(margin, rate - 0.5 * sp.gamma)
-        amplitude += 2.0 * abs(z.b[i]) * n_osc[i]
+        amplitude += float(two_b[i]) * math.sqrt(1.0 + 2.0 * lam[no + i])
     if margin >= 0.0:
         raise WrongCaseError(
             "another modal term decays no faster than the putative leader; "
@@ -200,34 +210,23 @@ def wave_overdamped_leader(z: WaveState) -> OverdampedLeader:
         )
     return OverdampedLeader(
         rate=rate,
-        shape=shape,
+        shape=WaveState(sp, shape_u, shape_w),
         margin=margin,
         amplitude=amplitude,
         case=case,
         mode=j,
-        coefficient=coeff,
+        coefficient=float(coords[j]),
     )
 
 
 def wave_subcritical_norm_sq(t: float, z: WaveState) -> float:
-    """|e^{gamma t / 2} S_gamma(t) z|^2 in closed form, subcritical damping.
-
-    With all modes oscillatory, the renormalized flow is the almost-periodic
-    vector v(t, z) = sum_j e^{i theta_j t} b_j v_j + conjugates, whose
-    squared norm is
-
-        sum_j 2 |b_j|^2 (1 + 2 lambda_j)
-            + 2 Re( e^{2 i theta_j t} b_j^2 (1 + lambda_j + omega_j^2) ).
-    """
+    """|e^{gamma t / 2} S_gamma(t) z|^2, subcritical damping: the squared
+    norm of the almost-periodic renormalized flow."""
     t = _check_time(t)
     sp = z.spectrum
     if sp.n_over != 0:
-        raise WrongCaseError("closed form needs every mode oscillatory (gamma^2 < 4 lambda_1)")
-    lam = sp.lambdas_osc()
-    omega = sp.omega_osc()
-    const = 2.0 * np.abs(z.b) ** 2 * (1.0 + 2.0 * lam)
-    cross = 2.0 * (np.exp(2j * sp.theta * t) * z.b ** 2 * (1.0 + lam + omega ** 2)).real
-    return float(np.sum(const + cross))
+        raise WrongCaseError("the window norm needs every mode oscillatory (gamma^2 < 4 lambda_1)")
+    return wave_apply(t, z, 0.5 * sp.gamma * t).norm ** 2
 
 
 def decay_constants(
@@ -240,7 +239,7 @@ def decay_constants(
     """(C, rate) with |S(t)| <= C e^{-rate t} certified on a time grid.
 
     Heat: exactly (1, lambda_1).  Wave: the rate is the slowest modal decay
-    (slow root of the first overdamped mode, else gamma/2); C maximizes
+    (``WaveSpectrum.rate``; a critically damped slowest mode raises); C maximizes
     e^{rate t} |e^{t M_k}| over modes and a grid on [0, horizon_factor/rate],
     where M_k is the mode block conjugated into graph-norm coordinates.
     """
@@ -253,10 +252,10 @@ def decay_constants(
     sp = wave_spec
     if sp is None:
         raise WrongCaseError("wave decay constants need a wave spectrum")
-    if sp.n_over > 0:
-        rate = -float(sp.root_slow[0])
-    else:
-        rate = 0.5 * sp.gamma
+    if sp.n_over and sp.s[0] == 0.0:
+        raise WrongCaseError("the slowest mode is critically damped: |S(t)| decays "
+                             "like t e^{-gamma t/2}, no constant C exists")
+    rate = sp.rate
     lam = sp.system.lambdas
     scale = np.sqrt(1.0 + lam)
     ts = np.linspace(0.0, horizon_factor / rate, grid_points).tolist()

@@ -9,25 +9,21 @@ with orthonormal eigenfunctions prod_i sqrt(2/L_i) * sin(k_i pi x_i / L_i).
 Everything downstream works with coefficients against this basis, truncated
 to a finite set of modes and sorted by increasing eigenvalue.
 
-The damped wave system on the same box diagonalizes per mode into a 2x2
-block with characteristic roots of w^2 + gamma*w + lambda_k = 0; the
-spectrum and per-mode decomposition live here too so that the semigroup
-module can act diagonally.
+The damped wave system on the same box splits per mode into a 2x2 block
+with characteristic roots of w^2 + gamma*w + lambda_k = 0; the roots and
+the per-mode position/velocity state live here too so that the semigroup
+module can act blockwise.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InvalidDomainError,
-    ResonanceError,
-    ZeroInitialDatumError,
-)
+from .errors import InvalidDomainError, ZeroInitialDatumError
 
 # Relative tolerance used to decide whether two eigenvalues tie.  Eigenvalues
 # of a rational box are exact sums of floating squares (accumulated with
@@ -73,16 +69,6 @@ class EigenSystem:
         lam = np.sort(np.asarray(lambdas, dtype=float))
         idx = tuple((i + 1,) for i in range(lam.size))
         return cls(dims=None, lambdas=lam, index_map=idx)
-
-    def tie_groups(self) -> list[list[int]]:
-        """Indices of modes grouped by equal eigenvalue."""
-        groups: list[list[int]] = []
-        for i, lam in enumerate(self.lambdas):
-            if groups and _ties(self.lambdas[groups[-1][0]], lam):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
 
     def to_json(self) -> str:
         return json.dumps(
@@ -212,29 +198,27 @@ def heat_leading_data(h: ModeCoefficients) -> HeatLeadingData:
 
 
 # --------------------------------------------------------------------------
-# Damped wave: per-mode characteristic roots and modal decomposition.
+# Damped wave: per-mode characteristic roots and position/velocity states.
 # --------------------------------------------------------------------------
-
-# Relative tolerance for the resonance guard gamma^2 == 4*lambda.
-RESONANCE_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WaveSpectrum:
     """Characteristic roots of u'' + gamma u' + lambda u = 0 per mode.
 
-    Modes are sorted by eigenvalue, so the overdamped ones (gamma^2 >
-    4*lambda) form a prefix of length ``n_over``.  For overdamped modes the
-    two real roots are stored as (slow, fast) = (-g/2 + s, -g/2 - s) with
-    s = sqrt(gamma^2 - 4 lambda)/2; oscillatory modes store the angular
-    frequency theta = sqrt(4 lambda - gamma^2)/2 of the root -g/2 + i theta.
+    With s_k^2 = (gamma/2 - sqrt(lambda_k)) (gamma/2 + sqrt(lambda_k)), the
+    modes with s_k^2 >= 0 (over- or critically damped, s = 0 at critical
+    damping) form a prefix of length ``n_over`` of the sorted modes.  They
+    store s and the slow root r = -lambda / (gamma/2 + s) (Vieta's form of
+    -gamma/2 + s, free of cancellation); the fast root is -gamma/2 - s.  The
+    oscillatory modes store the angular frequency theta = sqrt(-s^2) of the
+    root -gamma/2 + i theta.  Both come from :func:`damping_gap`.
     """
 
     gamma: float
     system: EigenSystem
     n_over: int
     root_slow: np.ndarray  # (n_over,)
-    root_fast: np.ndarray  # (n_over,)
+    s: np.ndarray  # (n_over,)
     theta: np.ndarray  # (n - n_over,) for the oscillatory tail
 
     @property
@@ -242,135 +226,80 @@ class WaveSpectrum:
         return self.system.n_modes
 
     @property
-    def n_osc(self) -> int:
-        return self.n_modes - self.n_over
+    def rate(self) -> float:
+        """The slowest modal decay rate: -r of the first mode, else gamma/2."""
+        return -float(self.root_slow[0]) if self.n_over else 0.5 * self.gamma
 
-    def omega_osc(self) -> np.ndarray:
-        """Complex root with positive imaginary part for oscillatory modes."""
-        return -0.5 * self.gamma + 1j * self.theta
 
-    def lambdas_over(self) -> np.ndarray:
-        return self.system.lambdas[: self.n_over]
-
-    def lambdas_osc(self) -> np.ndarray:
-        return self.system.lambdas[self.n_over:]
+def damping_gap(lam, h, sqrt=np.sqrt):
+    """(h - sqrt(lam), sqrt|h^2 - lam|) for a float or an array ``lam``, with
+    ``sqrt`` math.sqrt or np.sqrt.  The residual lam - root^2 of the rounded
+    root, exact through Dekker's split, corrects the difference, so both
+    keep their relative accuracy next to critical damping h^2 = lam; the
+    second is a product of two square roots and cannot overflow."""
+    root = sqrt(lam)
+    big = 134217729.0 * root
+    hi = big - (big - root)
+    lo = root - hi
+    below = (h - root) - (((lam - hi * hi) - 2.0 * hi * lo) - lo * lo) / (2.0 * root)
+    return below, sqrt(abs(below)) * sqrt(h + root)
 
 
 def wave_spectrum(gamma: float, system: EigenSystem) -> WaveSpectrum:
-    """Classify every mode of ``system`` under damping ``gamma``.
+    """Classify every mode of ``system`` under damping ``gamma`` > 0.
 
-    Requires gamma > 0, a simple spectrum, and no resonance gamma^2 ==
-    4*lambda_k (the mode block would be a Jordan cell).
+    Ties and critically damped modes are allowed: each mode is its own 2x2
+    block.  A slowest decay rate that rounds to 0 or leaves some cutoff time
+    infinite is rejected.
     """
     gamma = float(gamma)
     if not (gamma > 0 and math.isfinite(gamma)):
         raise InvalidDomainError(f"damping must be positive, got {gamma}")
     lam = system.lambdas
-    if any(len(g) > 1 for g in system.tie_groups()):
-        raise DegenerateSpectrumError(
-            "wave decomposition needs a simple spectrum; box has eigenvalue ties"
-        )
-    g2 = gamma * gamma
-    for lk in lam:
-        if abs(g2 - 4.0 * lk) <= RESONANCE_RTOL * max(g2, 4.0 * lk):
-            raise ResonanceError(
-                f"gamma^2 == 4*lambda ({g2} vs {4.0 * lk}): critically damped mode"
-            )
-    over = g2 > 4.0 * lam
-    n_over = int(np.count_nonzero(over))
-    # sorted lambdas make the overdamped set a prefix
-    assert bool(np.all(over[:n_over])) and not np.any(over[n_over:])
-    lam_o = lam[:n_over]
-    disc = np.sqrt(g2 - 4.0 * lam_o) / 2.0
-    root_slow = -0.5 * gamma + disc
-    root_fast = -0.5 * gamma - disc
-    theta = np.sqrt(4.0 * lam[n_over:] - g2) / 2.0
-    # residual check: the roots must solve w^2 + gamma w + lambda = 0
-    for r, lk in zip(np.concatenate([root_slow, root_fast]), np.concatenate([lam_o, lam_o])):
-        assert abs(r * r + gamma * r + lk) <= 1e-10 * max(1.0, lk)
-    return WaveSpectrum(
-        gamma=gamma,
-        system=system,
-        n_over=n_over,
-        root_slow=root_slow,
-        root_fast=root_fast,
-        theta=theta,
-    )
+    h = 0.5 * gamma
+    below, gap = damping_gap(lam, h)  # gap: s, then theta
+    n_over = int(np.count_nonzero(below >= 0.0))  # sorted lambdas: a prefix
+    s = gap[:n_over]
+    sp = WaveSpectrum(gamma=gamma, system=system, n_over=n_over,
+                      root_slow=-lam[:n_over] / (h + s), s=s, theta=gap[n_over:])
+    # |ln eps| < 745 for every double eps > 0: each |ln eps| / rate stays finite
+    if not sp.rate > 745.0 / sys.float_info.max:
+        raise InvalidDomainError(
+            f"slowest decay rate {sp.rate} is too small: cutoff times overflow")
+    return sp
 
 
 @dataclass(frozen=True)
 class WaveState:
-    """Damped-wave state in modal coordinates.
+    """Damped-wave state: per-mode position u_k and velocity w_k against the
+    sorted eigenbasis.  The state norm is the graph norm
 
-    Real overdamped coordinates ``a_slow``, ``a_fast`` (length n_over) and
-    one complex coordinate ``b`` per oscillatory mode (the conjugate partner
-    is implicit because position/velocity data are real).  Reconstruction:
-
-        u_k = a_slow + a_fast            w_k = r_slow a_slow + r_fast a_fast
-        u_k = 2 Re b                     w_k = 2 Re(b omega)
-
-    The state norm is the graph norm |z|^2 = sum (1+lambda_k) u_k^2 + w_k^2.
+        |z|^2 = sum (1 + lambda_k) u_k^2 + w_k^2.
     """
 
     spectrum: WaveSpectrum
-    a_slow: np.ndarray
-    a_fast: np.ndarray
-    b: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
 
     def __post_init__(self):
-        sp = self.spectrum
-        a_s = np.asarray(self.a_slow, dtype=float)
-        a_f = np.asarray(self.a_fast, dtype=float)
-        bb = np.asarray(self.b, dtype=complex)
-        if a_s.shape != (sp.n_over,) or a_f.shape != (sp.n_over,) or bb.shape != (sp.n_osc,):
-            raise InvalidDomainError("modal coordinate shapes do not match spectrum")
-        object.__setattr__(self, "a_slow", a_s)
-        object.__setattr__(self, "a_fast", a_f)
-        object.__setattr__(self, "b", bb)
-
-    def position_values(self) -> np.ndarray:
-        u = np.empty(self.spectrum.n_modes)
-        u[: self.spectrum.n_over] = self.a_slow + self.a_fast
-        u[self.spectrum.n_over:] = 2.0 * self.b.real
-        return u
-
-    def velocity_values(self) -> np.ndarray:
-        sp = self.spectrum
-        w = np.empty(sp.n_modes)
-        w[: sp.n_over] = sp.root_slow * self.a_slow + sp.root_fast * self.a_fast
-        w[sp.n_over:] = 2.0 * (self.b * sp.omega_osc()).real
-        return w
+        u = np.asarray(self.position, dtype=float)
+        w = np.asarray(self.velocity, dtype=float)
+        n = self.spectrum.n_modes
+        if u.shape != (n,) or w.shape != (n,):
+            raise InvalidDomainError("position/velocity length must match spectrum")
+        object.__setattr__(self, "position", u)
+        object.__setattr__(self, "velocity", w)
 
     @property
     def norm(self) -> float:
         lam = self.spectrum.system.lambdas
-        u = self.position_values()
-        w = self.velocity_values()
+        u, w = self.position, self.velocity
         return float(np.sqrt(np.sum((1.0 + lam) * u * u + w * w)))
 
     def is_zero(self) -> bool:
-        return (
-            not np.any(self.a_slow)
-            and not np.any(self.a_fast)
-            and not np.any(self.b)
-        )
+        return not np.any(self.position) and not np.any(self.velocity)
 
 
 def wave_decompose(spectrum: WaveSpectrum, position, velocity) -> WaveState:
-    """Split real (position, velocity) coefficients into modal coordinates.
-
-    Per overdamped mode, (u, w) = a_slow (1, r_s) + a_fast (1, r_f) is a 2x2
-    linear solve; per oscillatory mode b = (w - conj(omega) u) / (2i theta).
-    """
-    u = np.asarray(position, dtype=float)
-    w = np.asarray(velocity, dtype=float)
-    n = spectrum.n_modes
-    if u.shape != (n,) or w.shape != (n,):
-        raise InvalidDomainError("position/velocity length must match spectrum")
-    no = spectrum.n_over
-    rs, rf = spectrum.root_slow, spectrum.root_fast
-    a_slow = (w[:no] - rf * u[:no]) / (rs - rf)
-    a_fast = (w[:no] - rs * u[:no]) / (rf - rs)
-    omega = spectrum.omega_osc()
-    b = (w[no:] - np.conj(omega) * u[no:]) / (omega - np.conj(omega))
-    return WaveState(spectrum=spectrum, a_slow=a_slow, a_fast=a_fast, b=b)
+    """The wave state with real (position, velocity) mode coefficients."""
+    return WaveState(spectrum, position, velocity)

@@ -155,20 +155,20 @@ def test_criterion_05_wave_overdamped():
     # overdamped mode, the next 10 are oscillatory
     system = build_box_eigensystem([(1.0, 11)])
     wsp = wave_spectrum(10.0, system)
-    assert wsp.n_over == 1 and wsp.n_osc == 10
+    assert wsp.n_over == 1 and wsp.n_modes == 11
     u = np.concatenate([[1.0, 0.3, -0.2], np.zeros(8)])
     w = np.concatenate([[0.0, 0.1, 0.05], np.zeros(8)])
     z = wave_decompose(wsp, u, w)
     lead = wave_overdamped_leader(z)
     # decay certificate on [0, 40 / rate]
     lam = system.lambdas
-    shape_u = lead.shape.position_values()
-    shape_w = lead.shape.velocity_values()
+    shape_u = lead.shape.position
+    shape_w = lead.shape.velocity
     violations = 0
     for t in np.linspace(0.0, 40.0 / lead.rate, 400):
         zt = wave_apply(float(t), z, log_scale=lead.rate * float(t))
-        du = zt.position_values() - shape_u
-        dw = zt.velocity_values() - shape_w
+        du = zt.position - shape_u
+        dw = zt.velocity - shape_w
         err = math.sqrt(float(np.sum((1 + lam) * du ** 2 + dw ** 2)))
         if err > lead.amplitude * math.exp(lead.margin * float(t)) + 1e-12:
             violations += 1

@@ -66,16 +66,19 @@ def wave_leader():
 def whole_wave_leader():
     """A state on the first slow coordinate alone: the leader is the whole datum."""
     wsp = wave_over_setup()[0]
-    z = WaveState(wsp, np.array([2.0]), np.zeros(1), np.zeros(wsp.n_osc, dtype=complex))
+    u = np.zeros(wsp.n_modes)
+    u[0] = 2.0
+    z = WaveState(wsp, u, u * np.concatenate([wsp.root_slow, np.zeros(wsp.n_modes - 1)]))
     return wave_overdamped_leader(z)
 
 
 def wave_rate_and_shape_norm():
     # slow root of u'' + 10 u' + lambda_1 u with lambda_1 = pi^2; the shape is
-    # the slow coordinate alone, (a, r a) in the graph norm
-    _, z, _ = wave_over_setup()
+    # the slow coordinate a of (u, w) = (1, 0) = a (1, r) + b (1, r_fast)
+    # alone, (a, r a) in the graph norm
     r = -5.0 + math.sqrt(25.0 - math.pi ** 2)
-    a = float(z.a_slow[0])
+    r_fast = -5.0 - math.sqrt(25.0 - math.pi ** 2)
+    a = -r_fast / (r - r_fast)
     return -r, abs(a) * math.sqrt(1.0 + math.pi ** 2 + r * r)
 
 
@@ -400,8 +403,8 @@ class TestWaveLawAtTimeZero:
         moment = wave_abs_moment_surrogate(spec, wsp)
         assert gap == pytest.approx(moment, rel=1e-14)
         lam = wsp.system.lambdas
-        norm_sq = float(np.sum((1.0 + lam) * z.position_values() ** 2
-                               + z.velocity_values() ** 2)) / eps ** 2
+        norm_sq = float(np.sum((1.0 + lam) * z.position ** 2
+                               + z.velocity ** 2)) / eps ** 2
         assert dist == pytest.approx(math.sqrt(norm_sq + moment ** 2), rel=1e-12)
 
     def test_profile_cell_at_minus_the_cutoff_time(self):
@@ -429,8 +432,8 @@ def reference_distance_wave(t, z, eps, spec):
     eps = cutoff._check_eps(eps)
     wsp = z.spectrum
     moved = wave_apply(t, z, log_scale=-math.log(eps))
-    u = moved.position_values()
-    w = moved.velocity_values()
+    u = moved.position
+    w = moved.velocity
     c_t = noise_sim.wave_gaussian_convolution_law(t, spec, wsp)
     c_inf = noise_sim.wave_gaussian_convolution_law(math.inf, spec, wsp)
     per_mode = w2_gaussian_2x2(np.stack([u, w], axis=-1), c_t, np.zeros(2), c_inf,
@@ -483,8 +486,7 @@ def wave_cases(draw):
     else:  # gamma^2 / 4 halfway between lambda_1 and lambda_2
         gamma = math.sqrt(2.0 * (lam[0] + lam[1]))
     wsp = wave_spectrum(gamma, system)
-    assert (wsp.n_over, wsp.n_osc) == {"overdamped": (n, 0), "oscillatory": (0, n),
-                                       "mixed": (1, n - 1)}[kind]
+    assert wsp.n_over == {"overdamped": n, "oscillatory": 0, "mixed": 1}[kind]
     coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
     z = wave_decompose(wsp, np.array(draw(coords)), np.array(draw(coords)))
     q = draw(st.lists(INTENSITY, min_size=n, max_size=n))

@@ -1,13 +1,15 @@
-"""Eigensystem and modal-decomposition tests.
+"""Eigensystem and wave-spectrum tests.
 
 Eigenvalues are cross-checked against a finite-difference discretization of
-the interval Laplacian, wave roots against numpy's polynomial root finder,
-and modal splits against dense 2x2 linear solves.
+the interval Laplacian, wave roots against numpy's polynomial root finder
+and a 50-digit mpmath oracle, and modal splits against dense 2x2 linear
+solves.
 """
 import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +21,10 @@ from spdecutoff import (
     build_box_eigensystem,
     heat_leading_data,
     wave_decompose,
+    wave_overdamped_leader,
     wave_spectrum,
 )
-from spdecutoff.errors import (
-    DegenerateSpectrumError,
-    InvalidDomainError,
-    ResonanceError,
-    ZeroInitialDatumError,
-)
+from spdecutoff.errors import InvalidDomainError, ZeroInitialDatumError
 
 
 def fd_interval_eigenvalues(L, n_modes, n_grid=6000):
@@ -67,8 +65,6 @@ class TestBoxSpectrum:
         assert len(i5) == 2
         assert system.index_map[i5[0]] == (1, 2)
         assert system.index_map[i5[1]] == (2, 1)
-        groups = system.tie_groups()
-        assert [len(g) for g in groups].count(2) >= 1
 
     def test_sorted_regardless_of_enumeration(self):
         system = build_box_eigensystem([(1.5, 4), (2.5, 3)])
@@ -141,7 +137,7 @@ class TestVectorisedBuild:
     def test_matches_loop_on_tied_cube(self):
         dims = [(math.pi, 6)] * 3
         assert_matches_loop(dims)
-        assert any(len(g) > 1 for g in build_box_eigensystem(dims).tie_groups())
+        assert np.any(np.diff(build_box_eigensystem(dims).lambdas) == 0.0)
 
     def test_matches_loop_on_3d_benchmark_box(self):
         assert_matches_loop([(math.pi, 30), (1.1 * math.pi, 30), (1.3 * math.pi, 30)])
@@ -204,15 +200,26 @@ class TestWaveSpectrum:
         sp = wave_spectrum(3.0, system)
         assert sp.n_over == 1
         oracle = np.sort(np.roots([1.0, 3.0, 2.0]))
-        assert sp.root_fast[0] == pytest.approx(oracle[0], rel=1e-12)  # -2
+        assert -1.5 - sp.s[0] == pytest.approx(oracle[0], rel=1e-12)  # -2
         assert sp.root_slow[0] == pytest.approx(oracle[1], rel=1e-12)  # -1
+
+    @pytest.mark.parametrize("gamma", [10.0, 1e3, 1e5, 1e8, 1e200])
+    def test_slow_root_under_strong_damping(self, gamma):
+        # -gamma/2 + sqrt(gamma^2/4 - lambda) cancels in floats, Vieta's form
+        # does not; 450 digits carry the direct form past gamma^2/lambda = 1e400
+        sp = wave_spectrum(gamma, EigenSystem.from_lambdas([math.pi ** 2]))
+        with mpmath.workdps(450):
+            h, lam = mpmath.mpf(gamma) / 2, mpmath.mpf(math.pi ** 2)
+            exact = -h + mpmath.sqrt(h * h - lam)
+            assert abs(sp.root_slow[0] - exact) <= 2e-16 * abs(exact)
+            assert abs(sp.s[0] - mpmath.sqrt(h * h - lam)) <= 2e-16 * sp.s[0]
 
     def test_oscillatory_theta(self):
         system = EigenSystem.from_lambdas([1.0])
         sp = wave_spectrum(1.0, system)
         assert sp.n_over == 0
         assert sp.theta[0] == pytest.approx(math.sqrt(3) / 2, rel=1e-14)
-        om = sp.omega_osc()[0]
+        om = -0.5 + 1j * sp.theta[0]
         assert abs(om**2 + 1.0 * om + 1.0) < 1e-14
         assert abs(om) ** 2 == pytest.approx(1.0, rel=1e-14)
 
@@ -223,15 +230,29 @@ class TestWaveSpectrum:
         brute = sum(1 for k in range(1, 9) if 81.0 > 4.0 * k**2)
         assert sp.n_over == brute == 4
 
-    def test_resonance_rejected(self):
-        system = EigenSystem.from_lambdas([1.0])
-        with pytest.raises(ResonanceError):
-            wave_spectrum(2.0, system)
+    def test_critical_damping_accepted(self):
+        # gamma^2 == 4 lambda: a critically damped mode (s = 0), kept with
+        # the overdamped prefix and its double root -gamma/2
+        sp = wave_spectrum(2.0, EigenSystem.from_lambdas([1.0, 1.0 + 2.0 ** -52]))
+        assert sp.n_over == 1
+        assert sp.s[0] == 0.0 and sp.root_slow[0] == -1.0
+        # one ulp above critical: oscillatory, theta = sqrt(lambda - 1) to full accuracy
+        assert sp.theta[0] == pytest.approx(2.0 ** -26, rel=1e-15)
 
-    def test_tied_spectrum_rejected(self):
+    def test_tied_spectrum_accepted(self):
+        # lambda = 2, 5, 5, 8: each mode is its own block, tied modes share roots
         system = build_box_eigensystem([(math.pi, 2), (math.pi, 2)])
-        with pytest.raises(DegenerateSpectrumError):
-            wave_spectrum(1.0, system)
+        assert system.lambdas[1] == system.lambdas[2]
+        sp = wave_spectrum(1.0, system)
+        assert sp.n_over == 0 and sp.theta[1] == sp.theta[2]
+        sp = wave_spectrum(5.0, system)
+        assert sp.n_over == 3 and sp.root_slow[1] == sp.root_slow[2]
+
+    def test_slow_rate_rounding_to_zero_rejected(self):
+        with pytest.raises(InvalidDomainError, match="too small"):
+            wave_spectrum(1e300, EigenSystem.from_lambdas([1e-10]))
+        with pytest.raises(InvalidDomainError, match="too small"):
+            wave_spectrum(1e-307, EigenSystem.from_lambdas([1.0]))
 
     def test_invalid_gamma(self):
         system = EigenSystem.from_lambdas([1.0])
@@ -243,20 +264,24 @@ class TestWaveDecompose:
     def test_pure_slow_mode(self):
         system = EigenSystem.from_lambdas([2.0])
         sp = wave_spectrum(3.0, system)
-        z = wave_decompose(sp, np.array([1.0]), np.array([sp.root_slow[0]]))
-        assert z.a_slow[0] == pytest.approx(1.0, rel=1e-14)
-        assert z.a_fast[0] == pytest.approx(0.0, abs=1e-14)
+        lead = wave_overdamped_leader(wave_decompose(sp, np.array([1.0]),
+                                                     np.array([sp.root_slow[0]])))
+        assert lead.case == "slow"
+        assert lead.coefficient == pytest.approx(1.0, rel=1e-14)
+        assert lead.margin == -math.inf  # fast coordinate 0
 
     def test_example_against_dense_solve(self):
         system = EigenSystem.from_lambdas([2.0])
         sp = wave_spectrum(3.0, system)
         z = wave_decompose(sp, np.array([1.0]), np.array([0.0]))
-        A = np.array([[1.0, 1.0], [sp.root_slow[0], sp.root_fast[0]]])
+        A = np.array([[1.0, 1.0], [sp.root_slow[0], -1.5 - sp.s[0]]])
         a = np.linalg.solve(A, np.array([1.0, 0.0]))
-        assert z.a_slow[0] == pytest.approx(a[0], rel=1e-13)  # 2
-        assert z.a_fast[0] == pytest.approx(a[1], rel=1e-13)  # -1
-        assert z.a_slow[0] == pytest.approx(2.0)
-        assert z.a_fast[0] == pytest.approx(-1.0)
+        lead = wave_overdamped_leader(z)
+        assert lead.coefficient == pytest.approx(a[0], rel=1e-13)  # 2
+        assert lead.coefficient == pytest.approx(2.0)
+        # the fast coordinate a[1] = -1 is the rest of the certificate
+        assert lead.amplitude == pytest.approx(abs(a[1]) * math.sqrt(3.0 + A[1, 1] ** 2),
+                                               rel=1e-13)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(5)
@@ -266,8 +291,8 @@ class TestWaveDecompose:
             u = rng.standard_normal(6)
             w = rng.standard_normal(6)
             z = wave_decompose(sp, u, w)
-            assert np.allclose(z.position_values(), u, atol=1e-12)
-            assert np.allclose(z.velocity_values(), w, atol=1e-12)
+            assert np.allclose(z.position, u, atol=1e-12)
+            assert np.allclose(z.velocity, w, atol=1e-12)
 
     def test_graph_norm(self):
         system = EigenSystem.from_lambdas([2.0])

@@ -8,11 +8,17 @@ are written once, and each command runs in a fresh ``python -m
 spdecutoff.cli`` process per tree, with PYTHONPATH set to that tree (the two
 trees' processes run side by side).  The script lists every CSV or JSON
 file that differs or exists on one side only and every non-zero exit, then
-prints a summary line; it exits 1 if it listed anything, 0 otherwise.
+prints a summary line; it exits 1 if it listed anything, 0 otherwise.  For a
+CSV present on both sides with the same rows, the line also gives the
+largest relative change of the ``renormalized``, ``profile`` and ``bound``
+columns and the number of ``pass`` flips.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +56,35 @@ def read(path: str) -> bytes | None:
             return f.read()
     except FileNotFoundError:
         return None
+
+
+COLUMNS = ("renormalized", "profile", "bound")
+
+
+def rel_change(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two CSV floats; 0 when equal, inf when
+    only one is NaN or infinite."""
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def csv_change(parent: bytes, change: bytes) -> str:
+    """The largest relative change per column and the pass flips between
+    two CSVs, or '' when their rows do not line up."""
+    rows = [list(csv.DictReader(io.StringIO(side.decode()))) for side in (parent, change)]
+    if len(rows[0]) != len(rows[1]) or any(
+            (p["case"], p["eps"], p["rho_or_delta"]) != (c["case"], c["eps"], c["rho_or_delta"])
+            for p, c in zip(*rows)):
+        return ""
+    worst = {col: max((rel_change(p[col], c[col]) for p, c in zip(*rows)), default=0.0)
+             for col in COLUMNS}
+    flips = sum(p["pass"] != c["pass"] for p, c in zip(*rows))
+    return "; " + ", ".join(f"{col} {worst[col]:.3g}" for col in COLUMNS) + \
+        f", pass flips {flips}"
 
 
 def run_commands(trees: dict, argvs: dict) -> list[str]:
@@ -92,9 +127,11 @@ def main(argv=None) -> int:
                            for line in run_commands(trees, argvs)]
                 for rel in sorted(output_files(outs["parent"]) | output_files(outs["change"])):
                     compared += 1
-                    if read(os.path.join(outs["parent"], rel)) != read(
-                            os.path.join(outs["change"], rel)):
-                        faults.append(f"seed {seed} {workload} differs: {rel}")
+                    sides = [read(os.path.join(outs[side], rel)) for side in SIDES]
+                    if sides[0] != sides[1]:
+                        detail = csv_change(*sides) if rel.endswith(".csv") and all(
+                            s is not None for s in sides) else ""
+                        faults.append(f"seed {seed} {workload} differs: {rel}{detail}")
     for line in faults:
         print(line)
     print(f"{compared} files compared over seeds {args.seeds[0]}-{args.seeds[-1]} "
