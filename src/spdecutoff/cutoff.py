@@ -25,11 +25,13 @@ import numpy as np
 from .errors import InvalidDomainError, WrongCaseError
 from .noise_sim import (
     NoiseSpec,
+    _heat_sds,
     heat_convolution_sd,
     heat_gaussian_convolution_law,
     wave_gaussian_convolution_law,
 )
 from .semigroup import (
+    _heat_flow,
     heat_apply,
     wave_apply,
     wave_subcritical_norm_sq,
@@ -110,10 +112,16 @@ def renormalized_distance_heat(
     Both laws are mode-diagonal Gaussians whose covariances carry eps^2, so
     dividing by eps leaves W2( N(S(t)h/eps, V_t), N(0, V_inf) ); the mean is
     assembled in log space to survive cutoff-size times.
+
+    Only live prefixes are built: past the datum's support the mean is 0,
+    and past the unrelaxed modes sd_t equals sd_inf bit for bit, so the
+    squares summed there are +0.0.  Each vector stops at a node of NumPy's
+    summation tree that holds its live part, and both sums keep the bits of
+    the full-length ones.
     """
     eps = _check_eps(eps)
-    mean = heat_apply(t, h, log_scale=-math.log(eps)).values
-    return _w2_diag_sd(mean, heat_convolution_sd(t, spec), spec.heat_equilibrium_sd)
+    mean = _heat_flow(t, h, -math.log(eps), live=True)
+    return _w2_diag_sd(mean, *_heat_sds(t, spec, live=True))
 
 
 def heat_noise_gap(t: float, spec: NoiseSpec) -> float:
@@ -147,9 +155,8 @@ def cutoff_inequality_gap(
     The middle term uses shift linearity: W2(S(t)h/eps + U, U) = |S(t)h|/eps.
     """
     eps = _check_eps(eps)
-    mean = heat_apply(t, h, log_scale=-math.log(eps)).values
-    lhs = _w2_diag_sd(mean, heat_convolution_sd(t, spec), spec.heat_equilibrium_sd)
-    mid = float(np.linalg.norm(mean))
+    lhs = renormalized_distance_heat(t, h, eps, spec)
+    mid = float(np.linalg.norm(heat_apply(t, h, log_scale=-math.log(eps)).values))
     bound = heat_noise_gap(t, spec)
     gap = abs(lhs - mid)
     return {"lhs": lhs, "mid": mid, "gap": gap, "bound": bound, "pass": bool(gap <= bound + 1e-12)}

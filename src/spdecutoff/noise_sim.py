@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateNoiseError, InvalidDomainError
 from .spectral_core import EigenSystem, ModeCoefficients, WaveSpectrum
 from .semigroup import _check_time, wave_mode_propagator
+from .wasserstein import _pairwise_prefix
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,13 @@ class NoiseSpec:
         equilibrium law, computed once per spec."""
         return np.sqrt(self.heat_equilibrium_var)
 
+    @functools.cached_property
+    def _heat_sd_nonfinite_end(self) -> int:
+        """One past the last mode whose equilibrium standard deviation is
+        not finite, else 0."""
+        bad = np.flatnonzero(~np.isfinite(self.heat_equilibrium_sd))
+        return int(bad[-1]) + 1 if bad.size else 0
+
 
 def _unrelaxed_heat_variances(t: float, spec: NoiseSpec) -> np.ndarray:
     """Heat variances at time t (t may be inf) of the leading modes with
@@ -113,12 +121,25 @@ def heat_gaussian_convolution_law(t: float, spec: NoiseSpec) -> np.ndarray:
 def heat_convolution_sd(t: float, spec: NoiseSpec) -> np.ndarray:
     """Per-mode standard deviations of the heat convolution at time t
     (t may be inf), the relaxed modes copied from ``heat_equilibrium_sd``."""
+    return _heat_sds(t, spec, live=False)[0]
+
+
+def _heat_sds(t: float, spec: NoiseSpec, live: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(sd_t, sd_inf): the heat convolution's standard deviations at time t
+    (t may be inf) and the equilibrium ones.  With ``live`` both stop at the
+    shortest node of NumPy's summation tree (:func:`_pairwise_prefix`) that
+    holds every mode where sd_t - sd_inf need not be +0.0: the unrelaxed
+    modes, and the relaxed ones up to the last non-finite sd_inf, where it
+    is NaN."""
     v = _unrelaxed_heat_variances(t, spec)
     if np.any(v < 0):
         raise InvalidDomainError("variances must be >= 0")
-    out = spec.heat_equilibrium_sd.copy()
-    out[:v.size] = np.sqrt(v)
-    return out
+    sd_inf = spec.heat_equilibrium_sd
+    if live:
+        sd_inf = sd_inf[:_pairwise_prefix(sd_inf.size, max(v.size, spec._heat_sd_nonfinite_end))]
+    sd_t = sd_inf.copy()
+    sd_t[:v.size] = np.sqrt(v)
+    return sd_t, sd_inf
 
 
 def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum) -> np.ndarray:

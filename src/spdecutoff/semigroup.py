@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidTimeError, SubcriticalRouteError, WrongCaseError
 from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState, damping_gap
+from .wasserstein import _pairwise_prefix
 
 
 def _check_time(t: float, last: float = sys.float_info.max) -> float:
@@ -36,11 +37,22 @@ def heat_apply(t: float, h: ModeCoefficients, log_scale: float = 0.0) -> ModeCoe
     Only the datum's support is evaluated; zero coefficients stay exact
     zeros even where the factor overflows.
     """
+    return ModeCoefficients(h.system, _heat_flow(t, h, log_scale, live=False))
+
+
+def _heat_flow(t: float, h: ModeCoefficients, log_scale: float, live: bool) -> np.ndarray:
+    """The values of exp(log_scale) * S(t) h.  With ``live`` only the first
+    n, n the shortest node of NumPy's summation tree that holds the datum's
+    support (:func:`_pairwise_prefix`): the squares of the dropped zeros
+    would add exactly +0.0 to a sum."""
     t = _check_time(t)
-    values = h.values.copy()
     nz = h.nonzero_indices()
+    n = h.system.n_modes
+    if live:
+        n = _pairwise_prefix(n, int(nz[-1]) + 1 if nz.size else 0)
+    values = h.values[:n].copy()
     values[nz] *= np.exp(-h.system.lambdas[nz] * t + log_scale)
-    return ModeCoefficients(h.system, values)
+    return values
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ module can act blockwise.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -26,14 +27,15 @@ import numpy as np
 from .errors import InvalidDomainError, ZeroInitialDatumError
 
 # Relative tolerance used to decide whether two eigenvalues tie.  Eigenvalues
-# of a rational box are exact sums of floating squares (accumulated with
-# fsum), so genuine ties agree to the last bit; this tolerance only guards
-# against benign rounding in user-supplied spectra.
+# of a rational box are correctly rounded sums of floating squares, so
+# genuine ties agree to the last bit; this tolerance only guards against
+# benign rounding in user-supplied spectra.
 TIE_RTOL = 1e-12
 
 
-def _ties(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_RTOL * max(abs(a), abs(b))
+def _ties(a, b):
+    """Whether eigenvalues a and b tie, elementwise on arrays."""
+    return np.abs(a - b) <= TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
 
 
 @dataclass(frozen=True)
@@ -42,12 +44,15 @@ class EigenSystem:
 
     ``dims`` is a tuple of (side_length, mode_count) pairs, or None when the
     spectrum was supplied directly (no geometry then).
-    ``index_map[i]`` is the 1-based multi-index of the i-th sorted mode.
+    ``order[i]`` is the position of the i-th sorted mode among the box's
+    multi-indices in lexicographic order (the identity without geometry).
+    ``index_map[i]``, built from it on first read, is the 1-based
+    multi-index of the i-th sorted mode.
     """
 
     dims: tuple[tuple[float, int], ...] | None
     lambdas: np.ndarray
-    index_map: tuple[tuple[int, ...], ...]
+    order: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -63,12 +68,16 @@ class EigenSystem:
     def n_modes(self) -> int:
         return int(self.lambdas.size)
 
+    @functools.cached_property
+    def index_map(self) -> tuple[tuple[int, ...], ...]:
+        counts = (self.n_modes,) if self.dims is None else tuple(m for _, m in self.dims)
+        return tuple(zip(*((k + 1).tolist() for k in np.unravel_index(self.order, counts))))
+
     @classmethod
     def from_lambdas(cls, lambdas) -> "EigenSystem":
         """Wrap an explicit positive nondecreasing spectrum (no geometry)."""
         lam = np.sort(np.asarray(lambdas, dtype=float))
-        idx = tuple((i + 1,) for i in range(lam.size))
-        return cls(dims=None, lambdas=lam, index_map=idx)
+        return cls(dims=None, lambdas=lam, order=np.arange(lam.size))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -80,12 +89,36 @@ class EigenSystem:
         )
 
 
+def _two_sum(a, b):
+    """(a + b rounded, its exact rounding error): Knuth's TwoSum."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _sum3(a, b, c):
+    """The correctly rounded a + b + c, elementwise on float arrays that
+    broadcast together: Boldo and Melquiond's round-to-odd sum (IEEE Trans.
+    Computers 57(4), 2008).  Two TwoSums give th + tl + ul = a + b + c
+    exactly; tl + ul is rounded to odd (an inexact sum with an even
+    significand moves one ulp towards the exact one), and that sticky bit
+    lets the final add to th round the whole sum correctly.  With c = 0 it
+    is one IEEE add, with b = c = 0 the term a itself.  A sum that
+    overflows comes out inf or NaN."""
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, e = _two_sum(tl, ul)
+    even = (v.view(np.int64) & 1) == 0
+    return th + np.where((e != 0.0) & even, np.nextafter(v, np.copysign(np.inf, e)), v)
+
+
 def build_box_eigensystem(dims) -> EigenSystem:
     """Enumerate, sort, and index the truncated box spectrum.
 
     ``dims``: iterable of (side_length, modes_per_axis).  Sorting is by
-    (eigenvalue, lexicographic multi-index); equal eigenvalue multisets are
-    summed with fsum so that symmetric ties compare exactly equal.
+    (eigenvalue, lexicographic multi-index).  Each eigenvalue is the
+    correctly rounded sum of its terms (:func:`_sum3` up to three axes,
+    ``math.fsum`` beyond), so symmetric ties compare exactly equal.
     """
     dims = tuple((float(L), int(m)) for L, m in dims)
     if not dims:
@@ -96,16 +129,20 @@ def build_box_eigensystem(dims) -> EigenSystem:
         if m < 1:
             raise InvalidDomainError(f"mode count must be >= 1, got {m}")
     coeffs = [(math.pi / L) ** 2 for L, _ in dims]
-    # axes[i][j] is k_i of the j-th multi-index in lexicographic order, so a
+    counts = tuple(m for _, m in dims)
+    # terms[i] holds (k_i pi / L_i)^2 along axis i of the array of
+    # multi-indices, whose ravel lists them in lexicographic order, so a
     # stable sort by eigenvalue breaks ties by multi-index
-    grids = np.meshgrid(*(np.arange(1, m + 1) for _, m in dims), indexing="ij")
-    axes = [g.ravel() for g in grids]
-    terms = [((k * k).astype(float) * c).tolist() for k, c in zip(axes, coeffs)]
-    lam = np.fromiter(map(math.fsum, zip(*terms)), float, axes[0].size)
+    axes = np.ix_(*(np.arange(1, m + 1) for m in counts))
+    terms = [(k * k).astype(float) * c for k, c in zip(axes, coeffs)]
+    if len(terms) <= 3:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: rejected below
+            lam = _sum3(*terms, *[np.zeros(())] * (3 - len(terms))).ravel()
+    else:
+        columns = (np.broadcast_to(t, counts).ravel().tolist() for t in terms)
+        lam = np.fromiter(map(math.fsum, zip(*columns)), float, math.prod(counts))
     order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    idx = tuple(zip(*(k[order].tolist() for k in axes)))
-    return EigenSystem(dims=dims, lambdas=lam, index_map=idx)
+    return EigenSystem(dims=dims, lambdas=lam[order], order=order)
 
 
 @dataclass(frozen=True)
@@ -177,20 +214,17 @@ def heat_leading_data(h: ModeCoefficients) -> HeatLeadingData:
     support = h.nonzero_indices()
     if support.size == 0:
         raise ZeroInitialDatumError("initial datum is identically zero")
-    lam = h.system.lambdas
-    first = int(support[0])
-    leaders = tuple(int(i) for i in support if _ties(lam[i], lam[first]))
-    rest = [int(i) for i in support if int(i) not in leaders]
-    next_index = min(rest) if rest else None
+    lam = h.system.lambdas[support]
+    tied = _ties(lam, lam[0])
+    leaders, rest = support[tied], support[~tied]  # both ascending
     values = np.zeros_like(h.values)
-    for i in leaders:
-        values[i] = h.values[i]
+    values[leaders] = h.values[leaders]
     v = ModeCoefficients(h.system, values)
     return HeatLeadingData(
-        support=tuple(int(i) for i in support),
-        first=first,
-        leaders=leaders,
-        next_index=next_index,
+        support=tuple(support.tolist()),
+        first=int(support[0]),
+        leaders=tuple(leaders.tolist()),
+        next_index=int(rest[0]) if rest.size else None,
         v=v,
         shape_norm=v.norm,
         amplitude=h.norm,

@@ -43,6 +43,23 @@ def _w2_diag_sd(mean_diff, sd1, sd2) -> float:
     return float(np.sqrt(np.sum(mean_diff ** 2) + np.sum((sd1 - sd2) ** 2)))
 
 
+def _pairwise_prefix(m: int, k: int) -> int:
+    """The length n of the shortest node on the left spine of NumPy's
+    pairwise summation tree over m terms that holds the first k.  np.sum of
+    a 1-D float array splits m > 128 terms at m // 2 rounded down to a
+    multiple of 8 and adds the halves; blocks of at most 128 are summed in
+    8 accumulators.  So when every term from k on is +0.0, each right half
+    dropped along the spine sums to +0.0, and np.sum of the first n terms
+    equals np.sum of all m bit for bit, provided the sum is not -0.0."""
+    n = m
+    while n > 128:
+        half = n // 2 - n // 2 % 8
+        if half < k:
+            break
+        n = half
+    return n
+
+
 _BLOCK_FAULTS = (
     "position weight must be positive",
     "covariance blocks must be symmetric",

@@ -247,6 +247,13 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
 
+    def test_box_whose_eigenvalue_overflows_exits_2(self, tmp_path, capsys):
+        # each term is 9.6e307; math.fsum raised OverflowError on their sum
+        cfg = {"schema_version": 1, "dims": [[3.2e-154, 1], [3.2e-154, 1]]}
+        path = write_cfg(tmp_path, "huge.json", cfg)
+        assert main(["spectrum", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: eigenvalues must be positive and finite\n"
+
     @pytest.mark.parametrize("rho_grid", [[0.0], []])
     def test_zero_wave_window_state_exits_2(self, tmp_path, capsys, rho_grid):
         cfg = WAVE_WINDOW_CFG | {"rho_grid": rho_grid,

@@ -1,9 +1,17 @@
-"""tools/compare_outputs.py: the per-column summary of a differing CSV."""
+"""tools/compare_outputs.py: the per-column summary of a differing CSV and
+the spectrum commands of the workload configs."""
+import contextlib
+import io
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
 import compare_outputs  # noqa: E402
+import workloads  # noqa: E402  (perfbench/, put on the path by compare_outputs)
+
+from spdecutoff import build_box_eigensystem  # noqa: E402
+from spdecutoff.cli import main  # noqa: E402
 
 HEADER = "case,p,eps,rho_or_delta,renormalized,profile,bound,pass\n"
 
@@ -22,3 +30,28 @@ def test_rows_that_do_not_line_up_give_no_summary():
     other_rho = (HEADER + "x,2,0.5,1,1.0,2.0,0.5,true\n").encode()
     assert compare_outputs.csv_change(parent, other_rho) == ""
     assert compare_outputs.csv_change(parent, HEADER.encode()) == ""
+
+
+def test_one_spectrum_command_per_config_with_dims(tmp_path):
+    counts = {}
+    for workload in workloads.WORKLOADS:
+        out = str(tmp_path / workload / "out")
+        argvs = workloads.write_commands(workload, 0, str(tmp_path / workload / "cfg"), out)
+        spectra = compare_outputs.spectrum_commands(argvs, out)
+        counts[workload] = len(spectra)
+        for argv in spectra:
+            assert argv[0] == "spectrum" and argv[1] == "--config"
+            assert os.path.dirname(argv[4]) == os.path.join(out, "spectrum")
+    assert counts == {"wave-overdamped": 1, "heat-3d": 3, "wave-window": 1, "monte-carlo": 0}
+
+
+def test_spectrum_command_writes_the_eigensystem_json(tmp_path):
+    out = str(tmp_path / "out")
+    argvs = workloads.write_commands("wave-overdamped", 0, str(tmp_path / "cfg"), out)
+    [argv] = compare_outputs.spectrum_commands(argvs, out)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    with open(argv[2]) as f:
+        dims = json.load(f)["dims"]
+    with open(argv[4]) as f:
+        assert f.read() == build_box_eigensystem(dims).to_json() + "\n"

@@ -605,21 +605,28 @@ def reference_distance_heat(t, h, eps, spec):
 
 @st.composite
 def heat_cases(draw):
-    """A datum with empty, sparse or full support and noise with some modes
-    off, on a spectrum spread over six decades so that the relaxed modes
-    start anywhere from the first mode to past the last."""
-    n = draw(st.integers(1, 300))
+    """A datum with empty, sparse or full support, or one run of modes that
+    ends anywhere, before or past the unrelaxed ones, and noise with some
+    modes off, on a spectrum spread over six decades so that the relaxed
+    modes start anywhere from the first mode to past the last.  Up to 128
+    modes NumPy sums in one block; beyond, the live prefixes are nodes of
+    its summation tree."""
+    n = draw(st.one_of(st.integers(1, 128), st.integers(129, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     system = EigenSystem.from_lambdas(10.0 ** rng.uniform(-2.0, 4.0, n))
     q = rng.uniform(0.0, 2.0, n)
     q[rng.random(n) < 0.2] = 0.0
     values = np.zeros(n)
-    support = draw(st.sampled_from(["empty", "sparse", "full"]))
+    support = draw(st.sampled_from(["empty", "sparse", "full", "run"]))
     if support == "sparse":
         idx = rng.choice(n, size=min(n, 7), replace=False)
         values[idx] = rng.normal(size=idx.size)
     elif support == "full":
         values = rng.normal(size=n)
+    elif support == "run":
+        end = int(rng.integers(1, n + 1))
+        start = int(rng.integers(max(0, end - 20), end))
+        values[start:end] = rng.normal(size=end - start)
     return ModeCoefficients(system, values), NoiseSpec(system=system, gaussian_q=q)
 
 
@@ -689,6 +696,23 @@ class TestHeatLiveModes:
                         == reference_distance_heat(t, h, eps, spec).hex())
                 cells += 1
         assert cells == 228
+
+    def test_infinite_equilibrium_sd_past_the_live_modes_keeps_the_full_length_nan(self):
+        # q / (2 lambda) overflows on mode 900, relaxed at t = 1e4 like every
+        # mode: the full-length sum meets inf - inf there, and so must the
+        # distance, though the datum and the unrelaxed modes end before it
+        system = EigenSystem.from_lambdas(np.linspace(0.01, 0.4, 1000))
+        q = np.full(1000, 0.5)
+        q[900] = 1.7e308
+        spec = NoiseSpec(system=system, gaussian_q=q)
+        h = ModeCoefficients(system, np.eye(1, 1000)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(reference_distance_heat(1e4, h, 0.1, spec))
+            assert math.isnan(renormalized_distance_heat(1e4, h, 0.1, spec))
+        q[900] = 0.5
+        spec = NoiseSpec(system=system, gaussian_q=q)
+        assert (renormalized_distance_heat(1e4, h, 0.1, spec).hex()
+                == reference_distance_heat(1e4, h, 0.1, spec).hex())
 
     def test_expm1_is_minus_one_where_the_modes_count_as_relaxed(self):
         # a mode counts as relaxed when lambda >= 20 / t, so 2 lambda t is at

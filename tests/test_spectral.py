@@ -25,6 +25,7 @@ from spdecutoff import (
     wave_spectrum,
 )
 from spdecutoff.errors import InvalidDomainError, ZeroInitialDatumError
+from spdecutoff.spectral_core import TIE_RTOL, HeatLeadingData, _sum3
 
 
 def fd_interval_eigenvalues(L, n_modes, n_grid=6000):
@@ -141,6 +142,147 @@ class TestVectorisedBuild:
 
     def test_matches_loop_on_3d_benchmark_box(self):
         assert_matches_loop([(math.pi, 30), (1.1 * math.pi, 30), (1.3 * math.pi, 30)])
+
+
+HEAT_3D_BOX = [(math.pi, 30), (1.1 * math.pi, 30), (1.3 * math.pi, 30)]
+
+
+def box_spectrum_json_fsum(dims):
+    """Reference ``spectrum`` output: the build with one math.fsum per mode
+    and an eager tuple index map, serialised as EigenSystem.to_json does."""
+    coeffs = [(math.pi / L) ** 2 for L, _ in dims]
+    grids = np.meshgrid(*(np.arange(1, m + 1) for _, m in dims), indexing="ij")
+    axes = [g.ravel() for g in grids]
+    terms = [((k * k).astype(float) * c).tolist() for k, c in zip(axes, coeffs)]
+    lam = np.fromiter(map(math.fsum, zip(*terms)), float, axes[0].size)
+    order = np.argsort(lam, kind="stable")
+    idx = tuple(zip(*(k[order].tolist() for k in axes)))
+    return json.dumps({"dims": [[float(L), int(m)] for L, m in dims],
+                       "lambdas": [float(x) for x in lam[order]],
+                       "index_map": [list(k) for k in idx]})
+
+
+def random_triples(rng, n):
+    """n positive triples: magnitudes spread over 1e-300..1e300, subnormals,
+    terms a few ulps apart, and sums that fall exactly halfway between two
+    doubles or just above the halfway point."""
+    x = 10.0 ** rng.uniform(-300.0, 300.0, (n, 3))
+    kind = rng.integers(0, 4, n)
+    sub = rng.uniform(0.0, 2.2250738585072014e-308, (n, 3)) * 10.0 ** rng.uniform(-16, 0, (n, 3))
+    near = (10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+            * (1.0 + rng.integers(-3, 4, (n, 3)) * 2.0 ** -52)
+            * 2.0 ** rng.integers(-60, 2, (n, 3)).astype(float))
+    e = rng.integers(-900, 900, n).astype(float)
+    a = 2.0 ** e * (1.0 + 2.0 ** -52 * rng.integers(0, 2, n))  # even or odd significand
+    half = 2.0 ** (e - 53)  # half an ulp of a
+    c = rng.choice([0.0, 2.0 ** -200], n) * 2.0 ** e  # exactly halfway, or just above
+    split = np.stack([a, 0.5 * half, 0.5 * half], axis=1)  # the half ulp in two parts
+    tie = np.stack([a, half, c], axis=1)
+    x = np.where((kind == 0)[:, None], sub, x)
+    x = np.where((kind == 1)[:, None], near, x)
+    x = np.where((kind == 2)[:, None], tie, x)
+    x = np.where((kind == 3)[:, None] & (rng.random((n, 1)) < 0.5), split, x)
+    return x[:, rng.permutation(3)]
+
+
+class TestCorrectlyRoundedBuild:
+    def test_three_term_sum_equals_fsum(self):
+        x = random_triples(np.random.default_rng(17), 100_000)
+        assert np.count_nonzero(x < 2.2250738585072014e-308) > 10_000  # subnormals
+        got = _sum3(x[:, 0].copy(), x[:, 1].copy(), x[:, 2].copy())
+        want = np.array([math.fsum(t) for t in x.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_padding_gives_the_term_and_one_add(self):
+        x = random_triples(np.random.default_rng(18), 10_000)
+        a, b = x[:, 0].copy(), x[:, 1].copy()
+        zero = np.zeros(())
+        assert _sum3(a, zero, zero).tobytes() == a.tobytes()
+        assert _sum3(a, b, zero).tobytes() == (a + b).tobytes()
+
+    @pytest.mark.parametrize("dims", [HEAT_3D_BOX, [(math.pi, 12), (math.pi, 12), (math.pi, 6)]],
+                             ids=["heat-3d", "tied-12x12x6"])
+    def test_spectrum_json_equals_the_fsum_build(self, dims):
+        system = build_box_eigensystem(dims)
+        if dims[0][1] == 12:
+            assert np.count_nonzero(np.diff(system.lambdas) == 0.0) > 200
+        assert system.to_json() == box_spectrum_json_fsum(dims)
+
+    def test_index_map_is_built_on_first_read(self):
+        system = build_box_eigensystem([(1.0, 3), (2.0, 2)])
+        assert "index_map" not in vars(system)
+        assert system.index_map == ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2))
+        assert "index_map" in vars(system)
+        assert all(type(k) is int for multi in system.index_map for k in multi)
+        assert EigenSystem.from_lambdas([3.0, 1.0, 2.0]).index_map == ((1,), (2,), (3,))
+
+    @pytest.mark.parametrize("dims", [[(3.2e-154, 1)] * 2, [(3.2e-154, 1)] * 3,
+                                      [(1e-153, 30)]])
+    def test_overflowing_eigenvalue_is_rejected(self, dims):
+        with np.errstate(over="ignore"):  # the last box overflows its term
+            with pytest.raises(InvalidDomainError, match="positive and finite"):
+                build_box_eigensystem(dims)
+
+
+def heat_leading_data_loop(h):
+    """Reference: the leading data with one Python tie test per supported
+    mode and a membership test for the rest."""
+    support = h.nonzero_indices()
+    lam = h.system.lambdas
+
+    def ties(a, b):
+        return abs(a - b) <= TIE_RTOL * max(abs(a), abs(b))
+
+    first = int(support[0])
+    leaders = tuple(int(i) for i in support if ties(lam[i], lam[first]))
+    rest = [int(i) for i in support if int(i) not in leaders]
+    values = np.zeros_like(h.values)
+    for i in leaders:
+        values[i] = h.values[i]
+    v = ModeCoefficients(h.system, values)
+    return HeatLeadingData(support=tuple(int(i) for i in support), first=first,
+                           leaders=leaders, next_index=min(rest) if rest else None,
+                           v=v, shape_norm=v.norm, amplitude=h.norm)
+
+
+def assert_same_leading_data(h):
+    got, want = heat_leading_data(h), heat_leading_data_loop(h)
+    for name in ("support", "first", "leaders", "next_index"):
+        assert getattr(got, name) == getattr(want, name)
+        assert repr(getattr(got, name)) == repr(getattr(want, name))
+    assert got.v.values.tobytes() == want.v.values.tobytes()
+    assert got.shape_norm.hex() == want.shape_norm.hex()
+    assert got.amplitude.hex() == want.amplitude.hex()
+
+
+class TestVectorisedLeadingData:
+    def test_dense_datum_on_the_heat_3d_box(self):
+        system = build_box_eigensystem(HEAT_3D_BOX)
+        rng = np.random.default_rng(19)
+        values = rng.normal(size=system.n_modes)
+        values[rng.random(system.n_modes) < 0.1] = 0.0
+        assert_same_leading_data(ModeCoefficients(system, values))
+
+    def test_exact_ties_on_a_cube(self):
+        system = build_box_eigensystem([(math.pi, 6)] * 3)
+        values = np.zeros(system.n_modes)
+        values[1:40] = np.arange(1.0, 40.0)  # modes 1-3 tie at 6
+        h = ModeCoefficients(system, values)
+        assert heat_leading_data(h).leaders == (1, 2, 3)
+        assert_same_leading_data(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tied_spectra(self, n, seed):
+        # runs of eigenvalues that tie within, at or just beyond TIE_RTOL
+        rng = np.random.default_rng(seed)
+        base = np.repeat(rng.uniform(0.1, 100.0, n), rng.integers(1, 5, n))
+        rel = rng.choice([0.0, 1e-14, 0.5e-12, 1e-12, 2e-12, 1e-9], base.size)
+        system = EigenSystem.from_lambdas(base * (1.0 + rel))
+        values = rng.normal(size=system.n_modes)
+        values[rng.random(system.n_modes) < 0.4] = 0.0
+        values[rng.integers(system.n_modes)] = 1.0  # never the zero datum
+        assert_same_leading_data(ModeCoefficients(system, values))
 
 
 class TestHeatLeadingData:

@@ -24,7 +24,7 @@ from spdecutoff import (
 )
 from spdecutoff import wasserstein
 from spdecutoff.errors import InvalidDomainError
-from spdecutoff.wasserstein import concentration_exponent
+from spdecutoff.wasserstein import _pairwise_prefix, concentration_exponent
 
 
 class TestExponents:
@@ -246,6 +246,33 @@ class TestStackedGaussian2x2:
             w2_gaussian_2x2(np.zeros(2), c1, np.zeros(2), good, position_weight=w)
         with pytest.raises(InvalidDomainError, match="position weight"):
             w2_gaussian_2x2(np.zeros(2), c1[::-1], np.zeros(2), good, position_weight=w[::-1])
+
+
+class TestPairwiseSummationTree:
+    """_pairwise_prefix pins NumPy's pairwise summation: halves split at a
+    multiple of 8, blocks of at most 128 terms in 8 accumulators.  A NumPy
+    that sums another way fails here rather than moving the last bits of
+    the heat distance."""
+
+    def test_spine_of_the_heat_3d_box(self):
+        spine = [_pairwise_prefix(27_000, k) for k in (0, 104, 105, 209, 13_496, 13_497)]
+        assert spine == [104, 104, 208, 416, 13_496, 27_000]
+        assert [_pairwise_prefix(m, 0) for m in (1, 128, 129, 136, 256, 257)] == \
+            [1, 128, 64, 64, 128, 128]
+
+    def test_prefix_sum_equals_the_full_sum_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        moved = 0
+        for i in range(1_000):
+            m = 27_000 if i % 10 == 0 else int(rng.integers(1, 100_001))
+            k = int(rng.integers(0, m + 1) if i % 2 else rng.integers(0, min(m, 400) + 1))
+            x = np.zeros(m)
+            x[:k] = rng.random(k) * 10.0 ** rng.uniform(-5.0, 5.0, k)
+            n = _pairwise_prefix(m, k)
+            assert k <= n <= m
+            assert np.sum(x[:n]).hex() == np.sum(x).hex()
+            moved += np.sum(x[:k]) != np.sum(x)
+        assert moved > 300  # a plain prefix of k terms sums in another order
 
 
 class TestEmpirical1d:

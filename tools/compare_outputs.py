@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 For each seed, the configs of every workload in ``perfbench/workloads.py``
 are written once, and each command runs in a fresh ``python -m
 spdecutoff.cli`` process per tree, with PYTHONPATH set to that tree (the two
-trees' processes run side by side).  The script lists every CSV or JSON
+trees' processes run side by side).  Every config with ``dims`` also goes
+through the ``spectrum`` command, so the eigensystem JSON (eigenvalues and
+index map) is compared as well.  The script lists every CSV or JSON
 file that differs or exists on one side only and every non-zero exit, then
 prints a summary line; it exits 1 if it listed anything, 0 otherwise.  For a
 CSV present on both sides with the same rows, the line also gives the
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -87,6 +90,21 @@ def csv_change(parent: bytes, change: bytes) -> str:
         f", pass flips {flips}"
 
 
+def spectrum_commands(argvs: list, out_dir: str) -> list:
+    """One ``spectrum`` argv per config of ``argvs`` that has ``dims``,
+    writing ``out_dir/spectrum/<config file name>``."""
+    spectra = os.path.join(out_dir, "spectrum")
+    os.makedirs(spectra, exist_ok=True)
+    commands = []
+    for argv in argvs:
+        path = argv[argv.index("--config") + 1]
+        with open(path) as f:
+            if "dims" in json.load(f):
+                commands.append(["spectrum", "--config", path,
+                                 "--out", os.path.join(spectra, os.path.basename(path))])
+    return commands
+
+
 def run_commands(trees: dict, argvs: dict) -> list[str]:
     """Run each command on both trees at once; one line per non-zero exit."""
     faults = []
@@ -121,8 +139,10 @@ def main(argv=None) -> int:
                 base = os.path.join(work, f"{workload}-{seed}")
                 configs = os.path.join(base, "configs")
                 outs = {side: os.path.join(base, side) for side in SIDES}
-                argvs = {side: workloads.write_commands(workload, seed, configs, outs[side])
-                         for side in SIDES}
+                argvs = {}
+                for side in SIDES:
+                    argvs[side] = workloads.write_commands(workload, seed, configs, outs[side])
+                    argvs[side] += spectrum_commands(argvs[side], outs[side])
                 faults += [f"seed {seed} {workload} {line}"
                            for line in run_commands(trees, argvs)]
                 for rel in sorted(output_files(outs["parent"]) | output_files(outs["change"])):
