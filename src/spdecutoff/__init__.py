@@ -59,7 +59,7 @@ from .multiplicative import (
     mult_brownian_flow_sample,
     mult_second_moment_exact,
     mult_profile,
-    levy_stochexp_sample,
     levy_flow_oracle,
+    levy_pathwise_check,
 )
 from ._rng import stream

@@ -37,6 +37,7 @@ from .errors import (
     MarkOutOfRangeError,
     ScheduleRejectedError,
     SpdeCutoffError,
+    VarianceOverflowError,
 )
 from .spectral_core import (
     EigenSystem,
@@ -47,7 +48,7 @@ from .spectral_core import (
     wave_spectrum,
 )
 from .semigroup import decay_constants, wave_overdamped_leader
-from .noise_sim import JumpMark, NoiseSpec
+from .noise_sim import JumpMark, NoiseSpec, sample_jump_realization
 from .wasserstein import homogeneity_check, shift_linearity_check
 from .cutoff import (
     CutoffReport,
@@ -62,9 +63,8 @@ from .cutoff import (
 from .multiplicative import (
     MultBrownianSpec,
     MultLevySpec,
-    levy_flow_oracle,
+    levy_pathwise_check,
     levy_stochexp_batch,
-    levy_stochexp_sample,
     mult_profile,
     mult_second_moment_exact,
     schedule_values,
@@ -253,6 +253,11 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
     spec = _noise_spec(cfg, system)
+    try:
+        spec.heat_equilibrium_var
+    except VarianceOverflowError as e:
+        listed = isinstance(cfg["noise"].get("gaussian_q"), list)
+        raise ConfigError("/noise/gaussian_q" + (f"/{e.index}" if listed else ""), str(e)) from e
     p = _require_p2(cfg, "exact heat profile")
     leading = heat_leading_data(h)
     constants = decay_constants("heat", system=system)
@@ -386,24 +391,13 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     if t * sum(m.rate for m in spec.marks) > MAX_EXPECTED_JUMPS:
         raise ConfigError("/t", f"expected jumps per path t * rate exceed {MAX_EXPECTED_JUMPS:g}")
 
-    worst = 0.0
-    replayed = 0
-    # a path whose oracle falls below the denominator's floor (0 included)
-    # in a mode with h_j != 0 is not checked relatively there, whatever the
-    # relative error reads
-    floor = 1e-300
-    underflow = 0
-    nonzero = h.values != 0.0
-    for r in range(min(n_paths, 1000)):
-        rng = stream(seed, 0, r)
-        x, jumps = levy_stochexp_sample(t, h, spec, rng)
-        y = levy_flow_oracle(t, h, spec, jumps)
-        denom = np.maximum(np.abs(y), floor)
-        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
-        underflow += bool(np.any((denom == floor) & nonzero))
-        replayed += jumps.times.size
-        if replayed >= MAX_EXPECTED_JUMPS:
-            break
+    # replay at most 1,000 paths, path r drawn from stream(seed, 0, r), and
+    # stop drawing once MAX_EXPECTED_JUMPS jumps have been drawn
+    paths, replayed = [], 0
+    while len(paths) < min(n_paths, 1000) and replayed < MAX_EXPECTED_JUMPS:
+        paths.append(sample_jump_realization(t, spec.marks, stream(seed, 0, len(paths))))
+        replayed += paths[-1].times.size
+    worst, underflow = levy_pathwise_check(t, h, spec, paths)
 
     sq = levy_stochexp_batch(t, h, spec, stream(seed, 1), n_paths)
     mc = float(np.mean(sq))
@@ -413,7 +407,7 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     report = CutoffReport()
     report.meta = {
         "pathwise_worst_relative": worst,
-        "pathwise_paths": r + 1,
+        "pathwise_paths": len(paths),
         "pathwise_underflow_paths": underflow,
         "mc_second_moment": mc,
         "mc_se": se,
@@ -423,7 +417,7 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
                worst <= 1e-10 and underflow == 0)
     # an exact moment of 0 from h != 0 has underflowed: nothing to compare
     report.add("levy-moment", 2.0, eps, 0.0, mc, exact, 4.0 * se,
-               abs(mc - exact) <= 4.0 * se and (exact > 0.0 or not np.any(nonzero)))
+               abs(mc - exact) <= 4.0 * se and (exact > 0.0 or not np.any(h.values)))
     return report
 
 

@@ -36,6 +36,14 @@ class DegenerateNoiseError(SpdeCutoffError):
     requested with no jump marks, or negative intensities)."""
 
 
+class VarianceOverflowError(DegenerateNoiseError):
+    """The heat equilibrium variance of mode ``index`` is not finite."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(f"mode {index}: {message}")
+
+
 class MarkOutOfRangeError(SpdeCutoffError):
     """Multiplicative jump mark ``index`` has the wrong length or size."""
 

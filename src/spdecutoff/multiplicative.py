@@ -24,12 +24,13 @@ from .errors import (
     MarkOutOfRangeError,
     ScheduleRejectedError,
 )
-from .noise_sim import JumpMark, JumpRealization, sample_jump_realization
+from .noise_sim import JumpMark
 from .semigroup import _check_time
 from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data
 
 # Entries (rows x modes) per block of levy_stochexp_batch's distinct count
-# vectors; bounds its working memory independently of the path count.
+# vectors and of the replayed paths; bounds the working memory of both
+# independently of the path count.
 _BLOCK_ENTRIES = 2 ** 20
 
 
@@ -269,48 +270,102 @@ class MultLevySpec:
         return 2.0 * t * (-self.system.lambdas) + t * self.variance_rate()
 
 
-def levy_stochexp_from_jumps(
-    t: float, h: ModeCoefficients, spec: MultLevySpec, jumps: JumpRealization
-) -> np.ndarray:
-    """Stochastic-exponential evaluation of the jump flow on one path:
+def _flow_blocks(t: float, h: ModeCoefficients, spec: MultLevySpec, paths):
+    """Both evaluations of the jump flow on each replayed path (a sequence
+    of :class:`JumpRealization` on (0, t]), in blocks of paths.
+
+    Yields ``(rows, x, y)``: the indices into ``paths`` of the block's paths
+    and their (len(rows), n_modes) flows, ``x`` the stochastic exponential
 
         X_j(t) = h_j exp( t (-lambda_j - eps sum_m r_m z_j^m)
-                          + sum_jumps log(1 + eps z_j) ).
+                          + sum_jumps log(1 + eps z_j) ),
 
-    Only the jump count per mark matters -- the flow is a product of
-    commuting per-jump factors -- but the full realization is accepted so the
-    same path can be replayed through the interlacing oracle.
+    ``y`` the interlacing evaluation, which decays deterministically between
+    jumps and multiplies by (1 + eps z_j) at each.  The paths are sorted by
+    jump count, largest first (stable), so jump slot k of a block touches
+    only the prefix of its paths with more than k jumps, and each element
+    goes through the one-path arithmetic in its order: theta + log for x;
+    y * exp(drift (tau - prev)), y * (1 + eps z), and finally
+    y * exp(drift (t - prev)).  A block holds at most ``_BLOCK_ENTRIES``
+    paths x modes (at least one path).
     """
-    lam = spec.system.lambdas
-    theta = (-lam - spec.compensator_drift()) * t
-    for mi in jumps.mark_indices:
-        theta = theta + np.log1p(spec.eps * spec.marks[mi].values)
-    return h.values * np.exp(theta)
+    drift = -spec.system.lambdas - spec.compensator_drift()
+    base = drift * t
+    logs = np.array([np.log1p(spec.eps * m.values) for m in spec.marks])
+    factors = np.array([1.0 + spec.eps * m.values for m in spec.marks])
+    counts = np.array([p.times.size for p in paths])
+    starts = np.cumsum(counts) - counts
+    times = np.concatenate([p.times for p in paths])
+    marks = np.concatenate([p.mark_indices for p in paths])
+    # tau - prev per jump (prev = 0.0 at a path's first jump), and t - prev
+    # after its last (prev = 0.0 on a path without jumps)
+    jumped = counts > 0
+    prev = np.zeros_like(times)
+    prev[1:] = times[:-1]
+    prev[starts[jumped]] = 0.0
+    steps = times - prev
+    last = np.zeros(len(paths))
+    last[jumped] = times[(starts + counts - 1)[jumped]]
+    tails = t - last
+    order = np.argsort(-counts, kind="stable")
+    n_rows = max(1, _BLOCK_ENTRIES // drift.size)
+    for lo in range(0, len(paths), n_rows):
+        rows = order[lo:lo + n_rows]
+        block_counts = counts[rows]
+        # live[k] paths have a jump in slot k; the slots are laid out one
+        # after the other, each slot's jumps in path order
+        live = np.searchsorted(-block_counts, -np.arange(block_counts[0]), side="left")
+        ends = np.cumsum(live)
+        slot = np.repeat(np.arange(live.size), live)
+        src = starts[rows][np.arange(slot.size) - (ends - live)[slot]] + slot
+        block_steps, block_marks = steps[src], marks[src]
+        x = np.tile(base, (rows.size, 1))
+        y = np.tile(h.values, (rows.size, 1))
+        for n, end in zip(live.tolist(), ends.tolist()):
+            m = block_marks[end - n:end]
+            x[:n] += logs[m]
+            e = np.multiply.outer(block_steps[end - n:end], drift)
+            np.exp(e, out=e)
+            yn = y[:n]
+            yn *= e
+            yn *= factors[m]
+        e = np.multiply.outer(tails[rows], drift)
+        np.exp(e, out=e)
+        y *= e
+        np.exp(x, out=x)
+        x *= h.values
+        yield rows, x, y
 
 
-def levy_stochexp_sample(
-    t: float, h: ModeCoefficients, spec: MultLevySpec, rng: np.random.Generator
-) -> tuple[np.ndarray, JumpRealization]:
-    """Sample one exact path of the multiplicative jump flow."""
-    jumps = sample_jump_realization(t, spec.marks, rng)
-    return levy_stochexp_from_jumps(t, h, spec, jumps), jumps
+def levy_flow_oracle(t: float, h: ModeCoefficients, spec: MultLevySpec, jumps) -> np.ndarray:
+    """Interlacing evaluation of one path (a :class:`JumpRealization`):
+    deterministic decay between jumps, multiplication by (1 + eps z_j) at
+    each jump.  The ``y`` row of the batched replay."""
+    return next(_flow_blocks(t, h, spec, [jumps]))[2][0]
 
 
-def levy_flow_oracle(
-    t: float, h: ModeCoefficients, spec: MultLevySpec, jumps: JumpRealization
-) -> np.ndarray:
-    """Interlacing evaluation of the same path: deterministic decay between
-    jumps, multiplication by (1 + eps z_j) at each jump.  Agrees with the
-    stochastic exponential path by path."""
-    lam = spec.system.lambdas
-    drift = -lam - spec.compensator_drift()
-    x = h.values.astype(float).copy()
-    prev = 0.0
-    for tau, mi in zip(jumps.times, jumps.mark_indices):
-        x = x * np.exp(drift * (tau - prev))
-        x = x * (1.0 + spec.eps * spec.marks[mi].values)
-        prev = tau
-    return x * np.exp(drift * (t - prev))
+def levy_pathwise_check(t: float, h: ModeCoefficients, spec: MultLevySpec,
+                        paths) -> tuple[float, int]:
+    """Replay ``paths`` (a sequence of :class:`JumpRealization` on (0, t])
+    through both evaluations of the jump flow and return (worst, underflow):
+    the largest relative gap |x - y| / max(|y|, 1e-300) over the paths whose
+    gaps are all numbers, and the number of paths where the oracle y falls
+    to the floor 1e-300 (0 included) in a mode with h_j != 0.  Such a mode
+    is not checked relatively, whatever its relative gap reads.
+    """
+    floor = 1e-300
+    nonzero = h.values != 0.0
+    worst, underflow = 0.0, 0
+    for _, x, y in _flow_blocks(t, h, spec, paths):
+        x -= y
+        np.abs(x, out=x)
+        np.abs(y, out=y)
+        np.maximum(y, floor, out=y)
+        underflow += int(np.count_nonzero(np.any((y == floor) & nonzero, axis=1)))
+        x /= y
+        # a path whose largest gap is NaN is passed over, as max() did
+        worst = float(np.fmax.reduce(np.max(x, axis=1), initial=worst))
+    return worst, underflow
 
 
 def levy_stochexp_batch(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNoiseError, InvalidDomainError
+from .errors import DegenerateNoiseError, InvalidDomainError, VarianceOverflowError
 from .spectral_core import EigenSystem, ModeCoefficients, WaveSpectrum
 from .semigroup import _check_time, wave_mode_propagator
 from .wasserstein import _pairwise_prefix
@@ -72,12 +72,21 @@ class NoiseSpec:
     @functools.cached_property
     def heat_equilibrium_var(self) -> np.ndarray:
         """Per-mode variances q_k / (2 lambda_k) of the heat equilibrium law,
-        computed and checked once per spec."""
+        computed and checked once per spec: one that overflows raises
+        :class:`VarianceOverflowError`."""
         if self.gaussian_q is None:
             raise DegenerateNoiseError("spec has no Gaussian part")
-        v_inf = self.gaussian_q / (2.0 * self.system.lambdas)
+        with np.errstate(over="ignore"):  # raised below
+            v_inf = self.gaussian_q / (2.0 * self.system.lambdas)
         if np.any(v_inf < 0):
             raise InvalidDomainError("variances must be >= 0")
+        bad = ~np.isfinite(v_inf)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            q, lam = float(self.gaussian_q[k]), float(self.system.lambdas[k])
+            raise VarianceOverflowError(
+                k, f"heat equilibrium variance q / (2 lambda) = {q!r} / (2 * {lam!r}) "
+                   "is not finite")
         return v_inf
 
     @functools.cached_property
@@ -85,13 +94,6 @@ class NoiseSpec:
         """Per-mode standard deviations sqrt(q_k / (2 lambda_k)) of the heat
         equilibrium law, computed once per spec."""
         return np.sqrt(self.heat_equilibrium_var)
-
-    @functools.cached_property
-    def _heat_sd_nonfinite_end(self) -> int:
-        """One past the last mode whose equilibrium standard deviation is
-        not finite, else 0."""
-        bad = np.flatnonzero(~np.isfinite(self.heat_equilibrium_sd))
-        return int(bad[-1]) + 1 if bad.size else 0
 
 
 def _unrelaxed_heat_variances(t: float, spec: NoiseSpec) -> np.ndarray:
@@ -129,14 +131,13 @@ def _heat_sds(t: float, spec: NoiseSpec, live: bool) -> tuple[np.ndarray, np.nda
     (t may be inf) and the equilibrium ones.  With ``live`` both stop at the
     shortest node of NumPy's summation tree (:func:`_pairwise_prefix`) that
     holds every mode where sd_t - sd_inf need not be +0.0: the unrelaxed
-    modes, and the relaxed ones up to the last non-finite sd_inf, where it
-    is NaN."""
+    modes (every sd_inf is finite)."""
     v = _unrelaxed_heat_variances(t, spec)
     if np.any(v < 0):
         raise InvalidDomainError("variances must be >= 0")
     sd_inf = spec.heat_equilibrium_sd
     if live:
-        sd_inf = sd_inf[:_pairwise_prefix(sd_inf.size, max(v.size, spec._heat_sd_nonfinite_end))]
+        sd_inf = sd_inf[:_pairwise_prefix(sd_inf.size, v.size)]
     sd_t = sd_inf.copy()
     sd_t[:v.size] = np.sqrt(v)
     return sd_t, sd_inf

@@ -133,6 +133,11 @@ def wp_empirical_1d(x, y, p: float) -> float:
     ys = np.sort(np.asarray(y, dtype=float))
     if xs.shape != ys.shape or xs.ndim != 1:
         raise InvalidDomainError("need two 1d samples of equal size")
+    return _wp_sorted(xs, ys, p)
+
+
+def _wp_sorted(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
+    """:func:`wp_empirical_1d` on two sorted samples of equal size."""
     diffs = np.abs(xs - ys)
     if p >= 1.0:
         return float(np.mean(diffs ** p) ** (1.0 / p))
@@ -241,13 +246,15 @@ def homogeneity_check(
     budget.  A wrong factor (|c| instead of |c|^p at p < 1, say) is off by
     O(1) and fails by many orders of magnitude.
     """
-    xs = law_sampler(n, rng)
-    ys = law_sampler(n, rng) + 1.0  # separate the marginals
-    base = wp_empirical_1d(xs, ys, p)
-    scaled = wp_empirical_1d(c * xs, c * ys, p)
+    xs = np.sort(np.asarray(law_sampler(n, rng), dtype=float))
+    ys = np.sort(law_sampler(n, rng) + 1.0)  # separate the marginals
+    base = _wp_sorted(xs, ys, p)
+    # rounding is monotone: c * xs is sorted for c > 0 and reversed for c < 0
+    step = 1 if c > 0 else -1
+    scaled = _wp_sorted((c * xs)[::step], (c * ys)[::step], p)
     factor = abs(c) ** concentration_exponent(p)
     u = 2.0 ** -53
-    delta = 3.0 * u * abs(c) * (np.abs(np.sort(xs)) + np.abs(np.sort(ys)))
+    delta = 3.0 * u * abs(c) * (np.abs(xs) + np.abs(ys))
     if p >= 1.0:
         pairwise = float(np.mean(delta ** p) ** (1.0 / p))
     else:

@@ -27,8 +27,7 @@ from spdecutoff import (
     error_bound,
     heat_leading_data,
     large_data_identity,
-    levy_flow_oracle,
-    levy_stochexp_sample,
+    levy_pathwise_check,
     mult_brownian_flow_sample,
     mult_profile,
     mult_second_moment_exact,
@@ -48,6 +47,7 @@ from spdecutoff import (
 from spdecutoff.cli import main, run_heat_profile
 from spdecutoff.cutoff import gaussian_abs_moment_surrogate
 from spdecutoff.multiplicative import levy_stochexp_batch
+from spdecutoff.noise_sim import sample_jump_realization
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -263,13 +263,9 @@ def test_criterion_08_levy_stochastic_exponential():
     )
     spec = MultLevySpec(system, marks, 0.05, 0.05)
     t = 0.8
-    worst = 0.0
-    for r in range(1000):
-        x, jumps = levy_stochexp_sample(t, h, spec, stream(1008, 0, r))
-        y = levy_flow_oracle(t, h, spec, jumps)
-        denom = np.maximum(np.abs(y), 1e-300)
-        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
-    ok_path = worst <= 1e-10
+    paths = [sample_jump_realization(t, spec.marks, stream(1008, 0, r)) for r in range(1000)]
+    worst, underflow = levy_pathwise_check(t, h, spec, paths)
+    ok_path = worst <= 1e-10 and underflow == 0
     sq = levy_stochexp_batch(t, h, spec, stream(1008, 1), 100_000)
     se = sq.std(ddof=1) / math.sqrt(sq.size)
     exact = mult_second_moment_exact(t, h, spec)

@@ -254,6 +254,21 @@ class TestConfigValidation:
         assert main(["spectrum", "--config", path]) == 2
         assert capsys.readouterr().err == "error: eigenvalues must be positive and finite\n"
 
+    @pytest.mark.parametrize("over, pointer", [
+        # the finite intensity 1.7e308 over 2 lambda_0 = 0.79 overflows
+        ({"noise": {"gaussian_q": [1.7e308, 1, 1, 1]}}, "/noise/gaussian_q/0"),
+        # a preset over an eigenvalue below 1 / DBL_MAX
+        ({"lambdas": [1e-310, 1.0, 2.0, 3.0], "noise": {"gaussian_q": "flat"}},
+         "/noise/gaussian_q"),
+    ])
+    def test_overflowing_heat_variance_exits_2(self, tmp_path, capsys, over, pointer):
+        cfg = heat_cfg(dims=[[5.0, 4]], initial=[0, 1]) | over
+        path = write_cfg(tmp_path, "q.json", cfg)
+        rc = main(["heat-profile", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {pointer}: mode 0: heat equilibrium variance" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("rho_grid", [[0.0], []])
     def test_zero_wave_window_state_exits_2(self, tmp_path, capsys, rho_grid):
         cfg = WAVE_WINDOW_CFG | {"rho_grid": rho_grid,
@@ -284,6 +299,10 @@ class TestConfigValidation:
         assert all(r.split(",")[4] == "inf" for r in rows)
 
 
+# The heat equilibrium variance of mode 0 overflows: exit 2 at its entry.
+OVERFLOWING_HEAT_CFG = heat_cfg(dims=[[5.0, 4]], initial=[0, 1],
+                                noise={"gaussian_q": [1.7e308, 1, 1, 1]})
+
 # Replacement values of the config fuzz test; DELETE removes the member.
 DELETE = object()
 FUZZ_VALUES = [None, True, "x", [], {}, [[]], math.nan, math.inf, -math.inf,
@@ -292,6 +311,8 @@ FUZZ_VALUES = [None, True, "x", [], {}, [[]], math.nan, math.inf, -math.inf,
 # Every runner on a valid config, with small sample counts.
 FUZZ_CONFIGS = [
     ("heat-profile", heat_cfg()),
+    # q_0 / (2 lambda_0) = 1.7e308 / 0.79 overflows: exits 2 while both stay
+    ("heat-profile", OVERFLOWING_HEAT_CFG),
     ("wave-profile", WAVE_PROFILE_CFG),
     ("wave-window", WAVE_WINDOW_CFG),
     ("mult-profile", MULT_CFG),
@@ -346,6 +367,10 @@ class TestConfigFuzz:
             rc = main([command, "--config", cfg_path, "--out", os.path.join(tmp, "out")])
         assert rc in (0, 1, 2)
         if isinstance(value, float) and not math.isfinite(value):
+            assert rc == 2
+        # any change that leaves q_0 and the box in place still overflows
+        if cfg is OVERFLOWING_HEAT_CFG and path[:1] != ("dims",) and path not in (
+                (), ("noise",), ("noise", "gaussian_q"), ("noise", "gaussian_q", 0)):
             assert rc == 2
 
 

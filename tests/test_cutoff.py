@@ -43,7 +43,7 @@ from spdecutoff.cutoff import (
     heat_noise_gap,
     wave_abs_moment_surrogate,
 )
-from spdecutoff.errors import InvalidDomainError, WrongCaseError
+from spdecutoff.errors import InvalidDomainError, VarianceOverflowError, WrongCaseError
 from spdecutoff.spectral_core import WaveState
 from spdecutoff.wasserstein import _w2_diag_sd, w2_gaussian_2x2, w2_product, wp_empirical_1d
 
@@ -697,18 +697,21 @@ class TestHeatLiveModes:
                 cells += 1
         assert cells == 228
 
-    def test_infinite_equilibrium_sd_past_the_live_modes_keeps_the_full_length_nan(self):
+    def test_an_overflowing_equilibrium_variance_is_rejected(self):
         # q / (2 lambda) overflows on mode 900, relaxed at t = 1e4 like every
-        # mode: the full-length sum meets inf - inf there, and so must the
-        # distance, though the datum and the unrelaxed modes end before it
+        # mode: the full-length sum met inf - inf there and gave NaN, though
+        # the datum and the unrelaxed modes end before it.  The spec now
+        # rejects it, so every equilibrium sd the live prefix drops is finite.
         system = EigenSystem.from_lambdas(np.linspace(0.01, 0.4, 1000))
         q = np.full(1000, 0.5)
         q[900] = 1.7e308
         spec = NoiseSpec(system=system, gaussian_q=q)
         h = ModeCoefficients(system, np.eye(1, 1000)[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(reference_distance_heat(1e4, h, 0.1, spec))
-            assert math.isnan(renormalized_distance_heat(1e4, h, 0.1, spec))
+        with pytest.raises(VarianceOverflowError, match="mode 900: ") as exc:
+            renormalized_distance_heat(1e4, h, 0.1, spec)
+        assert exc.value.index == 900
+        with pytest.raises(VarianceOverflowError):
+            spec.heat_equilibrium_sd
         q[900] = 0.5
         spec = NoiseSpec(system=system, gaussian_q=q)
         assert (renormalized_distance_heat(1e4, h, 0.1, spec).hex()

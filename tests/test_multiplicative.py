@@ -6,6 +6,7 @@ cross-checks and the interlacing evaluation for the jump flow.
 """
 import json
 import math
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +24,7 @@ from spdecutoff import (
     build_box_eigensystem,
     heat_leading_data,
     levy_flow_oracle,
-    levy_stochexp_sample,
+    levy_pathwise_check,
     mult_brownian_flow_sample,
     mult_profile,
     mult_second_moment_exact,
@@ -42,7 +43,7 @@ from spdecutoff.multiplicative import (
     mult_distance_to_zero,
     schedule_values,
 )
-from spdecutoff.noise_sim import sample_jump_realization
+from spdecutoff.noise_sim import JumpRealization, sample_jump_realization
 
 
 def brownian_specs(system, g, eps_grid):
@@ -184,34 +185,27 @@ class TestLevyFlow:
         # one jump at tau multiplies mode j by (1 + eps z_j) on top of the
         # deterministic drift
         system, h, spec = levy_setup()
-        from spdecutoff.noise_sim import JumpRealization
-
         t, tau = 1.0, 0.4
         jumps = JumpRealization(t=t, times=np.array([tau]), mark_indices=np.array([0]))
         x = levy_flow_oracle(t, h, spec, jumps)
         drift = -system.lambdas - spec.compensator_drift()
         expect = h.values * np.exp(drift * t) * (1.0 + spec.eps * spec.marks[0].values)
         assert np.allclose(x, expect, rtol=1e-13)
+        assert np.allclose(batch_flows(t, h, spec, [jumps])[0][0], expect, rtol=1e-13)
 
     def test_stochexp_matches_interlacing_pathwise(self):
         system, h, spec = levy_setup()
-        worst = 0.0
-        for r in range(200):
-            rng = stream(5, r)
-            x, jumps = levy_stochexp_sample(0.8, h, spec, rng)
-            y = levy_flow_oracle(0.8, h, spec, jumps)
-            denom = np.maximum(np.abs(y), 1e-300)
-            worst = max(worst, float(np.max(np.abs(x - y) / denom)))
+        paths = [sample_jump_realization(0.8, spec.marks, stream(5, r)) for r in range(200)]
+        worst, underflow = levy_pathwise_check(0.8, h, spec, paths)
         assert worst <= 1e-12
+        assert underflow == 0
 
     def test_linearity_in_initial_datum(self):
         system, h, spec = levy_setup()
         jumps = sample_jump_realization(1.0, spec.marks, stream(6, 0))
-        from spdecutoff.multiplicative import levy_stochexp_from_jumps
-
-        x1 = levy_stochexp_from_jumps(1.0, h, spec, jumps)
+        x1 = batch_flows(1.0, h, spec, [jumps])[0][0]
         h2 = ModeCoefficients(system, 3.0 * h.values)
-        x2 = levy_stochexp_from_jumps(1.0, h2, spec, jumps)
+        x2 = batch_flows(1.0, h2, spec, [jumps])[0][0]
         assert np.allclose(x2, 3.0 * x1, rtol=1e-13)
 
     def test_second_moment_against_direct_campbell(self):
@@ -236,8 +230,8 @@ class TestLevyFlow:
         system, h, spec = levy_setup()
         t = 0.5
         batch = levy_stochexp_batch(t, h, spec, stream(8, 0), 50_000)
-        loop = np.array([np.sum(levy_stochexp_sample(t, h, spec, stream(9, r))[0] ** 2)
-                         for r in range(5_000)])
+        paths = [sample_jump_realization(t, spec.marks, stream(9, r)) for r in range(5_000)]
+        loop = np.sum(batch_flows(t, h, spec, paths)[0] ** 2, axis=1)
         bs = batch.std(ddof=1) / math.sqrt(batch.size)
         ls = loop.std(ddof=1) / math.sqrt(loop.size)
         assert abs(batch.mean() - loop.mean()) <= 4 * math.sqrt(bs**2 + ls**2)
@@ -473,3 +467,177 @@ class TestLevyBatchEqualsDense:
         sq = dense_levy_sq(cfg["t"], h, spec, stream(0, 1), cfg["n_paths"])
         assert meta["mc_second_moment"] == float(np.mean(sq))
         assert meta["mc_se"] == float(np.std(sq, ddof=1) / math.sqrt(sq.size))
+
+
+# --------------------------------------------------------------------------
+# The one-path flows and the levy-check runner loop that the batched replay
+# replaced, kept as byte-for-byte references.
+# --------------------------------------------------------------------------
+
+
+def reference_stochexp_from_jumps(t, h, spec, jumps):
+    lam = spec.system.lambdas
+    theta = (-lam - spec.compensator_drift()) * t
+    for mi in jumps.mark_indices:
+        theta = theta + np.log1p(spec.eps * spec.marks[mi].values)
+    return h.values * np.exp(theta)
+
+
+def reference_flow_oracle(t, h, spec, jumps):
+    lam = spec.system.lambdas
+    drift = -lam - spec.compensator_drift()
+    x = h.values.astype(float).copy()
+    prev = 0.0
+    for tau, mi in zip(jumps.times, jumps.mark_indices):
+        x = x * np.exp(drift * (tau - prev))
+        x = x * (1.0 + spec.eps * spec.marks[mi].values)
+        prev = tau
+    return x * np.exp(drift * (t - prev))
+
+
+def reference_check(t, h, spec, paths):
+    """(worst, underflow) of the runner loop on the given paths."""
+    worst, underflow = 0.0, 0
+    floor = 1e-300
+    nonzero = h.values != 0.0
+    for jumps in paths:
+        x = reference_stochexp_from_jumps(t, h, spec, jumps)
+        y = reference_flow_oracle(t, h, spec, jumps)
+        denom = np.maximum(np.abs(y), floor)
+        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
+        underflow += bool(np.any((denom == floor) & nonzero))
+    return worst, underflow
+
+
+def reference_replay(t, h, spec, seed, n_paths, cap):
+    """(worst, paths, underflow) of the levy-check runner loop."""
+    paths = []
+    replayed = 0
+    for r in range(min(n_paths, 1000)):
+        paths.append(sample_jump_realization(t, spec.marks, stream(seed, 0, r)))
+        replayed += paths[-1].times.size
+        if replayed >= cap:
+            break
+    worst, underflow = reference_check(t, h, spec, paths)
+    return worst, len(paths), underflow
+
+
+def batch_flows(t, h, spec, paths):
+    """Every path's (x, y) rows from the batched replay, in path order."""
+    x = np.full((len(paths), h.values.size), np.nan)
+    y = x.copy()
+    seen = []
+    for rows, xb, yb in multiplicative._flow_blocks(t, h, spec, paths):
+        x[rows], y[rows] = xb, yb
+        seen.extend(rows.tolist())
+    assert sorted(seen) == list(range(len(paths)))
+    return x, y
+
+
+def hex_rows(a):
+    return [[v.hex() for v in row] for row in a.tolist()]
+
+
+@st.composite
+def replay_cases(draw):
+    """1-3 admissible marks on 1-300 modes (rates scaled up to make the
+    flows overflow), t = 0, small or large, 1-50 jump paths on [0, t] with
+    some paths jump-free and at times one long path, and a block size from
+    below one row to beyond the whole batch."""
+    n_modes = draw(st.integers(1, 300))
+    n_marks = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    system, h, marks = random_jump_case(seed, n_modes, n_marks)
+    scale = draw(st.sampled_from([1.0, 100.0]))
+    marks = tuple(JumpMark(m.values, m.rate * scale) for m in marks)
+    spec = MultLevySpec(system, marks, 0.05, draw(st.sampled_from([1e-3, 0.05, 0.9])))
+    t = draw(st.sampled_from([0.0, 1e-3, 0.7, 40.0]))
+    rng = np.random.default_rng(seed)
+    n_paths = draw(st.integers(1, 50))
+    counts = rng.poisson(draw(st.sampled_from([0.5, 4.0])), n_paths)
+    counts[rng.random(n_paths) < 0.2] = 0
+    if draw(st.booleans()):
+        counts[rng.integers(n_paths)] = draw(st.integers(50, 1500))
+    paths = [JumpRealization(t, np.sort(rng.uniform(0.0, t, c)), rng.integers(0, n_marks, c))
+             for c in counts.tolist()]
+    block_entries = draw(st.one_of(st.integers(1, 2 * n_modes), st.just(2 ** 20)))
+    return t, h, spec, paths, block_entries
+
+
+class TestBatchedReplayEqualsThePathLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(case=replay_cases())
+    def test_rows_worst_and_underflow_are_bit_identical(self, case):
+        t, h, spec, paths, block_entries = case
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"), \
+                mock.patch.object(multiplicative, "_BLOCK_ENTRIES", block_entries):
+            x, y = batch_flows(t, h, spec, paths)
+            worst, underflow = levy_pathwise_check(t, h, spec, paths)
+            want_x = [reference_stochexp_from_jumps(t, h, spec, j) for j in paths]
+            want_y = [reference_flow_oracle(t, h, spec, j) for j in paths]
+            want = reference_check(t, h, spec, paths)
+        assert hex_rows(x) == hex_rows(np.array(want_x))
+        assert hex_rows(y) == hex_rows(np.array(want_y))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            assert hex_rows(levy_flow_oracle(t, h, spec, paths[0])[None]) == hex_rows(y[:1])
+        assert (worst.hex(), underflow) == (want[0].hex(), want[1])
+
+    def test_a_path_whose_gap_is_nan_is_skipped_as_in_the_loop(self):
+        # drift 80 over t = 10: the jump-free path overflows both flows and
+        # inf - inf is NaN; 100 jumps of factor 0.19 keep the other finite.
+        # The loop's max() passed over the NaN path, and so must the batch.
+        system = EigenSystem.from_lambdas([1.0, 2.0])
+        h = ModeCoefficients(system, np.array([1.0, 0.0]))
+        spec = MultLevySpec(system, (JumpMark(np.array([-0.9, 0.0]), 100.0),), 0.05, 0.9)
+        paths = [JumpRealization(10.0, np.array([]), np.array([], dtype=int)),
+                 JumpRealization(10.0, np.linspace(0.05, 9.95, 100), np.zeros(100, dtype=int))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = batch_flows(10.0, h, spec, paths)
+            got = levy_pathwise_check(10.0, h, spec, paths)
+            want = reference_check(10.0, h, spec, paths)
+        assert np.isinf(x[0, 0]) and np.isinf(y[0, 0]) and np.all(np.isfinite(x[1]))
+        assert 0.0 < want[0] < 1e-10
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_paths=st.integers(2, 1200),
+           cap=st.sampled_from([5, 60, 10 ** 6]), t=st.sampled_from([0.0, 0.05, 0.8, 1.6]))
+    def test_levy_check_meta_equals_the_runner_loop(self, seed, n_paths, cap, t):
+        cfg = {"schema_version": 1, "lambdas": [1.0, 4.0, 9.0], "initial": [1.0, 0.0, -0.5],
+               "marks": [{"values": [0.3, 0.15, 0.1], "rate": 2.0},
+                         {"values": [-0.2, 0.1, -0.05], "rate": 1.0}],
+               "eta": 0.05, "eps": 0.05, "t": t, "n_paths": n_paths, "master_seed": seed}
+        system, _, spec = levy_setup()
+        h = ModeCoefficients(system, np.array(cfg["initial"]))
+        with tempfile.TemporaryDirectory() as d, \
+                mock.patch.object(cli, "MAX_EXPECTED_JUMPS", cap):
+            path = f"{d}/levy.json"
+            with open(path, "w") as f:
+                json.dump(cfg, f)
+            assert cli.main(["levy-check", "--config", path, "--out", d]) in (0, 1)
+            with open(f"{d}/levy_check.json") as f:
+                meta = json.load(f)["meta"]
+        worst, paths, underflow = reference_replay(t, h, spec, seed, n_paths, cap)
+        assert meta["pathwise_worst_relative"].hex() == worst.hex()
+        assert (meta["pathwise_paths"], meta["pathwise_underflow_paths"]) == (paths, underflow)
+
+    def test_replay_memory_at_the_path_entry_edge(self):
+        # 1,000 replayed paths x 50,000 modes is MAX_PATH_ENTRIES: the two
+        # full (paths, modes) flows would take 800 MB
+        n = 50_000
+        assert 1000 * n == cli.MAX_PATH_ENTRIES
+        system = EigenSystem.from_lambdas(np.arange(1.0, n + 1) * 1e-3)
+        z = 1.0 / np.arange(1.0, n + 1)
+        z *= 0.5 / np.linalg.norm(z)
+        marks = (JumpMark(z, 2.0), JumpMark(-0.6 * z, 1.0))
+        spec = MultLevySpec(system, marks, 0.05, 0.05)
+        h = ModeCoefficients(system, np.ones(n))
+        paths = [sample_jump_realization(0.5, marks, stream(0, 0, r)) for r in range(1000)]
+        tracemalloc.start()
+        try:
+            worst, underflow = levy_pathwise_check(0.5, h, spec, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert worst <= 1e-10 and underflow == 0

@@ -313,6 +313,17 @@ class TestShiftAndHomogeneity:
         assert res["pass"]
         assert res["lower"] <= res["estimate"] <= res["upper"] + 4 * res["se"]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the sorted estimator between two independent samples is biased upward "
+        "by their empirical-measure distance, which 4 se of 20 repetitions of "
+        "that same estimator cannot cover; at u = 2 the bias is hidden"))
+    def test_shift_linearity_at_u_0(self):
+        # wasserstein-test with {"u": 0, "p_grid": [2]} at master_seed 0:
+        # estimate 0.0085 against 4 se = 0.0018, exit 1
+        res = shift_linearity_check(0.0, lambda n, r: r.standard_normal(n),
+                                    2.0, 100_000, stream(0, 7, 0))
+        assert res["pass"], res
+
     def test_homogeneity(self):
         for p in (2.0, 0.5):
             res = homogeneity_check(3.0, lambda n, r: r.standard_normal(n),
@@ -333,6 +344,30 @@ class TestShiftAndHomogeneity:
                                 p, n, stream(seed, 8, 0))
         assert res["pass"], res
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        p=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+        c=st.sampled_from([3.0, -3.0, 0.1, 7.5e3]),
+    )
+    def test_homogeneity_equals_the_three_sort_body(self, seed, n, p, c):
+        # ties, signed zeros and subnormals that c = 0.1 rounds to +-0
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -1e-320])
+        samples = []
+        for _ in range(2):
+            x = rng.uniform(-1e3, 1e3, n)
+            x[rng.random(n) < 0.2] = x[0]
+            pick = rng.random(n) < 0.3
+            x[pick] = rng.choice(special, int(pick.sum()))
+            samples.append(x)
+        it_new, it_old = iter([s.copy() for s in samples]), iter([s.copy() for s in samples])
+        got = homogeneity_check(c, lambda k, r: next(it_new), p, n, None)
+        want = reference_homogeneity_check(c, lambda k, r: next(it_old), p, n, None)
+        assert {k: v.hex() if isinstance(v, float) else v for k, v in got.items()} \
+            == {k: v.hex() if isinstance(v, float) else v for k, v in want.items()}
+
     def test_homogeneity_catches_a_wrong_factor(self, monkeypatch):
         # |c| in place of |c|^p at p = 1/2: off by O(1), far above the budget
         monkeypatch.setattr(wasserstein, "concentration_exponent", lambda p: 1.0)
@@ -349,3 +384,25 @@ class TestShiftAndHomogeneity:
         shifted = wp_empirical_1d(x + 5.0, y + 5.0, 2.0)
         assert shifted == pytest.approx(base, rel=1e-12)
 
+
+
+def reference_homogeneity_check(c, law_sampler, p, n, rng):
+    """homogeneity_check as it sorted each sample three times: in both
+    estimates and again for the rounding budget."""
+    xs = law_sampler(n, rng)
+    ys = law_sampler(n, rng) + 1.0
+    base = wp_empirical_1d(xs, ys, p)
+    scaled = wp_empirical_1d(c * xs, c * ys, p)
+    factor = abs(c) ** concentration_exponent(p)
+    u = 2.0 ** -53
+    delta = 3.0 * u * abs(c) * (np.abs(np.sort(xs)) + np.abs(np.sort(ys)))
+    if p >= 1.0:
+        pairwise = float(np.mean(delta ** p) ** (1.0 / p))
+    else:
+        pairwise = float(np.mean(delta ** p))
+    ceil_log2_n = (n - 1).bit_length()
+    evaluation = (ceil_log2_n + 25) * u * (scaled + factor * base)
+    budget = (1.0 + 2.0 ** -40) * (pairwise + evaluation)
+    diff = scaled - factor * base
+    return {"estimate": diff, "budget": budget, "factor": factor,
+            "pass": bool(abs(diff) <= budget)}
