@@ -42,6 +42,7 @@ from .errors import (
 from .spectral_core import (
     EigenSystem,
     ModeCoefficients,
+    WaveSpectrum,
     build_box_eigensystem,
     heat_leading_data,
     wave_decompose,
@@ -299,6 +300,22 @@ def _wave_setup(cfg: dict):
     return wsp, wave_decompose(wsp, u.values, w.values), _noise_spec(cfg, system)
 
 
+def _wave_rho_grid(cfg: dict, eps_grid: list[float], rate: float,
+                   wsp: WaveSpectrum) -> list[float]:
+    """rho_grid, each t = t_eps + rho (t_eps at ``rate``) checked to keep t
+    and every oscillatory phase theta_k t finite: the mode propagators
+    take their cosines."""
+    rho_grid = _float_list(cfg, "rho_grid", "")
+    theta = float(wsp.theta.max(initial=0.0))
+    for k, rho in enumerate(rho_grid):
+        for eps in eps_grid:
+            t = cutoff_time(eps, rate) + rho
+            if not math.isfinite(theta * t):  # 0 * inf is NaN: t is checked too
+                raise ConfigError(f"/rho_grid/{k}", f"t_eps + rho = {t:g} at eps = {eps:g}: "
+                                  "it and every oscillation phase theta_k t must be finite")
+    return rho_grid
+
+
 def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "exact wave profile")
@@ -306,7 +323,7 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     constants = decay_constants("wave", wave_spec=wsp)
     moment = wave_abs_moment_surrogate(spec, wsp)
     eps_grid = _eps_grid(cfg)
-    rho_grid = _float_list(cfg, "rho_grid", "")
+    rho_grid = _wave_rho_grid(cfg, eps_grid, leader.rate, wsp)
     report = CutoffReport(meta={"rate": leader.rate, "shape_norm": leader.shape_norm,
                                 "leader_case": leader.case})
     return report.add_grid("wave-overdamped", p, rho_grid, eps_grid, profile_cell(
@@ -318,7 +335,7 @@ def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "wave window")
     eps_grid = _eps_grid(cfg)
-    rho_grid = _float_list(cfg, "rho_grid", "")
+    rho_grid = _wave_rho_grid(cfg, eps_grid, 0.5 * wsp.gamma, wsp)
     return CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
         "wave-window", p, rho_grid, eps_grid, window_cell(z, spec))
 

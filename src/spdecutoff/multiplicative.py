@@ -33,6 +33,11 @@ from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data
 # independently of the path count.
 _BLOCK_ENTRIES = 2 ** 20
 
+# Key spans up to this many times the path count are relabelled to dense ids
+# through a presence table (:func:`_dense_ids`); wider ones through np.unique.
+_TABLE_FACTOR = 4
+_INT64_MAX = 2 ** 63 - 1
+
 
 @dataclass(frozen=True)
 class MultBrownianSpec:
@@ -368,6 +373,47 @@ def levy_pathwise_check(t: float, h: ModeCoefficients, spec: MultLevySpec,
     return worst, underflow
 
 
+def _dense_ids(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Ids 0..n-1 of the n distinct values of ``key``, ints in [0, span), in
+    increasing key order, and n: through a presence table when the span is
+    at most ``_TABLE_FACTOR`` times the key count, else through np.unique."""
+    if span <= _TABLE_FACTOR * key.size:
+        present = np.zeros(span, dtype=bool)
+        present[key] = True
+        ids = np.cumsum(present)
+        ids -= 1
+        return ids[key], int(ids[-1]) + 1
+    values, ids = np.unique(key, return_inverse=True)
+    return ids, values.size
+
+
+def _group_count_vectors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, first) for the columns of the (n_marks, size) count matrix:
+    dense ids, equal exactly for equal columns, and one column index per id.
+
+    Mark by mark, the counts fold into the ids so far as the key
+    ids * radix + (c - min c), radix = max c - min c + 1, which is then
+    relabelled to dense ids: the key stays below size * radix, and with
+    narrow counts every relabelling is an O(size) table pass, no sort.
+    """
+    size = counts.shape[1]
+    ids = np.zeros(size, dtype=np.int64)
+    if size == 0:
+        return ids, ids
+    n_ids = 1
+    for c in counts:
+        lo = int(c.min())
+        radix = int(c.max()) - lo + 1
+        key = c - lo
+        if n_ids * radix > _INT64_MAX:  # counts spread wider than 2^63 / size
+            key, radix = _dense_ids(key, radix)
+        key += ids * radix
+        ids, n_ids = _dense_ids(key, n_ids * radix)
+    first = np.empty(n_ids, dtype=np.int64)
+    first[ids] = np.arange(size)
+    return ids, first
+
+
 def levy_stochexp_batch(
     t: float, h: ModeCoefficients, spec: MultLevySpec,
     rng: np.random.Generator, size: int,
@@ -375,37 +421,31 @@ def levy_stochexp_batch(
     """(size,) exact draws of |X_t(h)|^2.
 
     The flow depends on a path only through its jump count per mark, so the
-    batch draws one Poisson array per mark and evaluates
-    sum_j (h_j exp(theta_j))^2 once per distinct count vector, in blocks of
-    at most ``_BLOCK_ENTRIES`` modes x rows: memory stays O(size + n_modes).
+    batch draws one Poisson array per mark, groups equal count vectors
+    without a sort (:func:`_group_count_vectors`) and evaluates
+    sum_j (h_j exp(theta_j))^2 once per distinct vector, in blocks of at
+    most ``_BLOCK_ENTRIES`` modes x rows: memory stays O(size + n_modes).
     Each value is bit-identical to the full (size, n_modes) evaluation.
     """
     lam = spec.system.lambdas
-    counts = np.empty((size, len(spec.marks)), dtype=np.int64)
+    counts = np.empty((len(spec.marks), size), dtype=np.int64)
     for mi, m in enumerate(spec.marks):
-        counts[:, mi] = rng.poisson(m.rate * t, size=size)
-    # equal count vectors become neighbours; new_row marks the first of each
-    order = np.lexsort(counts.T)
-    counts = counts[order]
-    new_row = np.empty(size, dtype=bool)
-    new_row[:1] = True
-    np.any(counts[1:] != counts[:-1], axis=1, out=new_row[1:])
-    distinct = counts[new_row]
+        counts[mi] = rng.poisson(m.rate * t, size=size)
+    ids, first = _group_count_vectors(counts)
+    distinct = counts[:, first]
     del counts
     base = (-lam - spec.compensator_drift()) * t
     logs = [np.log1p(spec.eps * m.values) for m in spec.marks]
     rows = max(1, _BLOCK_ENTRIES // lam.size)
-    sq = np.empty(len(distinct))
-    for lo in range(0, len(distinct), rows):
-        block = distinct[lo:lo + rows]
-        theta = np.broadcast_to(base, (len(block), lam.size)).copy()
+    sq = np.empty(first.size)
+    for lo in range(0, first.size, rows):
+        block = distinct[:, lo:lo + rows]
+        theta = np.broadcast_to(base, (block.shape[1], lam.size)).copy()
         for mi, log_m in enumerate(logs):
-            theta += block[:, mi, None] * log_m[None, :]
+            theta += block[mi, :, None] * log_m[None, :]
         # in place: exp(theta) * h, then squared, as (h * exp(theta)) ** 2
         np.exp(theta, out=theta)
         theta *= h.values
         theta **= 2
         sq[lo:lo + rows] = np.sum(theta, axis=1)
-    out = np.empty(size)
-    out[order] = sq[np.cumsum(new_row) - 1]
-    return out
+    return sq[ids]

@@ -187,9 +187,13 @@ def sample_jump_realization(
         raise DegenerateNoiseError("spec has no jump part")
     rate = float(sum(m.rate for m in marks))
     n = rng.poisson(rate * t)
-    times = np.sort(rng.uniform(0.0, t, size=n))
-    probs = np.array([m.rate for m in marks]) / rate
-    idx = rng.choice(len(marks), size=n, p=probs)
+    times = rng.uniform(0.0, t, size=n)
+    times.sort()
+    # rng.choice(len(marks), size=n, p=probs) without its argument checks:
+    # the same normalised cdf, uniforms and int64 indices
+    cdf = (np.array([m.rate for m in marks]) / rate).cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(n), side="right")
     return JumpRealization(t=t, times=times, mark_indices=idx)
 
 

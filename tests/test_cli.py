@@ -279,6 +279,35 @@ class TestConfigValidation:
         assert "error: zero state has no oscillatory content" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, cfg", [("wave-window", WAVE_WINDOW_CFG),
+                                              ("wave-profile", WAVE_PROFILE_CFG)])
+    @pytest.mark.parametrize("rho_grid, k", [([1.7e308], 0), ([0.0, 1.0, 1.7e308], 2),
+                                             ([-1.7e308], 0)])
+    def test_a_rho_with_an_infinite_phase_exits_2(self, tmp_path, capsys, command, cfg,
+                                                  rho_grid, k):
+        # theta_k (t_eps + rho) overflows, and math.cos(inf) raises ValueError
+        path = write_cfg(tmp_path, "rho.json", cfg | {"rho_grid": rho_grid})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: /rho_grid/{k}: t_eps + rho = ")
+        assert "every oscillation phase theta_k t must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        # t_eps = |ln 1e-4| / (gamma / 2) = 9.2e305, every mode oscillatory
+        ("wave-window", WAVE_WINDOW_CFG | {"gamma": 2e-305, "rho_grid": [1.797e308]}),
+        # t_eps = 9.3e299 and no oscillatory mode: the phase is 0 * inf
+        ("wave-profile", WAVE_PROFILE_CFG | {
+            "dims": [[1e150, 2]], "gamma": 1.0, "rho_grid": [1.7976931348623e308],
+            "initial": {"position": [1.0], "velocity": [0.0]}}),
+    ])
+    def test_an_overflowing_cutoff_time_exits_2(self, tmp_path, capsys, command, cfg):
+        # t_eps + rho rounds up to inf
+        path = write_cfg(tmp_path, "t.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "error: /rho_grid/0: t_eps + rho = inf at eps = 0.0001" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test", "selftest"])
     def test_negative_seed_argument_exits_2(self, capsys, command):
         argv = [command, "--seed", "-1"]
@@ -306,7 +335,7 @@ OVERFLOWING_HEAT_CFG = heat_cfg(dims=[[5.0, 4]], initial=[0, 1],
 # Replacement values of the config fuzz test; DELETE removes the member.
 DELETE = object()
 FUZZ_VALUES = [None, True, "x", [], {}, [[]], math.nan, math.inf, -math.inf,
-               -1, 0, 0.5, 2.5, 1e300, DELETE]
+               -1, 0, 0.5, 2.5, 1e300, 1.7e308, DELETE]
 
 # Every runner on a valid config, with small sample counts.
 FUZZ_CONFIGS = [

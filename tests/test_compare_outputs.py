@@ -4,9 +4,12 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 import compare_outputs  # noqa: E402
 import workloads  # noqa: E402  (perfbench/, put on the path by compare_outputs)
 
@@ -55,3 +58,29 @@ def test_spectrum_command_writes_the_eigensystem_json(tmp_path):
         dims = json.load(f)["dims"]
     with open(argv[4]) as f:
         assert f.read() == build_box_eigensystem(dims).to_json() + "\n"
+
+
+def pycache_dirs(tree):
+    return [dirpath for dirpath, _, _ in os.walk(tree) if os.path.basename(dirpath) == "__pycache__"]
+
+
+def test_a_run_writes_no_bytecode_into_either_tree(tmp_path, monkeypatch, capsys):
+    trees = [tmp_path / side for side in compare_outputs.SIDES]
+    for tree in trees:
+        shutil.copytree(os.path.join(ROOT, "src", "spdecutoff"), tree / "spdecutoff",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(workloads, "WORKLOADS", ("wave-window",))
+    assert compare_outputs.main([str(t) for t in trees] + ["--seeds", "0"]) == 0
+    assert capsys.readouterr().out.endswith("of 1 workloads; 0 faults\n")
+    assert pycache_dirs(tmp_path) == []
+
+
+def test_importing_the_workloads_writes_no_bytecode(tmp_path):
+    for sub, name in (("tools", "compare_outputs.py"), ("perfbench", "workloads.py")):
+        (tmp_path / sub).mkdir()
+        shutil.copy(os.path.join(ROOT, sub, name), tmp_path / sub / name)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, str(tmp_path / "tools" / "compare_outputs.py"), "--help"],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    assert pycache_dirs(tmp_path) == []

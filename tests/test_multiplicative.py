@@ -38,6 +38,7 @@ from spdecutoff.errors import (
 )
 from spdecutoff import cli, multiplicative
 from spdecutoff.multiplicative import (
+    _group_count_vectors,
     _log_space_root_sum,
     levy_stochexp_batch,
     mult_distance_to_zero,
@@ -440,6 +441,50 @@ class TestLevyBatchEqualsDense:
         got = levy_stochexp_batch(t, h, spec, stream(4, 1), size)
         assert got.tobytes() == dense_levy_sq(t, h, spec, stream(4, 1), size).tobytes()
 
+    def assert_equals_dense(self, t, spec, size, seed=0):
+        h = ModeCoefficients(spec.system, np.linspace(1.0, -0.5, spec.system.n_modes))
+        got = levy_stochexp_batch(t, h, spec, stream(seed, 1), size)
+        assert got.tobytes() == dense_levy_sq(t, h, spec, stream(seed, 1), size).tobytes()
+
+    def test_a_key_span_above_the_table_falls_back_to_unique(self):
+        # rate * t = 5,000: 200 paths spread each mark over about 400 counts,
+        # and two marks give a key span of about 80,000 > 4 * 200
+        system, _, marks = random_jump_case(11, 8, 2)
+        spec = MultLevySpec(system, tuple(JumpMark(m.values, 5000.0) for m in marks),
+                            0.05, 1e-3)
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            self.assert_equals_dense(1.0, spec, 200)
+        assert unique.called
+
+    def test_folding_without_relabelling_would_pass_2_63(self):
+        system, _, marks = random_jump_case(12, 8, 8)
+        spec = MultLevySpec(system, tuple(JumpMark(m.values, 5000.0) for m in marks),
+                            0.05, 1e-3)
+        rng = stream(0, 1)
+        radices = [np.ptp(rng.poisson(5000.0, size=200)) + 1 for _ in marks]
+        assert math.prod(int(r) for r in radices) > 2 ** 63
+        self.assert_equals_dense(1.0, spec, 200)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_a_mark_without_jumps(self, t):
+        # at t = 0 every mark is all zeros; at t = 1 only the 1e-9 rate mark
+        system, _, marks = random_jump_case(13, 5, 3)
+        marks = marks[:2] + (JumpMark(marks[2].values, 1e-9),)
+        spec = MultLevySpec(system, marks, 0.05, 0.1)
+        self.assert_equals_dense(t, spec, 5000)
+
+    def test_no_paths(self):
+        system, _, marks = random_jump_case(14, 3, 2)
+        self.assert_equals_dense(1.0, MultLevySpec(system, marks, 0.05, 0.1), 0)
+
+    def test_the_table_branch_neither_sorts_nor_calls_unique(self):
+        system, h, marks = monte_carlo_case(0)
+        spec = MultLevySpec(system, marks, 0.05, 0.05)
+        refuse = mock.Mock(side_effect=AssertionError("sorted the count vectors"))
+        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse):
+            got = levy_stochexp_batch(2.0, h, spec, stream(7, 1), 200_000)
+        assert got.tobytes() == dense_levy_sq(2.0, h, spec, stream(7, 1), 200_000).tobytes()
+
     def test_memory_is_linear_in_the_path_count(self):
         # the full matrix at this size takes about 300 MB
         system, h, marks = monte_carlo_case(0)
@@ -467,6 +512,28 @@ class TestLevyBatchEqualsDense:
         sq = dense_levy_sq(cfg["t"], h, spec, stream(0, 1), cfg["n_paths"])
         assert meta["mc_second_moment"] == float(np.mean(sq))
         assert meta["mc_se"] == float(np.std(sq, ddof=1) / math.sqrt(sq.size))
+
+
+class TestGroupCountVectors:
+    @settings(max_examples=300)
+    @given(columns=st.lists(st.lists(st.sampled_from([0, 1, 7, 2 ** 40, 2 ** 62, 2 ** 63 - 1]),
+                                     min_size=3, max_size=3), min_size=0, max_size=40),
+           n_marks=st.integers(1, 3))
+    def test_equal_ids_exactly_for_equal_columns(self, columns, n_marks):
+        counts = np.array(columns, dtype=np.int64).reshape(-1, 3)[:, :n_marks].T.copy()
+        ids, first = _group_count_vectors(counts)
+        n_distinct = len({tuple(c) for c in counts.T.tolist()})
+        assert ids.dtype == first.dtype == np.int64
+        assert first.size == n_distinct and sorted(set(ids.tolist())) == list(range(n_distinct))
+        assert np.array_equal(counts[:, first[ids]], counts)
+
+    def test_counts_wider_than_2_63_over_the_ids_are_relabelled_first(self):
+        # the second row: 3 ids so far times a radix of 2^62 + 1 passes 2^63
+        big = 2 ** 62
+        counts = np.array([[0, big, 0, big, 5], [big, 0, big, 3, 0]], dtype=np.int64)
+        ids, first = _group_count_vectors(counts)
+        assert ids[0] == ids[2] and len(set(ids.tolist())) == 4 == first.size
+        assert np.array_equal(counts[:, first[ids]], counts)
 
 
 # --------------------------------------------------------------------------

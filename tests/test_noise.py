@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -245,6 +246,68 @@ class TestLevyConvolution:
                   for r in range(4000)]
         mean = np.mean(counts)
         assert abs(mean - 10.0) <= 4.0 * math.sqrt(10.0 / 4000)
+
+
+def reference_jump_realization(t, marks, rng):
+    """The (times, mark_indices) of sample_jump_realization as drawn through
+    Generator.choice, kept as the byte-for-byte reference."""
+    rate = float(sum(m.rate for m in marks))
+    n = rng.poisson(rate * t)
+    times = np.sort(rng.uniform(0.0, t, size=n))
+    probs = np.array([m.rate for m in marks]) / rate
+    return times, rng.choice(len(marks), size=n, p=probs)
+
+
+def first_mark_uniform(t, rate, seed):
+    """The uniform that picks the first jump's mark on stream(seed, 0) at
+    total rate ``rate``: the Poisson count and the times are drawn first."""
+    rng = stream(seed, 0)
+    n = rng.poisson(rate * t)
+    rng.uniform(0.0, t, size=n)
+    assert n > 0
+    return float(rng.random(n)[0])
+
+
+class TestJumpRealizationEqualsChoice:
+    def assert_equals_choice(self, t, rates, seed):
+        marks = tuple(JumpMark(np.array([0.5]), r) for r in rates)
+        want_rng, got_rng = stream(seed, 0), stream(seed, 0)
+        times, idx = reference_jump_realization(t, marks, want_rng)
+        got = sample_jump_realization(t, marks, got_rng)
+        assert got.times.tobytes() == times.tobytes()
+        assert got.mark_indices.dtype == idx.dtype == np.int64
+        assert got.mark_indices.tobytes() == idx.tobytes()
+        # Philox's state holds arrays: compare the reprs, every word in full
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        return got
+
+    @settings(max_examples=300)
+    @given(log10_rates=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+           t=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, log10_rates, t, seed):
+        self.assert_equals_choice(t, [10.0 ** e for e in log10_rates], seed)
+
+    def test_a_uniform_on_a_cdf_step_draws_the_next_mark(self):
+        # total rate exactly 1: the cdf is (u, 1), and u itself is drawn
+        u = first_mark_uniform(2.0, 1.0, 3)
+        got = self.assert_equals_choice(2.0, [u, 1.0 - u], 3)
+        assert got.mark_indices[0] == 1
+
+    def test_the_cdf_is_normalised_before_the_search(self):
+        # total rate 3 and probabilities a/3, b/3, c/3 summing to 1 +- 1 ulp:
+        # the normalised first step is at most u, the raw one above it
+        u = first_mark_uniform(1.0, 3.0, 0)
+        a = math.nextafter(3.0 * u, -math.inf)
+        for _ in range(80):
+            a = math.nextafter(a, math.inf)
+            rates = [a, 0.1 * (3.0 - a), 3.0 - (a + 0.1 * (3.0 - a))]
+            cdf = (np.array(rates) / 3.0).cumsum()
+            if sum(rates) == 3.0 and cdf[0] / cdf[-1] <= u < cdf[0]:
+                break
+        else:
+            pytest.fail("no rates put u between the normalised and the raw step")
+        got = self.assert_equals_choice(1.0, rates, 0)
+        assert got.mark_indices[0] == 1
 
 
 class TestSpecValidation:

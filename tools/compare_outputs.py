@@ -6,14 +6,14 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 For each seed, the configs of every workload in ``perfbench/workloads.py``
 are written once, and each command runs in a fresh ``python -m
 spdecutoff.cli`` process per tree, with PYTHONPATH set to that tree (the two
-trees' processes run side by side).  Every config with ``dims`` also goes
-through the ``spectrum`` command, so the eigensystem JSON (eigenvalues and
-index map) is compared as well.  The script lists every CSV or JSON
-file that differs or exists on one side only and every non-zero exit, then
-prints a summary line; it exits 1 if it listed anything, 0 otherwise.  For a
-CSV present on both sides with the same rows, the line also gives the
-largest relative change of the ``renormalized``, ``profile`` and ``bound``
-columns and the number of ``pass`` flips.
+trees' processes run side by side and write no bytecode into either tree).
+Every config with ``dims`` also goes through the ``spectrum`` command, so
+the eigensystem JSON (eigenvalues and index map) is compared as well.  The
+script lists every CSV or JSON file that differs or exists on one side only
+and every non-zero exit, then prints a summary line; it exits 1 if it listed
+anything, 0 otherwise.  For a CSV present on both sides with the same rows,
+the line also gives the largest relative change of the ``renormalized``,
+``profile`` and ``bound`` columns and the number of ``pass`` flips.
 """
 from __future__ import annotations
 
@@ -28,7 +28,10 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+# neither perfbench/ nor the compared trees get a __pycache__ from this tool
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import workloads  # noqa: E402
+sys.dont_write_bytecode = _write_bytecode
 
 SIDES = ("parent", "change")
 
@@ -111,7 +114,7 @@ def run_commands(trees: dict, argvs: dict) -> list[str]:
     for i in range(len(argvs["parent"])):
         procs = {}
         for side in SIDES:
-            env = dict(os.environ, PYTHONPATH=trees[side])
+            env = dict(os.environ, PYTHONPATH=trees[side], PYTHONDONTWRITEBYTECODE="1")
             procs[side] = subprocess.Popen(
                 [sys.executable, "-m", "spdecutoff.cli", *argvs[side][i]], env=env,
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
