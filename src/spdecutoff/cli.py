@@ -42,7 +42,6 @@ from .errors import (
 from .spectral_core import (
     EigenSystem,
     ModeCoefficients,
-    WaveSpectrum,
     build_box_eigensystem,
     heat_leading_data,
     wave_decompose,
@@ -268,7 +267,7 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
         raise ConfigError("/error_bound_variant",
                           f"only the proven bound 'proof' is available, got {variant!r}")
     eps_grid = _eps_grid(cfg)
-    rho_grid = _float_list(cfg, "rho_grid", "")
+    rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leading.rate)
     delta_grid = _float_list(cfg, "delta_grid", "", required=False)
     for i, delta in enumerate(delta_grid or ()):
         if delta <= 0 or abs(delta - 1.0) <= 1e-12:
@@ -300,20 +299,36 @@ def _wave_setup(cfg: dict):
     return wsp, wave_decompose(wsp, u.values, w.values), _noise_spec(cfg, system)
 
 
-def _wave_rho_grid(cfg: dict, eps_grid: list[float], rate: float,
-                   wsp: WaveSpectrum) -> list[float]:
-    """rho_grid, each t = t_eps + rho (t_eps at ``rate``) checked to keep t
-    and every oscillatory phase theta_k t finite: the mode propagators
-    take their cosines."""
-    rho_grid = _float_list(cfg, "rho_grid", "")
-    theta = float(wsp.theta.max(initial=0.0))
+def _check_rho_grid(rho_grid: list[float], cutoffs, rate: float,
+                    what: str = "oscillation phase theta_k t") -> list[float]:
+    """``rho_grid``, each rho checked at every (eps, t_eps, theta) of
+    ``cutoffs``: t = t_eps + rho must be finite and >= 0, theta t finite
+    (theta the largest rate that a row multiplies by t: an oscillation
+    frequency theta_k, or 2 lambda_k of a log-space decay exponent), and
+    the profile factor e^{-rate rho} finite: the rows take their
+    exponentials and cosines."""
     for k, rho in enumerate(rho_grid):
-        for eps in eps_grid:
-            t = cutoff_time(eps, rate) + rho
+        for eps, t_eps, theta in cutoffs:
+            t = t_eps + rho
             if not math.isfinite(theta * t):  # 0 * inf is NaN: t is checked too
                 raise ConfigError(f"/rho_grid/{k}", f"t_eps + rho = {t:g} at eps = {eps:g}: "
-                                  "it and every oscillation phase theta_k t must be finite")
+                                  f"it{f' and every {what}' if theta else ''} must be finite")
+            if t < 0.0:
+                raise ConfigError(f"/rho_grid/{k}", f"t_eps + rho = {t:g} at eps = {eps:g}: "
+                                  "the time must be >= 0")
+        try:
+            math.exp(-rate * rho)
+        except OverflowError:
+            raise ConfigError(f"/rho_grid/{k}", f"the profile factor e^(-rate rho) overflows "
+                              f"at rate = {rate:g}, rho = {rho:g}") from None
     return rho_grid
+
+
+def _rho_grid(rho_grid: list[float], eps_grid: list[float], rate: float,
+              theta: float = 0.0) -> list[float]:
+    """:func:`_check_rho_grid` with t_eps = |ln eps| / ``rate``."""
+    return _check_rho_grid(rho_grid, [(eps, cutoff_time(eps, rate), theta) for eps in eps_grid],
+                           rate)
 
 
 def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
@@ -323,7 +338,8 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     constants = decay_constants("wave", wave_spec=wsp)
     moment = wave_abs_moment_surrogate(spec, wsp)
     eps_grid = _eps_grid(cfg)
-    rho_grid = _wave_rho_grid(cfg, eps_grid, leader.rate, wsp)
+    rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leader.rate,
+                         float(wsp.theta.max(initial=0.0)))
     report = CutoffReport(meta={"rate": leader.rate, "shape_norm": leader.shape_norm,
                                 "leader_case": leader.case})
     return report.add_grid("wave-overdamped", p, rho_grid, eps_grid, profile_cell(
@@ -335,9 +351,11 @@ def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "wave window")
     eps_grid = _eps_grid(cfg)
-    rho_grid = _wave_rho_grid(cfg, eps_grid, 0.5 * wsp.gamma, wsp)
+    rho_grid = _float_list(cfg, "rho_grid", "")
+    cell = window_cell(z, spec)  # a wrong case is reported before any rho
+    _rho_grid(rho_grid, eps_grid, 0.5 * wsp.gamma, float(wsp.theta.max(initial=0.0)))
     return CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
-        "wave-window", p, rho_grid, eps_grid, window_cell(z, spec))
+        "wave-window", p, rho_grid, eps_grid, cell)
 
 
 def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]):
@@ -369,13 +387,19 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     rho_grid = _float_list(cfg, "rho_grid", "")
     schedule = _get(cfg, "schedule", str, "", default="eps", required=False)
     try:
-        schedule_values(schedule, eps_grid)
+        a_desc = schedule_values(schedule, eps_grid)  # a(eps) for eps descending
     except ScheduleRejectedError as e:
         raise ConfigError("/schedule", str(e)) from e
     p = 2.0
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)
     specs = _mult_specs(cfg, system, kind, eps_grid)
+    if rho_grid:  # mult_profile's times: t_eps = |ln a(eps)| / lambda_1
+        l1 = heat_leading_data(h).lambda_lead
+        two_lam = 2.0 * float(system.lambdas[-1])
+        _check_rho_grid(rho_grid, [(e, abs(math.log(a)) / l1, two_lam) for e, a in
+                                   zip(sorted(eps_grid, reverse=True), a_desc)],
+                        l1, "decay exponent 2 lambda_k t")
     report.meta = {"schedule": schedule, "noise_kind": kind}
     for rho in rho_grid:
         rows = mult_profile(rho, h, specs, schedule)

@@ -105,7 +105,7 @@ def wave_mode_propagator(t: float, lam: float, gamma: float) -> np.ndarray:
     which is t e^{rt} at critical damping (s_0 = 0); for s_0^2 < 0, with
     theta^2 = -s_0^2, c = e^{-gamma t/2} cos(theta t) and
     s = e^{-gamma t/2} sin(theta t) / theta.  Entries are computed as Python
-    floats, which keeps a call at about 2 us: ``decay_constants`` makes
+    floats, which keeps a call at about 1 us: ``decay_constants`` makes
     grid_points x modes calls.
     """
     t = _check_time(t)
@@ -254,6 +254,26 @@ def decay_constants(
     (``WaveSpectrum.rate``; a critically damped slowest mode raises); C maximizes
     e^{rate t} |e^{t M_k}| over modes and a grid on [0, horizon_factor/rate],
     where M_k is the mode block conjugated into graph-norm coordinates.
+
+    Only a few (time, mode) pairs reach LAPACK.  Every pair is scored with the
+    closed-form 2x2 norm (|(a + d, c - b)| + |(a - d, b + c)|) / 2 times
+    np.exp(rate t).  A pair is kept when its score is not below (1 - 1e-12)
+    times the largest finite score so far (or 1, where the fold starts),
+    itself the score of a kept pair, and the SVD norms of each mode are taken
+    from its first kept pair to its last.  Both norms are of the same float
+    matrix and within a few ulp of its exact norm (the sums of exact entries,
+    hypot and dgesdd each err by an ulp or so), and np.exp and math.exp agree
+    to an ulp or two: a score and the folded product e^{rate t} |.| differ by
+    under 1e-14 relatively, plus 2^-1074 e^{rate t} <= 2^-50 per subnormal
+    rounding against a bar >= 1.  So every pair screened out folds to less
+    than a kept one, and since rounding is monotone, fl(e max_k s_k) =
+    max_k fl(e s_k): C is the unscreened fold's bit for bit.  A NaN or inf
+    entry gives a NaN or inf score, which is kept; the fold still visits
+    every time, so math.exp overflows as before, and a time whose norm is NaN
+    (an inf entry) drops out as before.  Such a time cannot have set the bar
+    from a finite score of another mode: graph-norm entries stay below about
+    lambda_k (1 + 1e-15), finite unless lambda_k > (1 - 2^-26) DBL_MAX, and
+    there damping_gap overflows, the t = 0 block is NaN and LAPACK raises.
     """
     if kind == "heat":
         if system is None:
@@ -268,21 +288,39 @@ def decay_constants(
         raise WrongCaseError("the slowest mode is critically damped: |S(t)| decays "
                              "like t e^{-gamma t/2}, no constant C exists")
     rate = sp.rate
+    grid = np.linspace(0.0, horizon_factor / rate, grid_points)
     lam = sp.system.lambdas
     scale = np.sqrt(1.0 + lam)
-    ts = np.linspace(0.0, horizon_factor / rate, grid_points).tolist()
-    # worst[i] = max over modes of |e^{t_i M_k}|; one mode's (grid_points, 2, 2)
-    # stack at a time, its spectral norms from one stacked SVD call
-    worst = np.zeros(len(ts))
-    M = np.empty((len(ts), 2, 2))
-    for lk, sk in zip(lam.tolist(), scale.tolist()):
-        for i, t in enumerate(ts):
+    with np.errstate(over="ignore"):
+        grow = 0.5 * np.exp(rate * grid)  # the closed form's 1/2 folded in
+    # worst[i] = max over modes of |e^{t_i M_k}| over the kept pairs, else 0
+    worst = np.zeros(grid.size)
+    bar = 1.0  # the largest finite score of a kept pair, or the fold's start
+    M = np.empty((grid.size, 2, 2))
+    score = np.empty(grid.size)
+    # memoryviews yield Python floats without building lists
+    for lk, sk in zip(memoryview(lam), memoryview(scale)):
+        for i, t in enumerate(memoryview(grid)):
             M[i] = wave_mode_propagator(t, lk, sp.gamma)
         # conjugate into coordinates where the graph norm is Euclidean
         M[:, 0, 1] /= sk
         M[:, 1, 0] *= sk
-        np.maximum(worst, np.linalg.norm(M, 2, axis=(-2, -1)), out=worst)
+        a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are kept
+            np.hypot(a + d, c - b, out=score)
+            score += np.hypot(a - d, b + c)
+            score *= grow
+        top = score.max(initial=0.0)
+        if top < math.inf:  # an inf or NaN top screens nothing
+            bar = max(bar, top)
+        keep = ~(score < bar * (1.0 - 1e-12))  # NaN stays in
+        if keep.any():
+            # the blocks from the first kept one to the last, a view of M: a
+            # norm more than needed only moves worst towards the unscreened one
+            span = slice(keep.argmax(), grid.size - keep[::-1].argmax())
+            np.maximum(worst[span], np.linalg.norm(M[span], 2, axis=(-2, -1)),
+                       out=worst[span])
     c_best = 1.0
-    for t, w in zip(ts, worst.tolist()):
+    for t, w in zip(memoryview(grid), memoryview(worst)):
         c_best = max(c_best, math.exp(rate * t) * w)
     return float(c_best), rate

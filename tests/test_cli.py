@@ -14,6 +14,7 @@ import spdecutoff.cli as cli
 from spdecutoff import (
     CutoffReport,
     JumpMark,
+    build_box_eigensystem,
     cutoff_time,
     decay_constants,
     error_bound,
@@ -23,6 +24,7 @@ from spdecutoff import (
     stream,
     wave_distance_and_gap,
     wave_overdamped_leader,
+    wave_spectrum,
     wave_subcritical_norm_sq,
 )
 from spdecutoff.cli import load_config, main, run_heat_profile
@@ -308,6 +310,53 @@ class TestConfigValidation:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "error: /rho_grid/0: t_eps + rho = inf at eps = 0.0001" in capsys.readouterr().err
 
+    # the four rho-grid commands, each with the rate of its profile factor
+    RHO_COMMANDS = [
+        ("heat-profile", heat_cfg(), 4.0),
+        ("wave-profile", WAVE_PROFILE_CFG,
+         wave_spectrum(10.0, build_box_eigensystem([(1.0, 6)])).rate),
+        ("wave-window", WAVE_WINDOW_CFG, 0.5),
+        ("mult-profile", MULT_CFG, 4.0),
+        ("mult-profile", LEVY_MULT_CFG, 4.0),
+    ]
+
+    @pytest.mark.parametrize("command, cfg, rate", RHO_COMMANDS)
+    @pytest.mark.parametrize("rho_grid, k", [([0.0, -1000.0], 1), ([-1e6, 0.0, -1000.0], 0),
+                                             ([0.0, 1.0, -1e300], 2)])
+    def test_a_rho_before_time_zero_exits_2(self, tmp_path, capsys, command, cfg, rate,
+                                            rho_grid, k):
+        # t_eps + rho < 0: before, a pointer-less time error, or an
+        # OverflowError traceback from e^{-lambda_1 rho} in mult-profile
+        path = write_cfg(tmp_path, "rho.json", cfg | {"rho_grid": rho_grid})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: /rho_grid/{k}: t_eps + rho = -")
+        assert err.endswith(": the time must be >= 0\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, rate", RHO_COMMANDS)
+    def test_an_overflowing_profile_factor_exits_2(self, tmp_path, capsys, command, cfg,
+                                                   rate):
+        # t = t_eps + rho >= 0 at both eps, but rate |rho| > ln DBL_MAX
+        rho = -0.99 * abs(math.log(1e-319)) / rate
+        path = write_cfg(tmp_path, "rho.json", cfg | {"eps_grid": [1e-319, 1e-320],
+                                                      "rho_grid": [0.0, rho]})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: /rho_grid/1: the profile factor e^(-rate rho) overflows")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg", [MULT_CFG, LEVY_MULT_CFG])
+    @pytest.mark.parametrize("rho_grid, k", [([1.7e308], 0), ([0.0, 1e307], 1)])
+    def test_an_overflowing_decay_exponent_exits_2(self, tmp_path, capsys, cfg, rho_grid, k):
+        # 2 lambda_k t overflows: the log-space sum gave NaN rows, exit 1
+        path = write_cfg(tmp_path, "rho.json", cfg | {"rho_grid": rho_grid})
+        assert main(["mult-profile", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: /rho_grid/{k}: t_eps + rho = ")
+        assert "every decay exponent 2 lambda_k t must be finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test", "selftest"])
     def test_negative_seed_argument_exits_2(self, capsys, command):
         argv = [command, "--seed", "-1"]
@@ -335,7 +384,7 @@ OVERFLOWING_HEAT_CFG = heat_cfg(dims=[[5.0, 4]], initial=[0, 1],
 # Replacement values of the config fuzz test; DELETE removes the member.
 DELETE = object()
 FUZZ_VALUES = [None, True, "x", [], {}, [[]], math.nan, math.inf, -math.inf,
-               -1, 0, 0.5, 2.5, 1e300, 1.7e308, DELETE]
+               -1, 0, 0.5, 2.5, 1e300, 1.7e308, -1e6, -1.7e308, DELETE]
 
 # Every runner on a valid config, with small sample counts.
 FUZZ_CONFIGS = [
@@ -717,12 +766,31 @@ def grid_configs(draw):
     return heat, wave
 
 
+NEGATIVE_TIME = "raises InvalidTimeError: time must be finite and >= 0, got "
+
+
+def assert_equal_walks(run, reference, cfg):
+    """``run`` and the reference walk give the same rows or the same error,
+    except where the walk meets a time below 0 in a row: the runner refuses
+    that rho before any row, at /rho_grid/<k> of the first such rho."""
+    outcome, expected = report_outcome(run, cfg), report_outcome(reference, cfg)
+    if isinstance(expected, str) and expected.startswith(NEGATIVE_TIME):
+        rho = cfg["rho_grid"]
+        k = next(k for k in range(len(rho)) if isinstance(
+            report_outcome(reference, cfg | {"rho_grid": rho[:k + 1]}), str))
+        t = float(expected[len(NEGATIVE_TIME):])
+        assert outcome.startswith(f"raises ConfigError: /rho_grid/{k}: t_eps + rho = {t:g} ")
+        assert outcome.endswith(": the time must be >= 0")
+    else:
+        assert outcome == expected
+    return outcome
+
+
 class TestOneGridLoop:
     @pytest.mark.parametrize("name", GRID_CASES)
     def test_rows_equal_the_reference_walks(self, name):
         (run, reference), cfg = GRID_CASES[name]
-        outcome = report_outcome(run, cfg)
-        assert outcome == report_outcome(reference, cfg)
+        outcome = assert_equal_walks(run, reference, cfg)
         assert isinstance(outcome, str) == (name == "wave-window-readme")
 
     @settings(max_examples=150, deadline=None)
@@ -731,7 +799,7 @@ class TestOneGridLoop:
         heat, wave = cfgs
         for (run, reference), cfg in [(HEAT_RUNNERS, heat), (WAVE_PROFILE_RUNNERS, wave),
                                       (WAVE_WINDOW_RUNNERS, wave)]:
-            assert report_outcome(run, cfg) == report_outcome(reference, cfg)
+            assert_equal_walks(run, reference, cfg)
 
 
 def wave_distance_oracle(t, eps, lam, gamma, q, u, w):

@@ -5,6 +5,8 @@ exponential applied to each 2x2 mode block and, near critical damping,
 mpmath's at 50 digits.
 """
 import math
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -484,3 +486,116 @@ class TestStackedDecayConstants:
         sp = wave_spectrum(10.0, EigenSystem.from_lambdas([9.0, 25.0]))
         c, rate = decay_constants("wave", wave_spec=sp, grid_points=200)
         assert rate == pytest.approx(1.0, rel=1e-15) and math.isfinite(c)
+
+
+def decay_constant_stacked(sp, horizon_factor=20.0, grid_points=2000):
+    """Reference for the screened wave branch of decay_constants: every
+    (time, mode) norm, one stacked SVD call per mode, the maximum over modes
+    per time, then the fold over times."""
+    rate = sp.rate
+    lam = sp.system.lambdas
+    scale = np.sqrt(1.0 + lam)
+    ts = np.linspace(0.0, horizon_factor / rate, grid_points).tolist()
+    worst = np.zeros(len(ts))
+    M = np.empty((len(ts), 2, 2))
+    for lk, sk in zip(lam.tolist(), scale.tolist()):
+        for i, t in enumerate(ts):
+            M[i] = wave_mode_propagator(t, lk, sp.gamma)
+        M[:, 0, 1] /= sk
+        M[:, 1, 0] *= sk
+        np.maximum(worst, np.linalg.norm(M, 2, axis=(-2, -1)), out=worst)
+    c_best = 1.0
+    for t, w in zip(ts, worst.tolist()):
+        c_best = max(c_best, math.exp(rate * t) * w)
+    return float(c_best), rate
+
+
+def decay_outcome(fn, sp, **kw):
+    """(C, rate) in hex, or the type and message of what ``fn`` raised."""
+    try:
+        c, rate = fn(sp, **kw)
+    except Exception as e:  # the comparison is the point: any type will do
+        return type(e), str(e)
+    return float.hex(c), float.hex(rate)
+
+
+def screened(sp, **kw):
+    return decay_constants("wave", wave_spec=sp, **kw)
+
+
+@st.composite
+def screen_cases(draw):
+    """A wave spectrum (1-40 modes, gamma in [0.1, 1e8], tied eigenvalues,
+    lambda / (gamma/2)^2 in [1e-4, 1e4]), and sometimes a critically damped
+    mode lambda = h^2 (exact: h an integer) behind a slower overdamped one."""
+    if draw(st.booleans()):
+        h = float(draw(st.integers(1, 5 * 10 ** 7)))
+        lams = [h * h, h * h * draw(st.floats(1e-4, 0.99))]
+    else:
+        h = 0.5 * 10.0 ** draw(st.floats(-1.0, 8.0))
+        lams = []
+    n = draw(st.integers(max(1, len(lams)), 40))
+    while len(lams) < n:
+        lams += [h * h * 10.0 ** draw(st.floats(-4.0, 4.0))] * draw(st.integers(1, 3))
+    return wave_spectrum(2.0 * h, EigenSystem.from_lambdas(lams[:n]))
+
+
+class TestScreenedDecayConstants:
+    @settings(max_examples=80, deadline=None)
+    @given(sp=screen_cases(), grid_points=st.sampled_from([1, 2, 3, 50, 2000]),
+           horizon_factor=st.sampled_from([1e-14, 0.5, 5.0, 20.0, 60.0]))
+    def test_matches_unscreened_in_hex(self, sp, grid_points, horizon_factor):
+        if sp.n_over and sp.s[0] == 0.0:
+            return  # a critically damped slowest mode raises before any grid
+        kw = {"grid_points": grid_points, "horizon_factor": horizon_factor}
+        assert decay_outcome(screened, sp, **kw) == decay_outcome(decay_constant_stacked,
+                                                                  sp, **kw)
+
+    @pytest.mark.parametrize("lams, gamma, kw", [
+        # lambda_1 overflows damping_gap: a NaN block at t = 0, LAPACK raises
+        ([1.0, sys.float_info.max], 1.0, {}),
+        # graph-norm entries near DBL_MAX but finite
+        ([1.0, sys.float_info.max / 2], 1.0, {}),
+        ([1.0, 1e308], 3.0, {}),
+        # e^{rate t} overflows in the fold: OverflowError
+        ([2.0, 9.0], 3.0, {"horizon_factor": 800.0}),
+        ([2.0, 9.0], 3.0, {"grid_points": 0}),
+    ])
+    def test_extremes_match_unscreened(self, lams, gamma, kw):
+        with np.errstate(over="ignore"):
+            sp = wave_spectrum(gamma, EigenSystem.from_lambdas(lams))
+        assert decay_outcome(screened, sp, **kw) == decay_outcome(decay_constant_stacked,
+                                                                  sp, **kw)
+
+    def norm_rows(self, monkeypatch):
+        """Record how many blocks each np.linalg.norm call gets."""
+        rows = []
+        norm = np.linalg.norm
+
+        def spy(x, *args, **kwargs):
+            rows.append(len(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        return rows
+
+    def test_screen_keeps_the_plateau_of_the_slowest_mode(self, monkeypatch):
+        # e^{rate t} |e^{t M_0}| settles to its limit within 1e-12 on most of
+        # the grid, so mode 0 keeps many times; each faster mode keeps its peak
+        sp = wave_spectrum(10.0, build_box_eigensystem([(1.0, 21)]))
+        rows = self.norm_rows(monkeypatch)
+        c, rate = decay_constants("wave", wave_spec=sp)
+        assert len(rows) == 21 and rows[0] > 1000 and rows[1:] == [1] * 20
+        ref = decay_constant_stacked(sp)
+        assert (float.hex(c), float.hex(rate)) == tuple(map(float.hex, ref))
+
+    def test_peak_memory_at_1001_modes(self):
+        sp = wave_spectrum(10.0, build_box_eigensystem([(1.0, 1001)]))
+        tracemalloc.start()
+        try:
+            decay_constants("wave", wave_spec=sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unscreened stacked form peaks at about 536 KB on the same call
+        assert peak <= 512 * 1024
