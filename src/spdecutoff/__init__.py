@@ -26,17 +26,18 @@ from .semigroup import (
 from .noise_sim import (
     JumpMark,
     NoiseSpec,
-    heat_convolution_sd,
+    GaussianLaw,
+    gaussian_law,
     heat_gaussian_convolution_law,
     wave_gaussian_convolution_law,
     sample_heat_levy_convolution,
     heat_levy_second_moment,
 )
 from .wasserstein import (
+    bures,
     w2_diag_gaussian,
     w2_gaussian_2x2,
     wp_empirical_1d,
-    w2_product,
     shift_bounds,
     shift_linearity_check,
     homogeneity_check,
@@ -47,8 +48,8 @@ from .cutoff import (
     profile,
     error_bound,
     profile_cell,
-    renormalized_distance_heat,
-    wave_distance_and_gap,
+    distance_and_gap,
+    equilibrium_moment,
     window_cell,
     cutoff_inequality_gap,
     large_data_identity,

@@ -50,16 +50,8 @@ from .spectral_core import (
 from .semigroup import decay_constants, wave_overdamped_leader
 from .noise_sim import JumpMark, NoiseSpec, sample_jump_realization
 from .wasserstein import homogeneity_check, shift_linearity_check
-from .cutoff import (
-    CutoffReport,
-    cutoff_time,
-    gaussian_abs_moment_surrogate,
-    profile_cell,
-    renormalized_distance_heat,
-    wave_abs_moment_surrogate,
-    wave_distance_and_gap,
-    window_cell,
-)
+from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_moment,
+                     profile_cell, window_cell)
 from .multiplicative import (
     MultBrownianSpec,
     MultLevySpec,
@@ -261,7 +253,6 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "exact heat profile")
     leading = heat_leading_data(h)
     constants = decay_constants("heat", system=system)
-    moment = gaussian_abs_moment_surrogate(spec)
     variant = _get(cfg, "error_bound_variant", str, "", default="proof", required=False)
     if variant != "proof":
         raise ConfigError("/error_bound_variant",
@@ -276,14 +267,26 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     report = CutoffReport(meta={"lambda_lead": leading.lambda_lead,
                                 "shape_norm": leading.shape_norm,
                                 "error_bound_variant": variant})
-    report.add_grid("heat-additive", p, rho_grid, eps_grid, profile_cell(
-        leading, p, lambda t, eps: renormalized_distance_heat(t, h, eps, spec),
-        constants, moment))
+    report.add_grid("heat-additive", p, rho_grid, eps_grid,
+                    profile_cell(leading, p, h, spec, constants))
     # simple cutoff at delta * t_eps: divergence for delta < 1, collapse for
     # delta > 1; no certificate yet, so bound 0 and pass by construction
-    return report.add_grid("heat-simple", p, delta_grid or (), eps_grid, lambda delta, eps: (
-        renormalized_distance_heat(delta * cutoff_time(eps, leading.rate), h, eps, spec),
-        0.0, 0.0, True))
+    return _finite(report.add_grid("heat-simple", p, delta_grid or (), eps_grid, lambda d, eps: (
+        distance_and_gap(d * cutoff_time(eps, leading.rate), h, eps, spec)[0], 0.0, 0.0, True)),
+                   spec)
+
+
+def _finite(report: CutoffReport, spec: NoiseSpec, wspec=None) -> CutoffReport:
+    """``report``, or exit 2 before any file is written when a row's distance,
+    profile or bound is not finite: at /noise/gaussian_q if the noise, else /initial."""
+    for r, key in ((r, k) for r in report.rows for k in ("renormalized", "profile", "bound")):
+        if not math.isfinite(r[key]):
+            if not math.isfinite(equilibrium_moment(spec, wspec)):
+                raise ConfigError("/noise/gaussian_q", "the equilibrium second moment "
+                                  "sum_k tr A_k is not finite")
+            raise ConfigError("/initial", f"the {key} at rho_or_delta = {r['rho_or_delta']:g}, "
+                              f"eps = {r['eps']:g} is {r[key]}: the data are too large")
+    return report
 
 
 def _wave_setup(cfg: dict):
@@ -336,15 +339,13 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "exact wave profile")
     leader = wave_overdamped_leader(z)
     constants = decay_constants("wave", wave_spec=wsp)
-    moment = wave_abs_moment_surrogate(spec, wsp)
     eps_grid = _eps_grid(cfg)
     rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leader.rate,
                          float(wsp.theta.max(initial=0.0)))
     report = CutoffReport(meta={"rate": leader.rate, "shape_norm": leader.shape_norm,
                                 "leader_case": leader.case})
-    return report.add_grid("wave-overdamped", p, rho_grid, eps_grid, profile_cell(
-        leader, p, lambda t, eps: wave_distance_and_gap(t, z, eps, spec)[0],
-        constants, moment))
+    return _finite(report.add_grid("wave-overdamped", p, rho_grid, eps_grid,
+                                   profile_cell(leader, p, z, spec, constants)), spec, wsp)
 
 
 def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
@@ -354,8 +355,8 @@ def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     rho_grid = _float_list(cfg, "rho_grid", "")
     cell = window_cell(z, spec)  # a wrong case is reported before any rho
     _rho_grid(rho_grid, eps_grid, 0.5 * wsp.gamma, float(wsp.theta.max(initial=0.0)))
-    return CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
-        "wave-window", p, rho_grid, eps_grid, cell)
+    return _finite(CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
+        "wave-window", p, rho_grid, eps_grid, cell), spec, wsp)
 
 
 def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]):
@@ -505,11 +506,11 @@ def run_selftest(seed: int) -> int:
     spec = NoiseSpec(system=system, gaussian_q=1.0 / np.arange(1, 9.0) ** 2)
     eps = 1e-6
     t = cutoff_time(eps, leading.rate)
-    d0 = renormalized_distance_heat(t, h, eps, spec)
+    d0 = distance_and_gap(t, h, eps, spec)[0]
     check("distance near profile at cutoff",
           abs(d0 - leading.shape_norm) < 0.1 * leading.shape_norm)
     t_8 = cutoff_time(1e-8, leading.rate)
-    pre, post = (renormalized_distance_heat(delta * t_8, h, 1e-8, spec) for delta in (0.5, 2.0))
+    pre, post = (distance_and_gap(delta * t_8, h, 1e-8, spec)[0] for delta in (0.5, 2.0))
     check("pre-cutoff large", pre > 1e3)
     check("post-cutoff small", post < 1e-3)
     wsys = build_box_eigensystem([(1.0, 4)])

@@ -23,25 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDomainError, WrongCaseError
-from .noise_sim import (
-    NoiseSpec,
-    _heat_sds,
-    heat_convolution_sd,
-    heat_gaussian_convolution_law,
-    wave_gaussian_convolution_law,
-)
-from .semigroup import (
-    _heat_flow,
-    heat_apply,
-    wave_apply,
-    wave_subcritical_norm_sq,
-)
-from .spectral_core import (
-    ModeCoefficients,
-    WaveSpectrum,
-    WaveState,
-)
-from .wasserstein import _w2_diag_sd, w2_diag_gaussian, w2_gaussian_2x2, w2_product
+from .noise_sim import NoiseSpec, gaussian_law, heat_gaussian_convolution_law
+from .semigroup import _heat_on_support, heat_apply, wave_apply, wave_subcritical_norm_sq
+from .spectral_core import ModeCoefficients, WaveState, root_sum_sq
+# w2_gaussian_2x2 is bound here, unused, so that a tracer that wraps each
+# module's names keeps covering the 2x2 closed form from this module.
+from .wasserstein import bures, w2_diag_gaussian, w2_gaussian_2x2  # noqa: F401
 
 
 def _check_eps(eps: float) -> float:
@@ -83,66 +70,49 @@ def error_bound(rho: float, eps: float, leader, c_star: float, rate: float,
                     * leader.amplitude)
 
 
-def profile_cell(leader, p: float, distance, constants: tuple[float, float],
-                 moment: float):
-    """The profile grid's cell at (rho, eps): the exact ``distance(t, eps)``
-    at t = t_eps + rho, the profile, the two-term certificate built from the
-    decay ``constants`` (C, rate) and the equilibrium ``moment``, and
-    whether the certificate holds."""
+def distance_and_gap(t: float, x, eps: float, spec: NoiseSpec) -> tuple[float, float]:
+    """The exact renormalized distance W2(X_t(x), equilibrium) / eps and the
+    noise gap W2(conv_t, conv_inf) for Gaussian forcing, at p = 2, of a heat
+    datum or (velocity forcing) a wave state ``x``.  Both laws are products
+    of mode blocks whose covariances carry eps^2, so dividing by eps leaves
+    W2(N(S(t)x/eps, A - D), N(0, A)) with the law of :func:`gaussian_law`,
+    the mean assembled in log space: (|(S(t)x/eps, g)|, |g|), g the blocks'
+    Bures distances, with neither root overflowing or underflowing first.
+    """
+    log_scale = -math.log(_check_eps(eps))
+    if isinstance(x, WaveState):
+        mean = wave_apply(t, x, log_scale).norm
+        law = gaussian_law(t, spec, x.spectrum)
+    else:  # the flow on the datum's support only, not a copy of all modes
+        mean = root_sum_sq(_heat_on_support(t, x, log_scale)[1])
+        law = gaussian_law(t, spec)
+    gap = root_sum_sq(bures(law.eq[:len(law.deficit)], law.deficit, law.cov))
+    return math.hypot(mean, gap), gap
+
+
+def equilibrium_moment(spec: NoiseSpec, wspec=None) -> float:
+    """Deterministic stand-in for E|equilibrium| at unit noise, heat or (with
+    ``wspec``) wave: the root second moment sqrt(sum_k tr A_k) in the graph
+    norm, an upper bound by Jensen."""
+    eq = gaussian_law(math.inf, spec, wspec).eq
+    return math.sqrt(float(np.sum(eq if eq.ndim == 1 else eq[:, 0, 0] + eq[:, 1, 1])))
+
+
+def profile_cell(leader, p: float, x, spec: NoiseSpec, constants: tuple[float, float]):
+    """The profile grid's cell at (rho, eps) for the datum or state ``x`` that
+    ``leader`` leads: the exact distance at t = t_eps + rho, the profile, the
+    two-term certificate built from the decay ``constants`` (C, rate) and
+    the equilibrium moment, and whether the certificate holds."""
+    moment = equilibrium_moment(spec, x.spectrum if isinstance(x, WaveState) else None)
+
     def cell(rho: float, eps: float):
         t = cutoff_time(eps, leader.rate) + rho
-        dist = distance(t, eps)
+        dist = distance_and_gap(t, x, eps, spec)[0]
         prof = profile(rho, leader, p)
         bound = error_bound(rho, eps, leader, *constants, moment)
         return dist, prof, bound, abs(dist - prof) <= bound
 
     return cell
-
-
-# --------------------------------------------------------------------------
-# Heat equation
-# --------------------------------------------------------------------------
-
-
-def renormalized_distance_heat(
-    t: float, h: ModeCoefficients, eps: float, spec: NoiseSpec
-) -> float:
-    """Exact W2(X_t(h), equilibrium)/eps for Gaussian forcing.
-
-    Both laws are mode-diagonal Gaussians whose covariances carry eps^2, so
-    dividing by eps leaves W2( N(S(t)h/eps, V_t), N(0, V_inf) ); the mean is
-    assembled in log space to survive cutoff-size times.
-
-    Only live prefixes are built: past the datum's support the mean is 0,
-    and past the unrelaxed modes sd_t equals sd_inf bit for bit, so the
-    squares summed there are +0.0.  Each vector stops at a node of NumPy's
-    summation tree that holds its live part, and both sums keep the bits of
-    the full-length ones.
-    """
-    eps = _check_eps(eps)
-    mean = _heat_flow(t, h, -math.log(eps), live=True)
-    return _w2_diag_sd(mean, *_heat_sds(t, spec, live=True))
-
-
-def heat_noise_gap(t: float, spec: NoiseSpec) -> float:
-    """W2 between the Gaussian convolution at time t and its equilibrium --
-    the exact width of the cutoff inequality.
-
-    Each mode's sd_inf - sd_t is taken from the variance deficit,
-    v_inf e^{-2 lambda t} / (sd_inf + sd_t), so it keeps its relative
-    accuracy where the two standard deviations agree to many digits.
-    """
-    sd_t = heat_convolution_sd(t, spec)
-    sd_sum = spec.heat_equilibrium_sd + sd_t
-    deficit = spec.heat_equilibrium_var * np.exp(-2.0 * spec.system.lambdas * t)
-    np.divide(deficit, sd_sum, out=deficit, where=sd_sum > 0)  # q_k = 0: deficit 0
-    return math.hypot(*deficit)  # scaled: squares of deficits below 1e-154 underflow
-
-
-def gaussian_abs_moment_surrogate(spec: NoiseSpec) -> float:
-    """Deterministic stand-in for E|equilibrium| at unit noise: the root
-    second moment sqrt(sum q_k / (2 lambda_k)), an upper bound by Jensen."""
-    return float(math.sqrt(np.sum(spec.heat_equilibrium_var)))
 
 
 def cutoff_inequality_gap(
@@ -154,44 +124,10 @@ def cutoff_inequality_gap(
 
     The middle term uses shift linearity: W2(S(t)h/eps + U, U) = |S(t)h|/eps.
     """
-    eps = _check_eps(eps)
-    lhs = renormalized_distance_heat(t, h, eps, spec)
-    mid = float(np.linalg.norm(heat_apply(t, h, log_scale=-math.log(eps)).values))
-    bound = heat_noise_gap(t, spec)
+    lhs, bound = distance_and_gap(t, h, eps, spec)
+    mid = heat_apply(t, h, log_scale=-math.log(eps)).norm
     gap = abs(lhs - mid)
     return {"lhs": lhs, "mid": mid, "gap": gap, "bound": bound, "pass": bool(gap <= bound + 1e-12)}
-
-
-# --------------------------------------------------------------------------
-# Damped wave equation
-# --------------------------------------------------------------------------
-
-
-def wave_abs_moment_surrogate(spec: NoiseSpec, wsp: WaveSpectrum) -> float:
-    """The wave counterpart of :func:`gaussian_abs_moment_surrogate`: the
-    unit-noise equilibrium's root second moment in the graph norm."""
-    covs = wave_gaussian_convolution_law(math.inf, spec, wsp)
-    lam = wsp.system.lambdas
-    return math.sqrt(float(np.sum((1.0 + lam) * covs[:, 0, 0] + covs[:, 1, 1])))
-
-
-def wave_distance_and_gap(
-    t: float, z: WaveState, eps: float, spec: NoiseSpec
-) -> tuple[float, float]:
-    """Exact W2(X_t(z), equilibrium)/eps for Gaussian velocity forcing, and
-    the noise gap W2(conv_t, conv_inf), from one stacked W2 call on the two
-    laws: the distance row (mean S(t)z/eps) comes before the gap row (mean
-    0).  Position coordinates are weighted by 1 + lambda_k in the state norm.
-    """
-    eps = _check_eps(eps)
-    wsp = z.spectrum
-    moved = wave_apply(t, z, log_scale=-math.log(eps))
-    mean = np.stack([moved.position, moved.velocity], axis=-1)
-    c_t = wave_gaussian_convolution_law(t, spec, wsp)
-    c_inf = wave_gaussian_convolution_law(math.inf, spec, wsp)
-    per_mode = w2_gaussian_2x2(np.stack([mean, np.zeros_like(mean)]), c_t, np.zeros(2),
-                               c_inf, position_weight=1.0 + wsp.system.lambdas)
-    return w2_product(per_mode[0]), w2_product(per_mode[1])
 
 
 def window_cell(z: WaveState, spec: NoiseSpec):
@@ -212,8 +148,11 @@ def window_cell(z: WaveState, spec: NoiseSpec):
 
     def cell(rho: float, eps: float):
         t = cutoff_time(eps, 0.5 * wsp.gamma) + rho
-        dist, slack = wave_distance_and_gap(t, z, eps, spec)
-        center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(wave_subcritical_norm_sq(t, z))
+        dist, slack = distance_and_gap(t, z, eps, spec)
+        norm = math.sqrt(wave_subcritical_norm_sq(t, z))
+        if norm == math.inf:  # its square overflows
+            norm = wave_apply(t, z, 0.5 * wsp.gamma * t).norm
+        center = math.exp(-0.5 * wsp.gamma * rho) * norm
         return dist, center, slack, abs(dist - center) <= slack + 1e-10 * (1.0 + dist)
 
     return cell
@@ -229,7 +168,7 @@ def large_data_identity(
     Returns (lhs, rhs); they agree to rounding because the Gaussian closed
     form scales exactly.
     """
-    lhs = renormalized_distance_heat(t, h, eps, spec)
+    lhs = distance_and_gap(t, h, eps, spec)[0]
     mean = heat_apply(t, ModeCoefficients(h.system, h.values / eps)).values
     v_t = heat_gaussian_convolution_law(t, spec)
     rhs = w2_diag_gaussian(mean, v_t, np.zeros_like(mean), spec.heat_equilibrium_var)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNoiseError, InvalidDomainError, VarianceOverflowError
+from .errors import DegenerateNoiseError, VarianceOverflowError
 from .spectral_core import EigenSystem, ModeCoefficients, WaveSpectrum
 from .semigroup import _check_time, wave_mode_propagator
-from .wasserstein import _pairwise_prefix
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,6 @@ class NoiseSpec:
             raise DegenerateNoiseError("spec has no Gaussian part")
         with np.errstate(over="ignore"):  # raised below
             v_inf = self.gaussian_q / (2.0 * self.system.lambdas)
-        if np.any(v_inf < 0):
-            raise InvalidDomainError("variances must be >= 0")
         bad = ~np.isfinite(v_inf)
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -90,67 +87,68 @@ class NoiseSpec:
         return v_inf
 
     @functools.cached_property
-    def heat_equilibrium_sd(self) -> np.ndarray:
-        """Per-mode standard deviations sqrt(q_k / (2 lambda_k)) of the heat
-        equilibrium law, computed once per spec."""
-        return np.sqrt(self.heat_equilibrium_var)
+    def heat_first_and_top(self) -> tuple[int, float]:
+        """The first mode with a nonzero heat equilibrium variance, and the largest."""
+        eq = self.heat_equilibrium_var
+        return int(np.argmax(eq > 0.0)), float(eq.max(initial=0.0))
 
 
-def _unrelaxed_heat_variances(t: float, spec: NoiseSpec) -> np.ndarray:
-    """Heat variances at time t (t may be inf) of the leading modes with
-    2 lambda_k t < 40.  On every later mode (the lambdas are sorted)
-    expm1(-2 lambda t) rounds to exactly -1, as it does from about -37.4
-    down, so the variance there is the cached equilibrium one bit for bit."""
+@dataclass(frozen=True)
+class GaussianLaw:
+    """The Gaussian convolution at time t as mode blocks in graph-norm
+    coordinates, 1x1 for heat and 2x2 for the damped wave: every mode's
+    equilibrium A (``eq``), and on the live modes the deficit D = P_t A P_t^T
+    and the law A - D (``cov``; for heat its closed form, exact near t = 0)."""
+
+    eq: np.ndarray
+    deficit: np.ndarray
+    cov: np.ndarray
+
+
+def gaussian_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum | None = None) -> GaussianLaw:
+    """The heat convolution's law at time t (t may be inf), or with ``wspec``
+    the damped wave's, whose modes are all live.  Heat: A = q / (2 lambda),
+    D = A e^{-2 lambda t}, and a mode's W2 term D / (sqrt A + sqrt(A - D))
+    lies between sqrt(A) e^{-2 lambda t} / 2 and sqrt(max A) e^{-2 lambda t}.
+    Past 2 lambda t = 746 + ln(max A) / 2 it is below half the least
+    subnormal, and past 2 lambda_j t + ln(max A / A_j) / 2 + 71 ln 2 (j the
+    first mode with A_j > 0) below 2^-70 of mode j's: the (sorted) modes
+    beyond move the gap by under n 2^-141 relative and are left out."""
     t = _check_time(t, math.inf)
-    q = spec.gaussian_q
-    if q is None:
-        raise DegenerateNoiseError("spec has no Gaussian part")
-    lam = spec.system.lambdas
-    if t > 0.0:  # every mode is unrelaxed at t = 0
-        k = 0 if math.isinf(t) else int(np.searchsorted(lam, 20.0 / t))
-        q, lam = q[:k], lam[:k]
-    return q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)
+    if wspec is not None:
+        s_inf, deficit = _wave_blocks(t, spec, wspec)
+        # W X W, W = diag(sqrt(1 + lambda), 1), and (1 + lambda) X_00: D = A at t = 0
+        weight = np.ones((spec.system.n_modes, 2, 2))
+        weight[:, 0, 0] = 1.0 + spec.system.lambdas
+        weight[:, 0, 1] = weight[:, 1, 0] = np.sqrt(weight[:, 0, 0])
+        eq, deficit = weight * s_inf, weight * deficit
+        return GaussianLaw(eq, deficit, eq - deficit)
+    eq, lam = spec.heat_equilibrium_var, spec.system.lambdas
+    j, top = spec.heat_first_and_top
+    k = 0 if top == 0.0 or math.isinf(t) else lam.size
+    if k and t > 0.0:
+        cut = min(746.0 + 0.5 * math.log(top),
+                  2.0 * float(lam[j]) * t + 0.5 * math.log(top / eq[j]) + 71.0 * math.log(2.0))
+        k = int(np.searchsorted(lam, cut / (2.0 * t)))
+    x = -2.0 * lam[:k] * t
+    return GaussianLaw(eq, eq[:k] * np.exp(x), spec.gaussian_q[:k] * -np.expm1(x) / (2.0 * lam[:k]))
 
 
 def heat_gaussian_convolution_law(t: float, spec: NoiseSpec) -> np.ndarray:
-    """Per-mode variances of the heat convolution at time t (t may be inf)."""
-    v = _unrelaxed_heat_variances(t, spec)
-    out = spec.heat_equilibrium_var.copy()
-    out[:v.size] = v
+    """Per-mode variances of the heat convolution at time t (t may be inf):
+    the law of :func:`gaussian_law` on its live modes, and A past them, where
+    expm1(-2 lambda t) is exactly -1 and the closed form gives A to the bit."""
+    law = gaussian_law(t, spec)
+    out = law.eq.copy()
+    out[:law.cov.size] = law.cov
     return out
 
 
-def heat_convolution_sd(t: float, spec: NoiseSpec) -> np.ndarray:
-    """Per-mode standard deviations of the heat convolution at time t
-    (t may be inf), the relaxed modes copied from ``heat_equilibrium_sd``."""
-    return _heat_sds(t, spec, live=False)[0]
-
-
-def _heat_sds(t: float, spec: NoiseSpec, live: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(sd_t, sd_inf): the heat convolution's standard deviations at time t
-    (t may be inf) and the equilibrium ones.  With ``live`` both stop at the
-    shortest node of NumPy's summation tree (:func:`_pairwise_prefix`) that
-    holds every mode where sd_t - sd_inf need not be +0.0: the unrelaxed
-    modes (every sd_inf is finite)."""
-    v = _unrelaxed_heat_variances(t, spec)
-    if np.any(v < 0):
-        raise InvalidDomainError("variances must be >= 0")
-    sd_inf = spec.heat_equilibrium_sd
-    if live:
-        sd_inf = sd_inf[:_pairwise_prefix(sd_inf.size, v.size)]
-    sd_t = sd_inf.copy()
-    sd_t[:v.size] = np.sqrt(v)
-    return sd_t, sd_inf
-
-
-def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum) -> np.ndarray:
-    """Per-mode 2x2 covariances of the wave convolution, velocity forcing.
-
-    Equilibrium is the diagonal Lyapunov solution diag(q/(2 gamma lambda),
-    q/(2 gamma)); at finite t the deficit is the equilibrium conjugated by
-    the mode propagator:  Sigma_t = Sigma_inf - P_t Sigma_inf P_t^T.
-    """
-    t = _check_time(t, math.inf)
+def _wave_blocks(t: float, spec: NoiseSpec, wspec: WaveSpectrum):
+    """(Sigma_inf, P_t Sigma_inf P_t^T) per mode in (u, w) coordinates,
+    velocity forcing: the diagonal Lyapunov solution diag(q/(2 gamma
+    lambda), q/(2 gamma)) and its part that has not yet built up by time t
+    (Sigma_inf itself at t = 0, where P_0 = I may round, and 0 at t = inf)."""
     if spec.gaussian_q is None:
         raise DegenerateNoiseError("spec has no Gaussian part")
     lam = spec.system.lambdas
@@ -160,11 +158,19 @@ def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum
     s_inf[:, 0, 0] = q / (2.0 * gamma * lam)
     s_inf[:, 1, 1] = q / (2.0 * gamma)
     if math.isinf(t):
-        return s_inf
-    if t == 0.0:  # an empty interval: P_0 = I may round, the law is exactly 0
-        return np.zeros_like(s_inf)
+        return s_inf, np.zeros_like(s_inf)
+    if t == 0.0:
+        return s_inf, s_inf.copy()
     P = np.array([wave_mode_propagator(t, lk, gamma) for lk in lam.tolist()])
-    return s_inf - P @ s_inf @ P.transpose(0, 2, 1)
+    return s_inf, P @ s_inf @ P.transpose(0, 2, 1)
+
+
+def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum) -> np.ndarray:
+    """Per-mode 2x2 covariances of the wave convolution, velocity forcing,
+    in (u, w) coordinates: the law A - D of :func:`gaussian_law` before the
+    graph-norm weighting, Sigma_t = Sigma_inf - P_t Sigma_inf P_t^T."""
+    s_inf, deficit = _wave_blocks(_check_time(t, math.inf), spec, wspec)
+    return s_inf - deficit
 
 
 @dataclass(frozen=True)

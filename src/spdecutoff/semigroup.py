@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidTimeError, SubcriticalRouteError, WrongCaseError
 from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState, damping_gap
-from .wasserstein import _pairwise_prefix
 
 
 def _check_time(t: float, last: float = sys.float_info.max) -> float:
@@ -37,22 +36,17 @@ def heat_apply(t: float, h: ModeCoefficients, log_scale: float = 0.0) -> ModeCoe
     Only the datum's support is evaluated; zero coefficients stay exact
     zeros even where the factor overflows.
     """
-    return ModeCoefficients(h.system, _heat_flow(t, h, log_scale, live=False))
+    nz, moved = _heat_on_support(t, h, log_scale)
+    values = h.values.copy()
+    values[nz] = moved
+    return ModeCoefficients(h.system, values)
 
 
-def _heat_flow(t: float, h: ModeCoefficients, log_scale: float, live: bool) -> np.ndarray:
-    """The values of exp(log_scale) * S(t) h.  With ``live`` only the first
-    n, n the shortest node of NumPy's summation tree that holds the datum's
-    support (:func:`_pairwise_prefix`): the squares of the dropped zeros
-    would add exactly +0.0 to a sum."""
+def _heat_on_support(t: float, h: ModeCoefficients, log_scale: float):
+    """(support, values there) of :func:`heat_apply`, without the zeros."""
     t = _check_time(t)
     nz = h.nonzero_indices()
-    n = h.system.n_modes
-    if live:
-        n = _pairwise_prefix(n, int(nz[-1]) + 1 if nz.size else 0)
-    values = h.values[:n].copy()
-    values[nz] *= np.exp(-h.system.lambdas[nz] * t + log_scale)
-    return values
+    return nz, h.values[nz] * np.exp(-h.system.lambdas[nz] * t + log_scale)
 
 
 # --------------------------------------------------------------------------
@@ -77,13 +71,24 @@ def _propagator_coefficients(t: float, sp: WaveSpectrum, log_scale: float):
 
 def wave_apply(t: float, z: WaveState, log_scale: float = 0.0) -> WaveState:
     """exp(log_scale) * S_gamma(t) z for the damped-wave group: each mode's
-    (u, w) moves by c I + s (A + gamma/2 I), whatever its damping."""
+    (u, w) moves by c I + s (A + gamma/2 I), whatever its damping.  Where a
+    product of finite data overflows, the flow is taken again on z / 2^e, e
+    the exponent of its largest entry, and scaled back."""
     t = _check_time(t)
     sp = z.spectrum
     c, s = _propagator_coefficients(t, sp, log_scale)
     h = 0.5 * sp.gamma
-    u, w = z.position, z.velocity
-    return WaveState(sp, c * u + s * (h * u + w), c * w - s * (sp.system.lambdas * u + h * w))
+    lam = sp.system.lambdas
+
+    def move(u, w):
+        return c * u + s * (h * u + w), c * w - s * (lam * u + h * w)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
+        u, w = move(z.position, z.velocity)
+        if not (np.isfinite(u).all() and np.isfinite(w).all()):
+            e = math.frexp(max(np.abs(z.position).max(), np.abs(z.velocity).max()))[1]
+            u, w = (np.ldexp(v, e) for v in move(*np.ldexp([z.position, z.velocity], -e)))
+    return WaveState(sp, u, w)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -238,7 +243,11 @@ def wave_subcritical_norm_sq(t: float, z: WaveState) -> float:
     sp = z.spectrum
     if sp.n_over != 0:
         raise WrongCaseError("the window norm needs every mode oscillatory (gamma^2 < 4 lambda_1)")
-    return wave_apply(t, z, 0.5 * sp.gamma * t).norm ** 2
+    norm = wave_apply(t, z, 0.5 * sp.gamma * t).norm
+    try:
+        return norm ** 2
+    except OverflowError:  # the norm itself may be finite
+        return math.inf
 
 
 def decay_constants(

@@ -89,6 +89,23 @@ class EigenSystem:
         )
 
 
+def root_sum_sq(x) -> float:
+    """sqrt(x . x), np.linalg.norm's float, unless that lies outside [2^-500,
+    DBL_MAX] where squares may under- or overflow: then 2^e |x / 2^e|, e the
+    exponent of max |x|, inf only where that overflows or x holds an inf."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        n = float(np.sqrt(np.dot(x, x)))
+    if 2.0 ** -500 <= n < math.inf:
+        return n
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top  # 0, inf or NaN
+    e = math.frexp(top)[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 def _two_sum(a, b):
     """(a + b rounded, its exact rounding error): Knuth's TwoSum."""
     s = a + b
@@ -162,7 +179,7 @@ class ModeCoefficients:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return root_sum_sq(self.values)
 
     def nonzero_indices(self) -> np.ndarray:
         return np.flatnonzero(self.values != 0.0)
@@ -328,7 +345,10 @@ class WaveState:
     def norm(self) -> float:
         lam = self.spectrum.system.lambdas
         u, w = self.position, self.velocity
-        return float(np.sqrt(np.sum((1.0 + lam) * u * u + w * w)))
+        with np.errstate(over="ignore", under="ignore"):  # root_sum_sq's rule
+            n = float(np.sqrt(np.sum((1.0 + lam) * u * u + w * w)))
+        return n if 2.0 ** -500 <= n < math.inf else root_sum_sq(
+            np.concatenate([np.sqrt(1.0 + lam) * u, w]))
 
     def is_zero(self) -> bool:
         return not np.any(self.position) and not np.any(self.velocity)

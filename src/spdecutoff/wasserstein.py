@@ -34,30 +34,59 @@ def w2_diag_gaussian(mean1, var1, mean2, var2) -> float:
     v2 = np.asarray(var2, dtype=float)
     if np.any(v1 < 0) or np.any(v2 < 0):
         raise InvalidDomainError("variances must be >= 0")
-    return _w2_diag_sd(m1 - m2, np.sqrt(v1), np.sqrt(v2))
+    return float(np.sqrt(np.sum((m1 - m2) ** 2) + np.sum((np.sqrt(v1) - np.sqrt(v2)) ** 2)))
 
 
-def _w2_diag_sd(mean_diff, sd1, sd2) -> float:
-    """The arithmetic of :func:`w2_diag_gaussian` on validated arrays of
-    mean differences and standard deviations."""
-    return float(np.sqrt(np.sum(mean_diff ** 2) + np.sum((sd1 - sd2) ** 2)))
+def bures(eq, deficit, cov) -> np.ndarray:
+    """Per block, the W2 distance between centred Gaussians with covariances
+    A (``eq``) and B = A - D (``cov``), taken from the deficit D
+    (``deficit``) without forming A - B, so that it keeps its relative
+    accuracy where A and B agree to many digits.  Blocks are 1x1 (shape
+    (n,)) or symmetric 2x2 ((n, 2, 2), upper triangles read):
 
+        1x1:  D / (sqrt A + sqrt B),
+        2x2:  sqrt([(tr D)^2 + 4 X (X - det D) / r^2 - 8 sqrt(det A) det D / r]
+                   / (s + 2 sqrt q)),
 
-def _pairwise_prefix(m: int, k: int) -> int:
-    """The length n of the shortest node on the left spine of NumPy's
-    pairwise summation tree over m terms that holds the first k.  np.sum of
-    a 1-D float array splits m > 128 terms at m // 2 rounded down to a
-    multiple of 8 and adds the halves; blocks of at most 128 are summed in
-    8 accumulators.  So when every term from k on is +0.0, each right half
-    dropped along the spine sums to +0.0, and np.sum of the first n terms
-    equals np.sum of all m bit for bit, provided the sum is not -0.0."""
-    n = m
-    while n > 128:
-        half = n // 2 - n // 2 % 8
-        if half < k:
-            break
-        n = half
-    return n
+    X = tr(adj(A) D), r = sqrt det A + sqrt det B, s = tr A + tr B and
+    q = tr(AB) + 2 sqrt(det A) sqrt(det B): Gelbrich's W2^2 = s - 2 sqrt q
+    with s^2 - 4q expanded in D (at r = 0 the middle terms are -4 det D).
+    A 2x2 block is divided by its trace and D then by its own trace, which
+    leaves the root as a factor: no product of two determinants or of two
+    large entries is formed, and a distance whose square underflows keeps
+    its digits.  A block B that is not PSD raises.
+    """
+    a = np.asarray(eq, dtype=float)
+    d = np.asarray(deficit, dtype=float)
+    b = np.asarray(cov, dtype=float)
+    if a.ndim == 1:
+        if np.any(b < 0):
+            raise InvalidDomainError("covariance blocks must be PSD")
+        root = np.sqrt(a) + np.sqrt(b)
+        return np.divide(d, root, out=np.zeros_like(d), where=root > 0)  # A = 0: D = 0
+    tau = a[..., 0, 0] + a[..., 1, 1]
+    a00, a01, a11, b00, b01, b11, d00, d01, d11 = (
+        np.divide(m[..., i, j], tau, out=np.zeros_like(tau), where=tau > 0)
+        for m in (a, b, d) for i, j in ((0, 0), (0, 1), (1, 1)))
+    det_a = a00 * a11 - a01 * a01
+    det_b = b00 * b11 - b01 * b01
+    if np.any((b00 < 0) | (b11 < 0) | (det_b < -1e-12 * (1.0 + b00 + b11))):
+        raise InvalidDomainError("covariance blocks must be PSD")
+    sigma = d00 + d11
+    on = sigma > 0  # sigma = 0: D = 0, and so is the distance
+    d00, d01, d11 = (np.divide(m, sigma, out=np.zeros_like(m), where=on) for m in (d00, d01, d11))
+    det_d = d00 * d11 - d01 * d01
+    x = a11 * d00 + a00 * d11 - 2.0 * a01 * d01
+    ra = np.sqrt(np.maximum(det_a, 0.0))
+    rb = np.sqrt(np.maximum(det_b, 0.0))
+    r = ra + rb
+    rs = np.where(r > 0, r, 1.0)
+    middle = np.where(r > 0, (4.0 * x * (x - sigma * det_d) / rs - 8.0 * ra * det_d) / rs,
+                      -4.0 * det_d)
+    q = (a00 * b00 + 2.0 * a01 * b01 + a11 * b11) + 2.0 * ra * rb
+    ratio = np.divide(tau * np.maximum(1.0 + middle, 0.0),
+                      (a00 + a11 + b00 + b11) + 2.0 * np.sqrt(q), out=np.zeros_like(tau), where=on)
+    return sigma * np.sqrt(ratio)
 
 
 _BLOCK_FAULTS = (
@@ -142,15 +171,6 @@ def _wp_sorted(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
     if p >= 1.0:
         return float(np.mean(diffs ** p) ** (1.0 / p))
     return float(np.mean(diffs ** p))
-
-
-def w2_product(per_mode_distances) -> float:
-    """W2 of products of independent mode laws: root-sum-square of the
-    per-mode distances (the product coupling is optimal mode by mode)."""
-    d = np.asarray(per_mode_distances, dtype=float)
-    if np.any(d < 0):
-        raise InvalidDomainError("per-mode distances must be >= 0")
-    return float(np.sqrt(np.sum(d * d)))
 
 
 def shift_bounds(u_norm: float, p: float, abs_moment_p: float) -> tuple[float, float]:

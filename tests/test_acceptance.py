@@ -24,6 +24,8 @@ from spdecutoff import (
     cutoff_inequality_gap,
     cutoff_time,
     decay_constants,
+    distance_and_gap,
+    equilibrium_moment,
     error_bound,
     heat_leading_data,
     large_data_identity,
@@ -32,12 +34,10 @@ from spdecutoff import (
     mult_profile,
     mult_second_moment_exact,
     profile,
-    renormalized_distance_heat,
     stream,
     w2_diag_gaussian,
     wave_apply,
     wave_decompose,
-    wave_distance_and_gap,
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
@@ -45,7 +45,6 @@ from spdecutoff import (
     wp_empirical_1d,
 )
 from spdecutoff.cli import main, run_heat_profile
-from spdecutoff.cutoff import gaussian_abs_moment_surrogate
 from spdecutoff.multiplicative import levy_stochexp_batch
 from spdecutoff.noise_sim import sample_jump_realization
 
@@ -102,14 +101,14 @@ def test_criterion_02_heat_profile():
     system, h, spec = heat_reference_setup()
     lead = heat_leading_data(h)
     c, rate = decay_constants("heat", system=system)
-    moment = gaussian_abs_moment_surrogate(spec)
+    moment = equilibrium_moment(spec)
     ok = True
     details = []
     for rho in (-1.0, 0.0, 1.0):
         prev = math.inf
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             t = cutoff_time(eps, lead.rate) + rho
-            dist = renormalized_distance_heat(t, h, eps, spec)
+            dist = distance_and_gap(t, h, eps, spec)[0]
             prof = profile(rho, lead)
             assert prof == pytest.approx(math.exp(-4.0 * rho), rel=1e-12)
             bound = error_bound(rho, eps, lead, c, rate, moment)
@@ -178,7 +177,7 @@ def test_criterion_05_wave_overdamped():
     worst_rel = 0.0
     for rho in (-1.0, 0.0, 1.0):
         t = cutoff_time(eps, lead.rate) + rho
-        dist, _ = wave_distance_and_gap(t, z, eps, spec)
+        dist, _ = distance_and_gap(t, z, eps, spec)
         prof = profile(rho, lead)
         worst_rel = max(worst_rel, abs(dist - prof) / prof)
     ok = violations == 0 and worst_rel <= 0.10

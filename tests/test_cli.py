@@ -1,5 +1,8 @@
 """CLI tests: config validation, output schema, byte determinism."""
+import contextlib
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -19,16 +22,15 @@ from spdecutoff import (
     decay_constants,
     error_bound,
     heat_leading_data,
+    distance_and_gap,
+    equilibrium_moment,
     profile,
-    renormalized_distance_heat,
     stream,
-    wave_distance_and_gap,
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
 )
 from spdecutoff.cli import load_config, main, run_heat_profile
-from spdecutoff.cutoff import gaussian_abs_moment_surrogate, wave_abs_moment_surrogate
 from spdecutoff.errors import (
     ConfigError,
     InvalidDomainError,
@@ -357,6 +359,47 @@ class TestConfigValidation:
         assert "every decay exponent 2 lambda_k t must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, cfg", [
+        # the README wave config with a velocity near -DBL_MAX: 9 rows of
+        # nan,inf,inf,false before
+        ("wave-profile", WAVE_PROFILE_CFG | {"dims": [[1.0, 11]], "eps_grid": [1e-4, 1e-6, 1e-8],
+                                             "rho_grid": [-5.0, 0.0, 5.0], "initial": {
+                                                 "position": [1.0, 0.3],
+                                                 "velocity": [-1.7e308, 0.1]}}),
+        ("wave-window", WAVE_WINDOW_CFG | {"initial": {"position": [1.0, 1.7e308],
+                                                       "velocity": [0.0]}}),
+        ("heat-profile", heat_cfg(initial=[0.0, 1.0, 1.7e308])),
+    ])
+    def test_a_row_beyond_the_largest_double_exits_2_at_initial(self, tmp_path, capsys,
+                                                                command, cfg):
+        path = write_cfg(tmp_path, "big.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: /initial: the ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("heat-profile", heat_cfg(initial=[0.0, 1.0, 1e300])),
+        ("wave-profile", WAVE_PROFILE_CFG | {"initial": {"position": [1.0, 1e300],
+                                                         "velocity": [0.0, -1e300]}}),
+        ("wave-window", WAVE_WINDOW_CFG | {"initial": {"position": [1.0, 0.5, 1e300],
+                                                       "velocity": [0.0, 0.1, 0.0]}}),
+    ])
+    def test_huge_data_whose_rows_are_finite_run(self, tmp_path, command, cfg):
+        # before, the squares of the norms overflowed: inf rows that passed
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, "big.json", cfg),
+                     "--out", str(out)]) in (0, 1)
+        rows = (out / f"{command.replace('-', '_')}.csv").read_text().strip().split("\n")[1:]
+        assert rows and all(math.isfinite(float(x)) for r in rows for x in r.split(",")[4:7])
+
+    def test_an_infinite_wave_equilibrium_exits_2_at_the_noise(self, tmp_path, capsys):
+        # q / (2 gamma lambda) = 1.7e308 / 0.2 overflows: NaN rows before
+        cfg = WAVE_WINDOW_CFG | {"gamma": 0.1, "noise": {"gaussian_q": [1.7e308, 1, 1, 1, 1]}}
+        path = write_cfg(tmp_path, "q.json", cfg)
+        assert main(["wave-window", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: /noise/gaussian_q: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test", "selftest"])
     def test_negative_seed_argument_exits_2(self, capsys, command):
         argv = [command, "--seed", "-1"]
@@ -442,8 +485,20 @@ class TestConfigFuzz:
             cfg_path = os.path.join(tmp, "fuzz.json")
             with open(cfg_path, "w") as f:
                 json.dump(mutate(cfg, path, value), f)
-            rc = main([command, "--config", cfg_path, "--out", os.path.join(tmp, "out")])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--config", cfg_path, "--out", os.path.join(tmp, "out")])
+            csv_path = os.path.join(tmp, "out", command.replace("-", "_") + ".csv")
+            rows = list(csv.DictReader(open(csv_path))) if os.path.exists(csv_path) else []
         assert rc in (0, 1, 2)
+        # the closed-form commands write finite rows or exit 2 with a message;
+        # mult-profile and levy-check still write NaN rows (ROADMAP item 14)
+        if command in ("heat-profile", "wave-profile", "wave-window"):
+            if rc == 2:
+                assert err.getvalue().startswith("error: ") and not rows
+            else:
+                assert all(math.isfinite(float(r[k])) for r in rows
+                           for k in ("renormalized", "profile", "bound"))
         if isinstance(value, float) and not math.isfinite(value):
             assert rc == 2
         # any change that leaves q_0 and the box in place still overflows
@@ -607,7 +662,7 @@ def reference_simple_cutoff_scan(delta_grid, eps_grid, h, spec):
                     "delta": delta,
                     "eps": float(eps),
                     "t": t,
-                    "distance": renormalized_distance_heat(t, h, eps, spec),
+                    "distance": distance_and_gap(t, h, eps, spec)[0],
                     "regime": "pre" if delta < 1 else "post",
                 }
             )
@@ -624,7 +679,7 @@ def reference_wave_window_diagnostics(rho_grid, eps_grid, z, spec):
     for rho in rho_grid:
         for eps in eps_grid:
             t = cutoff_time(eps, 0.5 * wsp.gamma) + float(rho)
-            dist, slack = wave_distance_and_gap(t, z, eps, spec)
+            dist, slack = distance_and_gap(t, z, eps, spec)
             center = math.exp(-0.5 * wsp.gamma * rho) * math.sqrt(
                 max(wave_subcritical_norm_sq(t, z), 0.0)
             )
@@ -649,8 +704,8 @@ def reference_heat_profile(cfg, seed):
     leading = heat_leading_data(h)
     report = reference_profile_report(
         cfg["eps_grid"], cfg["rho_grid"], "heat-additive", 2.0, leading,
-        lambda t, eps: renormalized_distance_heat(t, h, eps, spec),
-        decay_constants("heat", system=system), gaussian_abs_moment_surrogate(spec),
+        lambda t, eps: distance_and_gap(t, h, eps, spec)[0],
+        decay_constants("heat", system=system), equilibrium_moment(spec),
         {"lambda_lead": leading.lambda_lead, "shape_norm": leading.shape_norm,
          "error_bound_variant": "proof"})
     if cfg.get("delta_grid"):
@@ -665,8 +720,8 @@ def reference_wave_profile(cfg, seed):
     leader = wave_overdamped_leader(z)
     return reference_profile_report(
         cfg["eps_grid"], cfg["rho_grid"], "wave-overdamped", 2.0, leader,
-        lambda t, eps: wave_distance_and_gap(t, z, eps, spec)[0],
-        decay_constants("wave", wave_spec=wsp), wave_abs_moment_surrogate(spec, wsp),
+        lambda t, eps: distance_and_gap(t, z, eps, spec)[0],
+        decay_constants("wave", wave_spec=wsp), equilibrium_moment(spec, wsp),
         {"rate": leader.rate, "shape_norm": leader.shape_norm, "leader_case": leader.case})
 
 
@@ -865,13 +920,14 @@ class TestWaveInputsOnTheOnePropagator:
         # The slow root -5 + sqrt(25 - 1e-300) cancels to 0; Vieta's does
         # not.  The equilibrium position variance q / (2 gamma lambda) = 5e298
         # is relaxed only to 1e-8 relative at these times: the exact distance
-        # is the variance gap, about 1e141 at eps = 1e-8, which the float
-        # Gaussian W2 loses below its rounding (ROADMAP item 2).  The
-        # certificate holds for the exact distance.
+        # is the variance gap, about 1e141 at eps = 1e-8, which the deficit
+        # form keeps where a trace minus twice the Bures term lost it below
+        # its rounding.  The certificate holds for the exact distance.
         cfg = {k: v for k, v in README_WAVE_CFG.items() if k != "dims"} | {
             "lambdas": [1e-300, 1.0]}
         assert self.run(tmp_path, "wave-profile", cfg, capsys) == (0, "")
         for row, exact in self.oracle_rows(tmp_path, cfg):
+            assert abs(row["renormalized"] - exact) <= 1e-12 * exact
             assert abs(exact - row["profile"]) <= row["bound"]
 
     def test_slow_rate_too_small_exits_2_at_gamma(self, tmp_path, capsys):

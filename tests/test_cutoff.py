@@ -18,18 +18,18 @@ from spdecutoff import (
     cutoff_time,
     decay_constants,
     error_bound,
+    distance_and_gap,
+    equilibrium_moment,
+    gaussian_law,
     heat_apply,
-    heat_convolution_sd,
     heat_gaussian_convolution_law,
     heat_leading_data,
     large_data_identity,
     profile,
     profile_cell,
-    renormalized_distance_heat,
     stream,
     wave_apply,
     wave_decompose,
-    wave_distance_and_gap,
     wave_overdamped_leader,
     wave_spectrum,
     wave_subcritical_norm_sq,
@@ -38,14 +38,13 @@ from spdecutoff import (
 )
 from spdecutoff import cutoff, noise_sim
 from spdecutoff.cli import run_heat_profile
-from spdecutoff.cutoff import (
-    gaussian_abs_moment_surrogate,
-    heat_noise_gap,
-    wave_abs_moment_surrogate,
-)
 from spdecutoff.errors import InvalidDomainError, VarianceOverflowError, WrongCaseError
-from spdecutoff.spectral_core import WaveState
-from spdecutoff.wasserstein import _w2_diag_sd, w2_gaussian_2x2, w2_product, wp_empirical_1d
+from spdecutoff.spectral_core import WaveState, root_sum_sq
+from spdecutoff.wasserstein import bures, wp_empirical_1d
+
+
+def distance(t, x, eps, spec):
+    return distance_and_gap(t, x, eps, spec)[0]
 
 
 def heat_setup(n=8):
@@ -122,7 +121,7 @@ class TestRenormalizedDistanceHeat:
     def test_at_time_zero_matches_initial_norm_scale(self):
         _, h, spec = heat_setup()
         eps = 1e-3
-        d = renormalized_distance_heat(0.0, h, eps, spec)
+        d = distance(0.0, h, eps, spec)
         # at t = 0 the convolution is zero, equilibrium has O(1) spread:
         # distance = sqrt(|h/eps|^2 + sum v_inf)
         expect = math.sqrt(h.norm**2 / eps**2 +
@@ -135,7 +134,7 @@ class TestRenormalizedDistanceHeat:
         h = ModeCoefficients(system, np.array([1.0]))
         spec = NoiseSpec(system=system, gaussian_q=np.array([1.0]))
         eps, t, n = 0.3, 1.0, 200_000
-        exact = renormalized_distance_heat(t, h, eps, spec)
+        exact = distance(t, h, eps, spec)
         rng = stream(31, 0)
         sd_t = math.sqrt(heat_gaussian_convolution_law(t, spec)[0])
         sd_inf = math.sqrt(heat_gaussian_convolution_law(math.inf, spec)[0])
@@ -146,15 +145,16 @@ class TestRenormalizedDistanceHeat:
 
     def test_large_time_limit_is_zero(self):
         _, h, spec = heat_setup()
-        d = renormalized_distance_heat(5000.0, h, 0.5, spec)
+        d = distance(5000.0, h, 0.5, spec)
         assert d == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=200)
     @given(t=st.floats(0.0, 300.0), log10_eps=st.floats(-150.0, -0.01),
            seed=st.integers(0, 2**16))
-    def test_equals_w2_diag_gaussian_to_the_bit(self, t, log10_eps, seed):
-        # the equilibrium standard deviations cached on the spec must give
-        # the same float as the public W2 routine on freshly computed laws
+    def test_agrees_with_w2_diag_gaussian(self, t, log10_eps, seed):
+        # the public W2 routine subtracts standard deviations, which loses
+        # up to a few u of sqrt(sum v_inf) where they agree; the deficit
+        # form does not
         system = build_box_eigensystem([(math.pi, 5), (1.3 * math.pi, 4)])
         rng = np.random.default_rng(seed)
         h = ModeCoefficients(system, rng.normal(size=system.n_modes))
@@ -164,15 +164,15 @@ class TestRenormalizedDistanceHeat:
         v_t = heat_gaussian_convolution_law(t, spec)
         v_inf = heat_gaussian_convolution_law(math.inf, spec)
         expect = w2_diag_gaussian(mean, v_t, np.zeros_like(mean), v_inf)
-        assert renormalized_distance_heat(t, h, eps, spec).hex() == expect.hex()
-        assert spec.heat_equilibrium_sd.tobytes() == np.sqrt(v_inf).tobytes()
+        slack = 1e-14 * (expect + math.sqrt(float(np.sum(v_inf))))
+        assert abs(distance(t, h, eps, spec) - expect) <= slack
 
     def test_underflow_safe_tiny_eps(self):
         _, h, spec = heat_setup()
         lead = heat_leading_data(h)
         eps = 1e-300  # cutoff time ~ 172; naive e^{-lam t}/eps would overflow/underflow
         t = cutoff_time(eps, lead.rate)
-        d = renormalized_distance_heat(t, h, eps, spec)
+        d = distance(t, h, eps, spec)
         assert d == pytest.approx(1.0, rel=1e-6)
 
 
@@ -181,11 +181,11 @@ class TestErrorBound:
         system, h, spec = heat_setup(32)
         lead = heat_leading_data(h)
         c, rate = decay_constants("heat", system=system)
-        moment = gaussian_abs_moment_surrogate(spec)
+        moment = equilibrium_moment(spec)
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             for rho in (-1.0, 0.0, 1.0):
                 t = cutoff_time(eps, lead.rate) + rho
-                dist = renormalized_distance_heat(t, h, eps, spec)
+                dist = distance(t, h, eps, spec)
                 prof = profile(rho, lead)
                 bound = error_bound(rho, eps, lead, c, rate, moment)
                 assert abs(dist - prof) <= bound
@@ -196,7 +196,7 @@ class TestErrorBound:
         spec = NoiseSpec(system=system, gaussian_q=np.array([1.0, 1.0]))
         lead = heat_leading_data(h)
         c, rate = decay_constants("heat", system=system)
-        moment = gaussian_abs_moment_surrogate(spec)
+        moment = equilibrium_moment(spec)
         b = error_bound(0.0, 1e-3, lead, c, rate, moment)
         assert b == pytest.approx(c * moment * 1e-3, rel=1e-12)
 
@@ -260,7 +260,7 @@ class TestCutoffInequality:
 
     def test_gap_closes_in_time(self):
         _, h, spec = heat_setup()
-        gaps = [heat_noise_gap(float(t), spec) for t in np.linspace(0.1, 8, 20)]
+        gaps = [distance_and_gap(float(t), h, 0.5, spec)[1] for t in np.linspace(0.1, 8, 20)]
         assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -277,7 +277,7 @@ class TestSimpleCutoffScan:
         assert by[(0.5, 1e-8)] > by[(0.5, 1e-6)] > 1.0
         assert by[(2.0, 1e-8)] < by[(2.0, 1e-6)] < 1.0
         rate = heat_leading_data(h).rate
-        assert by[(0.5, 1e-8)] == renormalized_distance_heat(
+        assert by[(0.5, 1e-8)] == distance(
             0.5 * cutoff_time(1e-8, rate), h, 1e-8, spec)
 
 
@@ -309,7 +309,7 @@ class TestWaveProfile:
         eps = 1e-8
         for rho in (-1.0, 0.0, 1.0):
             t = cutoff_time(eps, lead.rate) + rho
-            d, _ = wave_distance_and_gap(t, z, eps, spec)
+            d, _ = distance_and_gap(t, z, eps, spec)
             prof = profile(rho, lead)
             assert d == pytest.approx(prof, rel=1e-2)
 
@@ -317,11 +317,11 @@ class TestWaveProfile:
         wsp, z, spec = wave_over_setup()
         lead = wave_overdamped_leader(z)
         c, rate = decay_constants("wave", wave_spec=wsp)
-        moment = wave_abs_moment_surrogate(spec, wsp)
+        moment = equilibrium_moment(spec, wsp)
         for eps in (1e-3, 1e-5, 1e-8):
             for rho in (-1.0, 0.0, 1.0):
                 t = cutoff_time(eps, lead.rate) + rho
-                d, _ = wave_distance_and_gap(t, z, eps, spec)
+                d, _ = distance_and_gap(t, z, eps, spec)
                 prof = profile(rho, lead)
                 bound = error_bound(rho, eps, lead, c, rate, moment)
                 assert abs(d - prof) <= bound
@@ -399,8 +399,8 @@ class TestWaveLawAtTimeZero:
         # is sqrt(|z/eps|^2 + m^2), m the equilibrium's root second moment
         wsp, z, spec = zero_time_case()
         eps = 1e-3
-        dist, gap = wave_distance_and_gap(0.0, z, eps, spec)
-        moment = wave_abs_moment_surrogate(spec, wsp)
+        dist, gap = distance_and_gap(0.0, z, eps, spec)
+        moment = equilibrium_moment(spec, wsp)
         assert gap == pytest.approx(moment, rel=1e-14)
         lam = wsp.system.lambdas
         norm_sq = float(np.sum((1.0 + lam) * z.position ** 2
@@ -414,40 +414,14 @@ class TestWaveLawAtTimeZero:
         eps = 1e-4
         rho = -cutoff_time(eps, lead.rate)
         assert cutoff_time(eps, lead.rate) + rho == 0.0
-        cell = profile_cell(lead, 2.0, lambda t, e: wave_distance_and_gap(t, z, e, spec)[0],
-                            decay_constants("wave", wave_spec=wsp),
-                            wave_abs_moment_surrogate(spec, wsp))
+        cell = profile_cell(lead, 2.0, z, spec, decay_constants("wave", wave_spec=wsp))
         dist, prof, bound, _ = cell(rho, eps)
-        assert dist == wave_distance_and_gap(0.0, z, eps, spec)[0]
+        assert dist == distance_and_gap(0.0, z, eps, spec)[0]
         assert all(map(math.isfinite, (dist, prof, bound)))
 
 
-# The separate distance, gap and moment computations that
-# wave_distance_and_gap and wave_abs_moment_surrogate replace, kept as
-# byte-for-byte references.  The laws are looked up on noise_sim at
-# call time so that a test can corrupt them for both sides.
-
-
-def reference_distance_wave(t, z, eps, spec):
-    eps = cutoff._check_eps(eps)
-    wsp = z.spectrum
-    moved = wave_apply(t, z, log_scale=-math.log(eps))
-    u = moved.position
-    w = moved.velocity
-    c_t = noise_sim.wave_gaussian_convolution_law(t, spec, wsp)
-    c_inf = noise_sim.wave_gaussian_convolution_law(math.inf, spec, wsp)
-    per_mode = w2_gaussian_2x2(np.stack([u, w], axis=-1), c_t, np.zeros(2), c_inf,
-                               position_weight=1.0 + wsp.system.lambdas)
-    return w2_product(per_mode)
-
-
-def reference_wave_noise_gap(t, z_spectrum, spec):
-    c_t = noise_sim.wave_gaussian_convolution_law(t, spec, z_spectrum)
-    c_inf = noise_sim.wave_gaussian_convolution_law(math.inf, spec, z_spectrum)
-    zero = np.zeros(2)
-    per_mode = w2_gaussian_2x2(zero, c_t, zero, c_inf,
-                               position_weight=1.0 + z_spectrum.system.lambdas)
-    return w2_product(per_mode)
+# The wave equilibrium moment as the CLI took it before equilibrium_moment,
+# kept as a byte-for-byte reference: the wave-profile bound keeps its bits.
 
 
 def reference_wave_moment(spec, wsp):
@@ -458,132 +432,133 @@ def reference_wave_moment(spec, wsp):
     )
 
 
-def outcome(call):
-    """``call()``'s float in hex, or the message of the error it raises."""
-    try:
-        return call().hex()
-    except InvalidDomainError as e:
-        return f"raises: {e}"
-
-
 INTENSITY = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
 
 
 @st.composite
 def wave_cases(draw):
-    """A wave state and noise on an all-overdamped, all-oscillatory or mixed
-    simple spectrum, with some intensities switched off."""
-    kind = draw(st.sampled_from(["overdamped", "oscillatory", "mixed"]))
-    n = draw(st.integers(2 if kind == "mixed" else 1, 6))
-    lam0 = draw(st.floats(0.5, 20.0))
-    gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=n - 1, max_size=n - 1))
-    system = EigenSystem.from_lambdas(np.cumsum([lam0] + gaps))
-    lam = system.lambdas
-    if kind == "overdamped":
-        gamma = 3.0 * math.sqrt(lam[-1])
-    elif kind == "oscillatory":
-        gamma = math.sqrt(lam[0])
-    else:  # gamma^2 / 4 halfway between lambda_1 and lambda_2
-        gamma = math.sqrt(2.0 * (lam[0] + lam[1]))
+    """A wave state and noise on an all-overdamped, all-oscillatory, mixed or
+    critically damped simple spectrum, with some intensities switched off.
+    In the critical case lambda_j = (gamma / 2)^2 exactly, with overdamped
+    modes below it and oscillatory ones above."""
+    kind = draw(st.sampled_from(["overdamped", "oscillatory", "mixed", "critical"]))
+    n = draw(st.integers(1 if kind in ("overdamped", "oscillatory") else 2, 6))
+    if kind == "critical":
+        h = draw(st.integers(2, 8)) / 2.0
+        j = draw(st.integers(0, n - 1))
+        below = draw(st.lists(st.floats(0.3, 0.95), min_size=j, max_size=j))
+        gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=n - 1 - j, max_size=n - 1 - j))
+        system = EigenSystem.from_lambdas([x * h * h for x in below]
+                                          + np.cumsum([h * h] + gaps).tolist())
+        gamma = 2.0 * h
+    else:
+        lam0 = draw(st.floats(0.5, 20.0))
+        gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=n - 1, max_size=n - 1))
+        system = EigenSystem.from_lambdas(np.cumsum([lam0] + gaps))
+        lam = system.lambdas
+        if kind == "overdamped":
+            gamma = 3.0 * math.sqrt(lam[-1])
+        elif kind == "oscillatory":
+            gamma = math.sqrt(lam[0])
+        else:  # gamma^2 / 4 halfway between lambda_1 and lambda_2
+            gamma = math.sqrt(2.0 * (lam[0] + lam[1]))
     wsp = wave_spectrum(gamma, system)
-    assert wsp.n_over == {"overdamped": n, "oscillatory": 0, "mixed": 1}[kind]
+    if kind == "critical":
+        assert wsp.n_over == j + 1 and wsp.s[j] == 0.0
+    else:
+        assert wsp.n_over == {"overdamped": n, "oscillatory": 0, "mixed": 1}[kind]
     coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
     z = wave_decompose(wsp, np.array(draw(coords)), np.array(draw(coords)))
     q = draw(st.lists(INTENSITY, min_size=n, max_size=n))
     return wsp, z, NoiseSpec(system=system, gaussian_q=np.array(q))
 
 
-def corrupt_law(monkeypatch, name, corrupt):
-    """Make the law ``name`` pass through ``corrupt(law, t)`` for the
-    library and the references alike."""
-    law = getattr(noise_sim, name)
-
-    def bad_law(t, *args):
-        out = law(t, *args).copy()
-        corrupt(out, t)
-        return out
-
-    monkeypatch.setattr(noise_sim, name, bad_law)
-    monkeypatch.setattr(cutoff, name, bad_law)
-
-
-def asymmetric_at_t(c, t):
-    if math.isfinite(t):
-        c[2, 0, 1] += 1.0
-
-
-def negative_at_inf(c, t):
-    if math.isinf(t):
-        c[1, 1, 1] = -1.0
-
-
-def bad_at_t_and_earlier_at_inf(c, t):
-    if math.isfinite(t):
-        c[4, 1, 0] += 1.0
+def mp_propagator(t, wsp, k):
+    """Mode k's propagator c I + s (A + gamma/2 I) at 50 digits, from the
+    spectrum's float root data (the slow root and s, or theta): the float
+    model that wave_apply evaluates."""
+    h = mpmath.mpf(wsp.gamma) / 2
+    lk = mpmath.mpf(wsp.system.lambdas[k])
+    if k < wsp.n_over:
+        r, s = mpmath.mpf(wsp.root_slow[k]), mpmath.mpf(wsp.s[k])
+        c = mpmath.exp(r * t) * (1 + mpmath.exp(-2 * s * t)) / 2
+        s = mpmath.exp(r * t) * (-mpmath.expm1(-2 * s * t) / (2 * s) if s > 0 else t)
     else:
-        c[1, 0, 0] = -1.0
+        theta = mpmath.mpf(wsp.theta[k - wsp.n_over])
+        c = mpmath.exp(-h * t) * mpmath.cos(theta * t)
+        s = mpmath.exp(-h * t) * mpmath.sin(theta * t) / theta
+    return mpmath.matrix([[c + s * h, s], [-lk * s, c - s * h]])
 
 
-class TestOneLawPerTime:
-    @settings(max_examples=300, deadline=None)
-    @given(case=wave_cases(), t=st.floats(0.0, 300.0),
-           log10_eps=st.floats(-12.0, math.log10(0.9)))
-    def test_wave_distance_and_gap_equal_the_separate_calls(self, case, t, log10_eps):
-        # near t = 0 a rounded law can fail the PSD check: the first bad
-        # block must then raise the same message as before
-        wsp, z, spec = case
-        eps = 10.0 ** log10_eps
-        try:
-            dist, gap = (x.hex() for x in wave_distance_and_gap(t, z, eps, spec))
-        except InvalidDomainError as e:
-            dist = gap = f"raises: {e}"
-        assert dist == outcome(lambda: reference_distance_wave(t, z, eps, spec))
-        assert gap == outcome(lambda: reference_wave_noise_gap(t, wsp, spec))
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=wave_cases())
-    def test_wave_moment_equals_the_old_cli_expression(self, case):
-        wsp, _, spec = case
-        assert (wave_abs_moment_surrogate(spec, wsp).hex()
-                == reference_wave_moment(spec, wsp).hex())
-
-    @pytest.mark.parametrize("corrupt, message", [
-        (asymmetric_at_t, "covariance blocks must be symmetric"),
-        (negative_at_inf, "covariance blocks must be PSD"),
-        (bad_at_t_and_earlier_at_inf, "covariance blocks must be PSD"),
-    ], ids=["asymmetric-at-t", "negative-at-inf", "first-bad-block-first"])
-    def test_bad_wave_block_raises_the_old_message(self, monkeypatch, corrupt, message):
-        wsp, z, spec = wave_over_setup()
-        corrupt_law(monkeypatch, "wave_gaussian_convolution_law", corrupt)
-        t, eps = 1.5, 1e-4
-        raised = []
-        for call in (lambda: wave_distance_and_gap(t, z, eps, spec),
-                     lambda: reference_distance_wave(t, z, eps, spec),
-                     lambda: reference_wave_noise_gap(t, wsp, spec)):
-            with pytest.raises(InvalidDomainError) as exc:
-                call()
-            raised.append(str(exc.value))
-        assert raised == [message] * 3
-
-    def test_negative_heat_variance_raises_the_old_message(self, monkeypatch):
-        _, h, spec = heat_setup()
-        law = noise_sim._unrelaxed_heat_variances
-
-        def bad_law(t, spec):
-            v = law(t, spec)
-            v[3] = -1.0  # modes 0-3 are unrelaxed at t = 1 (lambda < 20)
-            return v
-
-        monkeypatch.setattr(noise_sim, "_unrelaxed_heat_variances", bad_law)
-        for call in (lambda: heat_noise_gap(1.0, spec),
-                     lambda: renormalized_distance_heat(1.0, h, 0.1, spec)):
-            with pytest.raises(InvalidDomainError, match="^variances must be >= 0$"):
-                call()
+def mp_gelbrich_sq(a, b):
+    """Gelbrich's tr a + tr b - 2 sqrt(tr(ab) + 2 sqrt(det a det b)) for 2x2
+    mpmath blocks, taken directly (the caller sets the precision)."""
+    cross = mpmath.sqrt(max(mpmath.det(a) * mpmath.det(b), 0))
+    ab = a * b
+    return a[0, 0] + a[1, 1] + b[0, 0] + b[1, 1] - 2 * mpmath.sqrt(ab[0, 0] + ab[1, 1] + 2 * cross)
 
 
-# The full-length heat flow, noise law and distance that evaluate exp and
-# expm1 on every mode, kept as byte-for-byte references for the flow on the
-# datum's support and the noise law on the unrelaxed modes.
+def mp_wave_distance_and_gap(t, z, eps, spec):
+    """(distance, gap, distance tolerance, gap tolerance) of the float model
+    at 50 digits.  Each block pair's W2 is taken directly, with the working
+    precision raised by the digits that its trace minus twice the Bures term
+    cancels (a block relaxed below 1e-350 is left at 0, under any double).
+    A tolerance is 8u times one plus the exponent arguments |r t| + theta t
+    + |ln eps| that the float flow rounds, weighted by each mode's share,
+    plus each block's share times sqrt(tr A / lambda_min(A - D)): next to
+    t = 0 the law A - D is small, and a rounding of u tr A in it moves a
+    Bures term by up to sqrt(u) of itself."""
+    wsp = z.spectrum
+    t_mp, h = mpmath.mpf(t), mpmath.mpf(wsp.gamma) / 2
+    means, gaps, args, kappas = [], [], [], []
+    for k, (lk, qk) in enumerate(zip(wsp.system.lambdas, spec.gaussian_q)):
+        with mpmath.workdps(60):
+            P = mp_propagator(t_mp, wsp, k)
+            w = mpmath.diag([mpmath.sqrt(1 + mpmath.mpf(lk)), 1])
+            mean = w * P * mpmath.matrix([z.position[k], z.velocity[k]]) / mpmath.mpf(eps)
+            means.append(mean[0] ** 2 + mean[1] ** 2)
+            s_inf = mpmath.diag([mpmath.mpf(qk) / (4 * h * lk), mpmath.mpf(qk) / (4 * h)])
+            eq, deficit = w * s_inf * w, w * P * s_inf * P.T * w
+            tr = eq[0, 0] + eq[1, 1]
+            ratio = (deficit[0, 0] + deficit[1, 1]) / tr if qk else 0
+        lost = int(-2 * mpmath.log10(ratio)) if 0 < ratio < 1 else 0
+        if ratio == 0 or lost > 700:
+            gaps.append(mpmath.mpf(0))
+            kappas.append(1.0)
+        else:
+            with mpmath.workdps(60 + lost):
+                P = mp_propagator(t_mp, wsp, k)
+                w = mpmath.diag([mpmath.sqrt(1 + mpmath.mpf(lk)), 1])
+                s_inf = mpmath.diag([mpmath.mpf(qk) / (4 * h * lk), mpmath.mpf(qk) / (4 * h)])
+                eq, law = w * s_inf * w, w * (s_inf - P * s_inf * P.T) * w
+                gaps.append(mp_gelbrich_sq(eq, law))
+                tr_b = law[0, 0] + law[1, 1]
+                low = mpmath.det(law) / tr_b if tr_b > 0 else 0  # >= lambda_min / 2
+                kappas.append(float(min(2.0 ** 26.5, mpmath.sqrt((eq[0, 0] + eq[1, 1])
+                                                                 / max(low, 1e-300)))))
+        theta = wsp.theta[k - wsp.n_over] if k >= wsp.n_over else 0.0
+        args.append(t * (wsp.gamma + theta) + abs(math.log(eps)))
+    with mpmath.workdps(60):
+        total, gap = sum(means) + sum(gaps), sum(gaps)
+
+        def tol(parts, whole):
+            if not whole:
+                return 0.0
+            return 8 * 2.0 ** -53 * (1 + sum(float(p / whole) * (a + c) for p, a, c in
+                                             zip(parts, args, kappas)))
+
+        return (float(mpmath.sqrt(total)), float(mpmath.sqrt(gap)),
+                tol([m + g for m, g in zip(means, gaps)], total), tol(gaps, gap))
+
+
+def near(got, want, tol):
+    """got within tol relative of want, or both below 1e-290 (underflow)."""
+    return abs(got - want) <= tol * want + 1e-290
+
+
+# The full-length heat flow and noise law that evaluate exp and expm1 on
+# every mode, kept as byte-for-byte references for the flow on the datum's
+# support and the noise law on the unrelaxed modes.
 
 
 def reference_heat_apply(t, h, log_scale=0.0):
@@ -596,21 +571,12 @@ def reference_heat_variances(t, spec):
     return spec.gaussian_q * -np.expm1(-2.0 * lam * t) / (2.0 * lam)
 
 
-def reference_distance_heat(t, h, eps, spec):
-    mean = reference_heat_apply(t, h, log_scale=-math.log(eps))
-    v_t = reference_heat_variances(t, spec)
-    v_inf = reference_heat_variances(math.inf, spec)
-    return _w2_diag_sd(mean, np.sqrt(v_t), np.sqrt(v_inf))
-
-
 @st.composite
 def heat_cases(draw):
     """A datum with empty, sparse or full support, or one run of modes that
     ends anywhere, before or past the unrelaxed ones, and noise with some
     modes off, on a spectrum spread over six decades so that the relaxed
-    modes start anywhere from the first mode to past the last.  Up to 128
-    modes NumPy sums in one block; beyond, the live prefixes are nodes of
-    its summation tree."""
+    modes start anywhere from the first mode to past the last."""
     n = draw(st.one_of(st.integers(1, 128), st.integers(129, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     system = EigenSystem.from_lambdas(10.0 ** rng.uniform(-2.0, 4.0, n))
@@ -630,6 +596,204 @@ def heat_cases(draw):
     return ModeCoefficients(system, values), NoiseSpec(system=system, gaussian_q=q)
 
 
+def mp_heat_distance_and_gap(t, h, eps, spec):
+    """(distance, gap, tolerance) at 50 digits: the mean h e^{-lambda t} /
+    eps and, per mode, sqrt v_inf - sqrt v_t = D / (sqrt v_inf + sqrt v_t)
+    with D = v_inf e^{-2 lambda t}, which cancels nothing.  The tolerance is
+    8u times one plus the exponent arguments 2 lambda t + |ln eps| that the
+    float flow and law round, weighted by each mode's share."""
+    with mpmath.workdps(60):
+        t_mp, inv_eps = mpmath.mpf(t), 1 / mpmath.mpf(eps)
+        means, gaps, args = [], [], []
+        for lk, qk, hk in zip(spec.system.lambdas.tolist(), spec.gaussian_q.tolist(),
+                              h.values.tolist()):
+            lk = mpmath.mpf(lk)
+            means.append((hk * mpmath.exp(-lk * t_mp) * inv_eps) ** 2)
+            v_inf = mpmath.mpf(qk) / (2 * lk)
+            deficit = v_inf * mpmath.exp(-2 * lk * t_mp)
+            root = mpmath.sqrt(v_inf) + mpmath.sqrt(v_inf - deficit)
+            gaps.append((deficit / root) ** 2 if root else mpmath.mpf(0))
+            args.append(2.0 * float(lk) * t + abs(math.log(eps)))
+        total, gap = sum(means) + sum(gaps), sum(gaps)
+        shares = [float((m + g) / total) if total else 0.0 for m, g in zip(means, gaps)]
+        tol = 8 * 2.0 ** -53 * (1 + sum(s * a for s, a in zip(shares, args)))
+        return float(mpmath.sqrt(total)), float(mpmath.sqrt(gap)), tol
+
+
+class TestOneDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(case=wave_cases(), t=st.floats(0.0, 300.0),
+           log10_eps=st.floats(-12.0, math.log10(0.9)))
+    def test_wave_distance_and_gap_match_a_50_digit_oracle(self, case, t, log10_eps):
+        wsp, z, spec = case
+        eps = 10.0 ** log10_eps
+        try:
+            dist, gap = distance_and_gap(t, z, eps, spec)
+        except InvalidDomainError as e:
+            # Sigma_inf - P_t Sigma_inf P_t^T rounds below 0 next to t = 0
+            # on overdamped modes (ROADMAP item 2, the small-t closed form)
+            assert str(e) == "covariance blocks must be PSD" and 0.0 < t < 1e-4
+            return
+        want_dist, want_gap, tol_dist, tol_gap = mp_wave_distance_and_gap(t, z, eps, spec)
+        assert near(dist, want_dist, tol_dist)
+        assert near(gap, want_gap, tol_gap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=heat_cases(),
+           t=st.one_of(st.sampled_from([0.0, 5e-324, 1e6]), st.floats(0.0, 300.0)),
+           log_eps=st.floats(-700.0, -0.01))
+    def test_heat_distance_and_gap_match_a_50_digit_oracle(self, case, t, log_eps):
+        h, spec = case
+        eps = math.exp(log_eps)
+        dist, gap = distance_and_gap(t, h, eps, spec)
+        want_dist, want_gap, tol = mp_heat_distance_and_gap(t, h, eps, spec)
+        assert near(dist, want_dist, tol)
+        assert near(gap, want_gap, tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=wave_cases())
+    def test_wave_moment_equals_the_old_cli_expression(self, case):
+        wsp, _, spec = case
+        assert (equilibrium_moment(spec, wsp).hex()
+                == reference_wave_moment(spec, wsp).hex())
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=heat_cases())
+    def test_heat_moment_equals_the_old_expression(self, case):
+        _, spec = case
+        assert (equilibrium_moment(spec).hex()
+                == math.sqrt(np.sum(spec.heat_equilibrium_var)).hex())
+
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_a_deficit_above_its_block_raises(self, monkeypatch, kind):
+        _, x, spec = wave_over_setup() if kind == "wave" else heat_setup(6)
+        law = gaussian_law
+
+        def bad_law(t, *args):
+            out = law(t, *args)
+            cov = out.cov.copy()
+            cov[0] = -out.eq[0]
+            return type(out)(out.eq, out.deficit, cov)
+
+        monkeypatch.setattr(cutoff, "gaussian_law", bad_law)
+        with pytest.raises(InvalidDomainError, match="^covariance blocks must be PSD$"):
+            distance_and_gap(1.0, x, 1e-4, spec)
+
+
+def assert_live_modes_hold_the_gap(t, spec):
+    """The heat law's live modes: every Bures distance past them is below
+    2^-70 of the largest live one, or 0 in floating point, so the gap over
+    all modes equals the live one to rounding.  Returns their count."""
+    law = gaussian_law(t, spec)
+    k = law.deficit.size
+    eq, lam = spec.heat_equilibrium_var, spec.system.lambdas
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # t = 1e6
+        full = bures(eq, eq * np.exp(-2.0 * lam * t),
+                     spec.gaussian_q * -np.expm1(-2.0 * lam * t) / (2.0 * lam))
+    live = full[:k]
+    assert live.tobytes() == bures(law.eq[:k], law.deficit, law.cov).tobytes()
+    assert np.all(full[k:] <= 2.0 ** -70 * live.max(initial=0.0))
+    assert root_sum_sq(full) == pytest.approx(root_sum_sq(live), rel=1e-15, abs=0.0)
+    return k
+
+
+class TestHeatLiveModes:
+    @settings(max_examples=300, deadline=None)
+    @given(case=heat_cases(),
+           t=st.one_of(st.sampled_from([0.0, 5e-324, 1e6]), st.floats(0.0, 300.0)),
+           log_eps=st.floats(-700.0, -0.01))
+    def test_flow_and_law_equal_the_full_length_versions(self, case, t, log_eps):
+        h, spec = case
+        eps = math.exp(log_eps)
+        log_scale = -math.log(eps)
+        with np.errstate(over="ignore"):  # |S(t)h/eps| may overflow on both sides
+            mean = reference_heat_apply(t, h, log_scale)
+            assert heat_apply(t, h, log_scale).values.tobytes() == mean.tobytes()
+            v_t = reference_heat_variances(t, spec)
+            v_inf = reference_heat_variances(math.inf, spec)
+            assert heat_gaussian_convolution_law(t, spec).tobytes() == v_t.tobytes()
+            assert spec.heat_equilibrium_var.tobytes() == v_inf.tobytes()
+            res = cutoff_inequality_gap(t, h, eps, spec)
+            assert (res["lhs"], res["bound"]) == distance_and_gap(t, h, eps, spec)
+            assert res["mid"].hex() == ModeCoefficients(h.system, mean).norm.hex()
+        assert_live_modes_hold_the_gap(t, spec)
+
+    def test_every_heat_3d_cell_drops_only_negligible_terms(self):
+        # the heat-profile grid on the 27,000-mode box: 13 rho and 6 delta
+        # cells per eps, inverse-square noise
+        system = build_box_eigensystem([(math.pi, 30), (1.1 * math.pi, 30),
+                                        (1.3 * math.pi, 30)])
+        spec = NoiseSpec(system=system,
+                         gaussian_q=1.0 / np.arange(1.0, system.n_modes + 1) ** 2)
+        rate = float(system.lambdas[1])  # mode 1 leads
+        live = []
+        for eps in (10.0 ** -k for k in range(3, 15)):
+            t_eps = cutoff_time(eps, rate)
+            for t in ([t_eps + 0.25 * k for k in range(-6, 7)]
+                      + [d * t_eps for d in (0.25, 0.5, 0.75, 1.5, 2.0, 3.0)]):
+                live.append(assert_live_modes_hold_the_gap(t, spec))
+        assert (len(live), sum(live), max(live)) == (228, 5_306, 1_404)
+
+    def test_an_overflowing_equilibrium_variance_is_rejected(self):
+        # q / (2 lambda) overflows on mode 900, relaxed at t = 1e4 like every
+        # mode: the spec rejects it, so every equilibrium variance is finite
+        system = EigenSystem.from_lambdas(np.linspace(0.01, 0.4, 1000))
+        q = np.full(1000, 0.5)
+        q[900] = 1.7e308
+        spec = NoiseSpec(system=system, gaussian_q=q)
+        h = ModeCoefficients(system, np.eye(1, 1000)[0])
+        with pytest.raises(VarianceOverflowError, match="mode 900: ") as exc:
+            distance(1e4, h, 0.1, spec)
+        assert exc.value.index == 900
+        q[900] = 0.5
+        spec = NoiseSpec(system=system, gaussian_q=q)
+        want = mp_heat_distance_and_gap(1e4, h, 0.1, spec)[0]
+        assert distance(1e4, h, 0.1, spec) == pytest.approx(want, rel=1e-13)
+
+    def test_expm1_is_minus_one_where_the_modes_count_as_relaxed(self):
+        # a mode counts as relaxed when lambda >= 20 / t, so 2 lambda t is at
+        # least 40 up to rounding
+        t = np.geomspace(5e-324, 1.7e308, 20_001)
+        with np.errstate(over="ignore"):  # 20 / t = inf: every mode is unrelaxed
+            assert np.all(-2.0 * (20.0 / t) * t <= -38.0)
+        x = np.concatenate([np.linspace(-38.0, -800.0, 1_000_001),
+                            -np.geomspace(800.0, 1.7e308, 10_001), [-np.inf]])
+        assert np.all(np.expm1(x) == -1.0)
+
+    def test_zero_coefficient_whose_factor_overflows_stays_zero(self):
+        # -log eps - lambda_1 t = 712.8 > 709.78: e^{712.8} overflows, and a
+        # full-length flow turned 0 * inf into NaN on the zero mode
+        system = EigenSystem.from_lambdas([1.0, 400.0])
+        h = ModeCoefficients(system, np.array([0.0, 1.0]))
+        spec = NoiseSpec(system=system, gaussian_q=np.array([1.0, 1.0]))
+        eps, t = 1e-310, 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(reference_heat_apply(t, h, -math.log(eps))[0])
+        assert heat_apply(t, h, log_scale=-math.log(eps)).values[0] == 0.0
+        assert distance(t, h, eps, spec) == pytest.approx(
+            math.exp(-400.0 - math.log(eps)), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-3, 0.5, 1.0, 5.0, 17.0, 18.0, 20.0,
+                                   100.0, 300.0])
+    def test_heat_noise_gap_matches_a_50_digit_oracle(self, t):
+        # the README heat config: 32 modes on (0, pi), inverse-square q;
+        # past t = 177 the squares of the gap underflow, the gap does not
+        system, h, spec = heat_setup(32)
+        assert gaussian_law(math.inf, spec).deficit.size == 0  # the gap at t = inf is 0
+        want = mp_heat_noise_gap(t, spec)
+        assert abs(distance_and_gap(t, h, 0.5, spec)[1] - want) <= 1e-13 * want
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 32), t=st.floats(0.0, 300.0), data=st.data())
+    def test_heat_noise_gap_matches_a_50_digit_oracle_with_modes_off(self, n, t, data):
+        system = build_box_eigensystem([(math.pi, n)])
+        q = data.draw(st.lists(INTENSITY, min_size=n, max_size=n))
+        spec = NoiseSpec(system=system, gaussian_q=np.array(q))
+        h = ModeCoefficients(system, np.zeros(n))
+        want = mp_heat_noise_gap(t, spec)
+        assert abs(distance_and_gap(t, h, 0.5, spec)[1] - want) <= 1e-13 * want
+
+
 def mp_heat_noise_gap(t, spec):
     """sqrt(sum (sd_inf - sd_t)^2) by direct subtraction in mpmath, with
     enough working digits that the slowest-relaxing mode keeps 50 of them."""
@@ -646,117 +810,6 @@ def mp_heat_noise_gap(t, spec):
             v_t = v_inf * -mpmath.expm1(-2 * lk * mpmath.mpf(t))
             total += (mpmath.sqrt(v_inf) - mpmath.sqrt(v_t)) ** 2
         return float(mpmath.sqrt(total))
-
-
-class TestHeatLiveModes:
-    @settings(max_examples=300, deadline=None)
-    @given(case=heat_cases(),
-           t=st.one_of(st.sampled_from([0.0, 5e-324, 1e6]), st.floats(0.0, 300.0)),
-           log_eps=st.floats(-700.0, -0.01))
-    def test_flow_law_and_distance_equal_the_full_length_versions(self, case, t, log_eps):
-        h, spec = case
-        eps = math.exp(log_eps)
-        log_scale = -math.log(eps)
-        with np.errstate(over="ignore"):  # |S(t)h/eps|^2 may overflow on both sides
-            mean = reference_heat_apply(t, h, log_scale)
-            assert heat_apply(t, h, log_scale).values.tobytes() == mean.tobytes()
-            v_t = reference_heat_variances(t, spec)
-            v_inf = reference_heat_variances(math.inf, spec)
-            assert heat_gaussian_convolution_law(t, spec).tobytes() == v_t.tobytes()
-            assert heat_convolution_sd(t, spec).tobytes() == np.sqrt(v_t).tobytes()
-            assert spec.heat_equilibrium_var.tobytes() == v_inf.tobytes()
-            dist = reference_distance_heat(t, h, eps, spec)
-            assert renormalized_distance_heat(t, h, eps, spec).hex() == dist.hex()
-            res = cutoff_inequality_gap(t, h, eps, spec)
-            assert res["lhs"].hex() == dist.hex()
-            assert res["mid"].hex() == float(np.linalg.norm(mean)).hex()
-        assert (gaussian_abs_moment_surrogate(spec).hex()
-                == math.sqrt(np.sum(v_inf)).hex())
-
-    def test_every_heat_3d_cell_equals_the_full_length_distance(self):
-        # the heat-profile grid on the 27,000-mode box: 13 rho and 6 delta
-        # cells per eps, a datum on modes 1-7 with mode 1 leading
-        system = build_box_eigensystem([(math.pi, 30), (1.1 * math.pi, 30),
-                                        (1.3 * math.pi, 30)])
-        rng = np.random.default_rng(14)
-        values = np.zeros(system.n_modes)
-        values[1] = 1.0
-        values[2:8] = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.05, 0.5, 6)
-        h = ModeCoefficients(system, values)
-        spec = NoiseSpec(system=system,
-                         gaussian_q=1.0 / np.arange(1.0, system.n_modes + 1) ** 2)
-        rate = heat_leading_data(h).rate
-        cells = 0
-        for eps in (10.0 ** -k for k in range(3, 15)):
-            t_eps = cutoff_time(eps, rate)
-            times = ([t_eps + 0.25 * k for k in range(-6, 7)]
-                     + [d * t_eps for d in (0.25, 0.5, 0.75, 1.5, 2.0, 3.0)])
-            for t in times:
-                assert (renormalized_distance_heat(t, h, eps, spec).hex()
-                        == reference_distance_heat(t, h, eps, spec).hex())
-                cells += 1
-        assert cells == 228
-
-    def test_an_overflowing_equilibrium_variance_is_rejected(self):
-        # q / (2 lambda) overflows on mode 900, relaxed at t = 1e4 like every
-        # mode: the full-length sum met inf - inf there and gave NaN, though
-        # the datum and the unrelaxed modes end before it.  The spec now
-        # rejects it, so every equilibrium sd the live prefix drops is finite.
-        system = EigenSystem.from_lambdas(np.linspace(0.01, 0.4, 1000))
-        q = np.full(1000, 0.5)
-        q[900] = 1.7e308
-        spec = NoiseSpec(system=system, gaussian_q=q)
-        h = ModeCoefficients(system, np.eye(1, 1000)[0])
-        with pytest.raises(VarianceOverflowError, match="mode 900: ") as exc:
-            renormalized_distance_heat(1e4, h, 0.1, spec)
-        assert exc.value.index == 900
-        with pytest.raises(VarianceOverflowError):
-            spec.heat_equilibrium_sd
-        q[900] = 0.5
-        spec = NoiseSpec(system=system, gaussian_q=q)
-        assert (renormalized_distance_heat(1e4, h, 0.1, spec).hex()
-                == reference_distance_heat(1e4, h, 0.1, spec).hex())
-
-    def test_expm1_is_minus_one_where_the_modes_count_as_relaxed(self):
-        # a mode counts as relaxed when lambda >= 20 / t, so 2 lambda t is at
-        # least 40 up to rounding
-        t = np.geomspace(5e-324, 1.7e308, 20_001)
-        with np.errstate(over="ignore"):  # 20 / t = inf: every mode is unrelaxed
-            assert np.all(-2.0 * (20.0 / t) * t <= -38.0)
-        x = np.concatenate([np.linspace(-38.0, -800.0, 1_000_001),
-                            -np.geomspace(800.0, 1.7e308, 10_001), [-np.inf]])
-        assert np.all(np.expm1(x) == -1.0)
-
-    def test_zero_coefficient_whose_factor_overflows_stays_zero(self):
-        # -log eps - lambda_1 t = 712.8 > 709.78: e^{712.8} overflows, and the
-        # full-length flow turned 0 * inf into NaN on the zero mode
-        system = EigenSystem.from_lambdas([1.0, 400.0])
-        h = ModeCoefficients(system, np.array([0.0, 1.0]))
-        spec = NoiseSpec(system=system, gaussian_q=np.array([1.0, 1.0]))
-        eps, t = 1e-310, 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(reference_distance_heat(t, h, eps, spec))
-        assert heat_apply(t, h, log_scale=-math.log(eps)).values[0] == 0.0
-        assert renormalized_distance_heat(t, h, eps, spec) == pytest.approx(
-            math.exp(-400.0 - math.log(eps)), rel=1e-12)
-
-    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-3, 0.5, 1.0, 5.0, 17.0, 18.0, 20.0,
-                                   100.0, 300.0, math.inf])
-    def test_heat_noise_gap_matches_a_50_digit_oracle(self, t):
-        # the README heat config: 32 modes on (0, pi), inverse-square q
-        spec = NoiseSpec(system=build_box_eigensystem([(math.pi, 32)]),
-                         gaussian_q=1.0 / np.arange(1.0, 33.0) ** 2)
-        want = mp_heat_noise_gap(t, spec)
-        assert abs(heat_noise_gap(t, spec) - want) <= 1e-13 * want
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 32), t=st.floats(0.0, 300.0), data=st.data())
-    def test_heat_noise_gap_matches_a_50_digit_oracle_with_modes_off(self, n, t, data):
-        system = build_box_eigensystem([(math.pi, n)])
-        q = data.draw(st.lists(INTENSITY, min_size=n, max_size=n))
-        spec = NoiseSpec(system=system, gaussian_q=np.array(q))
-        want = mp_heat_noise_gap(t, spec)
-        assert abs(heat_noise_gap(t, spec) - want) <= 1e-13 * want
 
 
 class TestReport:

@@ -12,19 +12,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import norm
 
+import mpmath
+
 from spdecutoff import (
+    bures,
     homogeneity_check,
     shift_bounds,
     shift_linearity_check,
     stream,
     w2_diag_gaussian,
     w2_gaussian_2x2,
-    w2_product,
     wp_empirical_1d,
 )
 from spdecutoff import wasserstein
 from spdecutoff.errors import InvalidDomainError
-from spdecutoff.wasserstein import _pairwise_prefix, concentration_exponent
+from spdecutoff.spectral_core import root_sum_sq
+from spdecutoff.wasserstein import concentration_exponent
 
 
 class TestExponents:
@@ -50,7 +53,7 @@ class TestDiagGaussian:
         d1 = w2_diag_gaussian([1.0], [2.0], [0.0], [3.0])
         d2 = w2_diag_gaussian([0.5], [1.0], [0.2], [1.5])
         joint = w2_diag_gaussian([1.0, 0.5], [2.0, 1.0], [0.0, 0.2], [3.0, 1.5])
-        assert joint == pytest.approx(w2_product([d1, d2]), rel=1e-14)
+        assert joint == pytest.approx(math.hypot(d1, d2), rel=1e-14)
 
     def test_metric_axioms_random(self):
         rng = np.random.default_rng(3)
@@ -248,31 +251,130 @@ class TestStackedGaussian2x2:
             w2_gaussian_2x2(np.zeros(2), c1[::-1], np.zeros(2), good, position_weight=w[::-1])
 
 
-class TestPairwiseSummationTree:
-    """_pairwise_prefix pins NumPy's pairwise summation: halves split at a
-    multiple of 8, blocks of at most 128 terms in 8 accumulators.  A NumPy
-    that sums another way fails here rather than moving the last bits of
-    the heat distance."""
+def mp_sqrtm(m):
+    """The PSD square root of a 2x2 mpmath block: mpmath.sqrtm of the block
+    over its trace with 40 more working digits (its iteration loses about
+    the digits of the block's condition number, up to 10^24 here), or, where
+    it does not converge or meets a singular block, the identity
+    sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))."""
+    t = m[0, 0] + m[1, 1]
+    if t == 0:
+        return m
+    try:
+        with mpmath.workdps(mpmath.mp.dps + 40):
+            return (mpmath.sqrtm(m / t) * mpmath.sqrt(t)).apply(mpmath.re)
+    except (mpmath.libmp.libhyper.NoConvergence, ZeroDivisionError):
+        s = mpmath.sqrt(max(mpmath.det(m), 0))
+        return (m + s * mpmath.eye(2)) / mpmath.sqrt(t + 2 * s)
 
-    def test_spine_of_the_heat_3d_box(self):
-        spine = [_pairwise_prefix(27_000, k) for k in (0, 104, 105, 209, 13_496, 13_497)]
-        assert spine == [104, 104, 208, 416, 13_496, 27_000]
-        assert [_pairwise_prefix(m, 0) for m in (1, 128, 129, 136, 256, 257)] == \
-            [1, 128, 64, 64, 128, 128]
 
-    def test_prefix_sum_equals_the_full_sum_bit_for_bit(self):
-        rng = np.random.default_rng(20)
-        moved = 0
-        for i in range(1_000):
-            m = 27_000 if i % 10 == 0 else int(rng.integers(1, 100_001))
-            k = int(rng.integers(0, m + 1) if i % 2 else rng.integers(0, min(m, 400) + 1))
-            x = np.zeros(m)
-            x[:k] = rng.random(k) * 10.0 ** rng.uniform(-5.0, 5.0, k)
-            n = _pairwise_prefix(m, k)
-            assert k <= n <= m
-            assert np.sum(x[:n]).hex() == np.sum(x).hex()
-            moved += np.sum(x[:k]) != np.sum(x)
-        assert moved > 300  # a plain prefix of k terms sums in another order
+def mp_bures(a, d, lost):
+    """W2(N(0, A), N(0, A - D)) at 50 digits: A - D formed exactly, and
+    Gelbrich's tr A + tr B - 2 tr sqrt(sqrt(A) B sqrt(A)) with ``lost`` more
+    working digits, the ones its difference cancels."""
+    with mpmath.workdps(60 + lost):
+        if np.ndim(a) == 0:
+            a, b = mpmath.mpf(a), mpmath.mpf(a) - mpmath.mpf(d)
+            return mpmath.sqrt(a) - mpmath.sqrt(b)
+        a = mpmath.matrix(a.tolist())
+        b = a - mpmath.matrix(d.tolist())
+        root = mp_sqrtm(a)
+        m = mp_sqrtm(root * b * root)
+        sq = a[0, 0] + a[1, 1] + b[0, 0] + b[1, 1] - 2 * (m[0, 0] + m[1, 1])
+        return mpmath.sqrt(max(sq, 0))
+
+
+def rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+@st.composite
+def bures_blocks(draw):
+    """(A, D, k): A a 2x2 PSD block with trace 10^[-300, 300] and eigenvalue
+    ratio 10^[-12, 0], and D = k A^{1/2} K A^{1/2} with K a PSD block of
+    eigenvalues 1 and [0, 1], so that A - D is PSD: k = 1 with K = I (D = A,
+    t = 0), k = 0 (D = 0), or |D| / |A| = k from 10^-300 (bounded so that
+    D's entries stay normal) up to 1/2."""
+    log_tr = draw(st.floats(-300.0, 300.0))
+    a = rotation(draw(st.floats(0.0, math.pi))) @ np.diag(
+        [1.0, 10.0 ** draw(st.floats(-12.0, 0.0))])
+    a = 10.0 ** log_tr * (a @ a.T) / np.trace(a @ a.T)
+    a = (a + a.T) / 2
+    kind = draw(st.sampled_from(["equal", "zero", "deficit"]))
+    if kind == "equal":
+        return a, a.copy(), 1.0
+    if kind == "zero":
+        return a, np.zeros((2, 2)), 0.0
+    k = 10.0 ** draw(st.floats(max(-300.0, -280.0 - log_tr), math.log10(0.5)))
+    vals, vecs = np.linalg.eigh(a)
+    root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    r = rotation(draw(st.floats(0.0, math.pi)))
+    kk = k * r @ np.diag([1.0, draw(st.floats(0.0, 1.0))]) @ r.T
+    d = root @ kk @ root
+    return a, (d + d.T) / 2, k
+
+
+class TestBures:
+    @settings(max_examples=60, deadline=None)
+    @given(log_a=st.floats(-300.0, 300.0), log_k=st.floats(-300.0, 0.0),
+           kind=st.sampled_from(["equal", "zero", "deficit"]))
+    def test_1x1_blocks_match_a_50_digit_oracle(self, log_a, log_k, kind):
+        a = 10.0 ** log_a
+        d = {"equal": a, "zero": 0.0, "deficit": a * 10.0 ** log_k}[kind]
+        got = float(bures(np.array([a]), np.array([d]), np.array([a - d]))[0])
+        want = mp_bures(a, d, int(-log_k) if kind == "deficit" else 0)
+        assert abs(got - want) <= 4e-16 * want + 1e-310
+
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=bures_blocks())
+    def test_2x2_blocks_match_a_50_digit_sqrtm_oracle(self, blocks):
+        a, d, k = blocks
+        got = float(bures(a[None], d[None], a[None] - d[None])[0])
+        if k == 0:  # the oracle's root of a cancelled difference is noise
+            assert got == 0.0
+            return
+        want = mp_bures(a, d, 2 * int(-math.log10(k)) if k < 1 else 0)
+        assert abs(got - want) <= 1e-14 * want + 1e-300
+
+    def test_zero_blocks_and_the_law_at_time_zero(self):
+        a = np.array([[[0.0, 0.0], [0.0, 0.0]], [[2.0, 0.3], [0.3, 1.0]]])
+        got = bures(a, a, np.zeros_like(a))  # t = 0: A - D = 0, the distance is sqrt(tr A)
+        assert got[0] == 0.0 and got[1] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert not np.any(bures(a, np.zeros_like(a), a))
+        assert not np.any(bures(np.zeros(3), np.zeros(3), np.zeros(3)))
+
+    def test_huge_and_tiny_traces_in_one_stack(self):
+        # the equilibrium of a near-zero eigenvalue, 5e298, next to a block
+        # of 1e-300: no product of two determinants is formed
+        a = np.array([np.diag([5e298, 0.05]), np.diag([1e-300, 3e-301])])
+        d = np.array([1e-8 * a[0], 0.25 * a[1]])
+        got = bures(a, d, a - d)
+        for g, ai, di in zip(got, a, d):
+            assert abs(g - mp_bures(ai, di, 20)) <= 1e-14 * g
+
+    def test_a_law_that_is_not_psd_raises(self):
+        a = np.array([np.eye(2), np.eye(2)])
+        d = np.array([0.5 * np.eye(2), np.diag([1.0 + 1e-6, 0.5])])
+        with pytest.raises(InvalidDomainError, match="^covariance blocks must be PSD$"):
+            bures(a, d, a - d)
+        with pytest.raises(InvalidDomainError, match="^covariance blocks must be PSD$"):
+            bures(np.ones(2), np.array([0.5, 1.5]), np.array([0.5, -0.5]))
+
+
+class TestRootSumSq:
+    def test_plain_norm_bits_where_the_squares_are_safe(self):
+        x = np.random.default_rng(4).normal(size=1000)
+        assert root_sum_sq(x).hex() == float(np.linalg.norm(x)).hex()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_squares_that_underflow_or_overflow(self, scale):
+        x = scale * np.array([3.0, 4.0])
+        assert root_sum_sq(x) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_a_norm_beyond_the_largest_double_is_inf(self):
+        assert root_sum_sq(np.array([1.7e308, 1.7e308])) == math.inf
+        assert root_sum_sq(np.array([math.inf, 1.0])) == math.inf
+        assert root_sum_sq(np.zeros(4)) == 0.0
 
 
 class TestEmpirical1d:
