@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import mpmath
 import numpy as np
@@ -369,13 +370,46 @@ class TestConfigValidation:
         ("wave-window", WAVE_WINDOW_CFG | {"initial": {"position": [1.0, 1.7e308],
                                                        "velocity": [0.0]}}),
         ("heat-profile", heat_cfg(initial=[0.0, 1.0, 1.7e308])),
+        ("heat-profile", heat_cfg(initial=[1.7e308, 1.0, 0.5])),
+        # sum_k h_k^2 overflows: levy-moment,...,inf,inf,nan,false before
+        ("levy-check", LEVY_CHECK_CFG | {"initial": [-1.7e308, 0.5]}),
     ])
     def test_a_row_beyond_the_largest_double_exits_2_at_initial(self, tmp_path, capsys,
                                                                 command, cfg):
         path = write_cfg(tmp_path, "big.json", cfg)
-        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings():  # the message is the only output
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: /initial: the ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("over, pointer", [
+        # the squares of u + x - y overflow: inf,1e+300,nan,false before
+        ({"u": 1e300, "p_grid": [2]}, "/u"),
+        ({"u": 1.7e308, "p_grid": [2, 1]}, "/u"),
+        # 3 |x - y - 1| to the power 2000 overflows whatever u is
+        ({"p_grid": [0.5, 2000]}, "/p_grid/1"),
+    ])
+    def test_a_wasserstein_row_that_is_not_finite_exits_2(self, tmp_path, capsys, over,
+                                                          pointer):
+        path = write_cfg(tmp_path, "w.json", WASSERSTEIN_CFG | {"n": 200} | over)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["wasserstein-test", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: the ")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_huge_shift_passes_within_its_rounding(self, tmp_path):
+        # the estimate is one ulp above |u|^(1/2): a band without its
+        # relative rounding term, (2 beta)^(1/2) < 1, would fail the row
+        path = write_cfg(tmp_path, "w.json", WASSERSTEIN_CFG | {"n": 200, "u": 1.7e308,
+                                                                "p_grid": [0.5]})
+        out = tmp_path / "out"
+        assert main(["wasserstein-test", "--config", path, "--out", str(out)]) == 0
+        shift = (out / "wasserstein_test.csv").read_text().split("\n")[1].split(",")
+        assert shift[0] == "shift-linearity" and shift[-1] == "true"
+        assert 0 < abs(float(shift[4]) - float(shift[5])) <= float(shift[6]) < 1e-7 * 1.7e308 ** 0.5
 
     @pytest.mark.parametrize("command, cfg", [
         ("heat-profile", heat_cfg(initial=[0.0, 1.0, 1e300])),
@@ -491,9 +525,9 @@ class TestConfigFuzz:
             csv_path = os.path.join(tmp, "out", command.replace("-", "_") + ".csv")
             rows = list(csv.DictReader(open(csv_path))) if os.path.exists(csv_path) else []
         assert rc in (0, 1, 2)
-        # the closed-form commands write finite rows or exit 2 with a message;
+        # these commands write finite rows or exit 2 with a message;
         # mult-profile and levy-check still write NaN rows (ROADMAP item 14)
-        if command in ("heat-profile", "wave-profile", "wave-window"):
+        if command in ("heat-profile", "wave-profile", "wave-window", "wasserstein-test"):
             if rc == 2:
                 assert err.getvalue().startswith("error: ") and not rows
             else:
