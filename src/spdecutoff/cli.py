@@ -20,7 +20,6 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -34,6 +33,7 @@ from ._rng import stream
 from .errors import (
     ConfigError,
     DegenerateNoiseError,
+    GapOverflowError,
     InvalidDomainError,
     MarkOutOfRangeError,
     ScheduleRejectedError,
@@ -277,12 +277,12 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
                    spec)
 
 
-def _finite(report: CutoffReport, spec: NoiseSpec, wspec=None) -> CutoffReport:
+def _finite(report: CutoffReport, spec: NoiseSpec | None = None, wspec=None) -> CutoffReport:
     """``report``, or exit 2 before any file is written when a row's distance,
-    profile or bound is not finite: at /noise/gaussian_q if the noise, else /initial."""
+    profile or bound is not finite: at /noise/gaussian_q if the noise ``spec``'s, else /initial."""
     for r, key in ((r, k) for r in report.rows for k in ("renormalized", "profile", "bound")):
         if not math.isfinite(r[key]):
-            if not math.isfinite(equilibrium_moment(spec, wspec)):
+            if spec is not None and not math.isfinite(equilibrium_moment(spec, wspec)):
                 raise ConfigError("/noise/gaussian_q", "the equilibrium second moment "
                                   "sum_k tr A_k is not finite")
             raise ConfigError("/initial", f"the {key} at rho_or_delta = {r['rho_or_delta']:g}, "
@@ -295,6 +295,8 @@ def _wave_setup(cfg: dict):
     system = _build_system(cfg)
     try:
         wsp = wave_spectrum(_get(cfg, "gamma", float, ""), system)
+    except GapOverflowError as e:
+        raise ConfigError("/lambdas" if "lambdas" in cfg else "/dims", str(e)) from e
     except InvalidDomainError as e:
         raise ConfigError("/gamma", str(e)) from e
     initial = _get(cfg, "initial", dict, "")
@@ -396,6 +398,15 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)
     specs = _mult_specs(cfg, system, kind, eps_grid)
+    # E|X_t|^2 must decay on every mode with data; its drift grows with eps (v >= 0)
+    spec = max(specs, key=lambda s: s.eps)
+    drift = spec.second_moment_drift()
+    grows = np.flatnonzero((drift >= 0.0) & (h.values != 0.0))
+    if grows.size:
+        j = grows[0]
+        raise ConfigError("/g" if kind == "brownian" else "/marks", f"mode {j}: the second-"
+                          f"moment drift -lambda + eps^2 v / 2 = {drift[j]:g} at eps = "
+                          f"{spec.eps:g} is not negative: E|X_t|^2 does not decay")
     if rho_grid:  # mult_profile's times: t_eps = |ln a(eps)| / lambda_1
         l1 = heat_leading_data(h).lambda_lead
         two_lam = 2.0 * float(system.lambdas[-1])
@@ -412,7 +423,7 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
                           else 0.0)
             report.add(f"mult-{kind}", p, row["eps"], rho, row["distance"],
                        row["profile"], bound, row["residual"] <= bound + 1e-15)
-    return report
+    return _finite(report)
 
 
 def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
@@ -550,11 +561,6 @@ _RUNNERS = {
 }
 
 
-# These commands exit 2 on a row that is not finite, so an overflow on the
-# way to one is not worth a NumPy warning: each runs under one errstate.
-_FINITE_ROWS = {"heat-profile", "wave-profile", "wave-window", "wasserstein-test"}
-
-
 def _seed(text: str) -> int:
     """argparse type of --seed: a non-negative integer."""
     if not text.isdecimal():
@@ -603,8 +609,9 @@ def main(argv=None) -> int:
             seed = _get(cfg, "master_seed", int, "", default=0, required=False)
             if seed < 0:
                 raise ConfigError("/master_seed", f"seed must be >= 0, got {seed}")
-        quiet = args.command in _FINITE_ROWS
-        with np.errstate(over="ignore") if quiet else contextlib.nullcontext():
+        # an overflow shows in the rows or in an exit-2 message, not as a
+        # NumPy warning
+        with np.errstate(over="ignore"):
             report = _RUNNERS[args.command](cfg, seed)
         report.meta.update(experiment=args.command, schema_version=SCHEMA_VERSION,
                            seed=seed, version=__version__)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidDomainError, WrongCaseError
 from .noise_sim import NoiseSpec, gaussian_law, heat_gaussian_convolution_law
-from .semigroup import _heat_on_support, heat_apply, wave_apply, wave_subcritical_norm_sq
+from .semigroup import _heat_on_support, heat_apply, wave_apply
 from .spectral_core import ModeCoefficients, WaveState, root_sum_sq
 # w2_gaussian_2x2 is bound here, unused, so that a tracer that wraps each
 # module's names keeps covering the 2x2 closed form from this module.
@@ -149,10 +149,7 @@ def window_cell(z: WaveState, spec: NoiseSpec):
     def cell(rho: float, eps: float):
         t = cutoff_time(eps, 0.5 * wsp.gamma) + rho
         dist, slack = distance_and_gap(t, z, eps, spec)
-        norm = math.sqrt(wave_subcritical_norm_sq(t, z))
-        if norm == math.inf:  # its square overflows
-            norm = wave_apply(t, z, 0.5 * wsp.gamma * t).norm
-        center = math.exp(-0.5 * wsp.gamma * rho) * norm
+        center = math.exp(-0.5 * wsp.gamma * rho) * wave_apply(t, z, 0.5 * wsp.gamma * t).norm
         return dist, center, slack, abs(dist - center) <= slack + 1e-10 * (1.0 + dist)
 
     return cell

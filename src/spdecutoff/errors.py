@@ -13,6 +13,10 @@ class InvalidDomainError(SpdeCutoffError):
     """Box side lengths or mode counts are not positive."""
 
 
+class GapOverflowError(InvalidDomainError):
+    """A mode's damping gap sqrt|gamma^2/4 - lambda| is not finite."""
+
+
 class InvalidTimeError(SpdeCutoffError):
     """A time argument is negative where only t >= 0 makes sense."""
 

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .noise_sim import JumpMark
 from .semigroup import _check_time
-from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data
+from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data, root_sum_sq
 
 # Entries (rows x modes) per block of levy_stochexp_batch's distinct count
 # vectors and of the replayed paths; bounds the working memory of both
@@ -237,7 +237,7 @@ class MultLevySpec:
         for i, m in enumerate(self.marks):
             if m.values.shape != (self.system.n_modes,):
                 raise MarkOutOfRangeError(i, "length must match mode count")
-            nrm = float(np.linalg.norm(m.values))
+            nrm = root_sum_sq(m.values)
             if not (self.eta <= nrm < 1.0):
                 raise MarkOutOfRangeError(
                     i, f"norm {nrm} outside [eta, 1) = [{self.eta}, 1)"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTimeError, SubcriticalRouteError, WrongCaseError
+from .errors import InvalidDomainError, InvalidTimeError, SubcriticalRouteError, WrongCaseError
 from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState, damping_gap
 
 
@@ -56,8 +56,10 @@ def _heat_on_support(t: float, h: ModeCoefficients, log_scale: float):
 
 def _propagator_coefficients(t: float, sp: WaveSpectrum, log_scale: float):
     """Per-mode (c, s) with e^{log_scale} P_k(t) = c_k I + s_k (A_k + gamma/2 I),
-    A_k = [[0, 1], [-lambda_k, -gamma]]: :func:`wave_mode_propagator`'s
-    formula on every mode of ``sp`` at once."""
+    A_k = [[0, 1], [-lambda_k, -gamma]], in every damping regime.  Overdamped,
+    with the gap s_k and the slow root r_k of ``sp``, c = e^{rt} (1 + e^{-2st}) / 2
+    and s = e^{rt} (1 - e^{-2st}) / (2 s_k), which is t e^{rt} at critical damping;
+    oscillatory, c = e^{-gamma t/2} cos(theta t), s = e^{-gamma t/2} sin(theta t) / theta."""
     e = np.exp(sp.root_slow * t + log_scale)
     x = 2.0 * sp.s * t
     damp = math.exp(-0.5 * sp.gamma * t + log_scale)
@@ -99,20 +101,9 @@ def _mode_gap(lam: float, h: float) -> tuple[float, float]:
 
 
 def wave_mode_propagator(t: float, lam: float, gamma: float) -> np.ndarray:
-    """Closed-form 2x2 exponential of [[0, 1], [-lambda, -gamma]] * t.
-
-    P(t) = c I + s (A + gamma/2 I) in every damping regime.  With
-    s_0^2 = (gamma/2 - sqrt(lambda)) (gamma/2 + sqrt(lambda)) >= 0 (from
-    :func:`damping_gap`) and the slow root r = -lambda / (gamma/2 + s_0),
-
-        c = e^{rt} (1 + e^{-2 s_0 t}) / 2,   s = e^{rt} (1 - e^{-2 s_0 t}) / (2 s_0),
-
-    which is t e^{rt} at critical damping (s_0 = 0); for s_0^2 < 0, with
-    theta^2 = -s_0^2, c = e^{-gamma t/2} cos(theta t) and
-    s = e^{-gamma t/2} sin(theta t) / theta.  Entries are computed as Python
-    floats, which keeps a call at about 1 us: ``decay_constants`` makes
-    grid_points x modes calls.
-    """
+    """The 2x2 exponential of [[0, 1], [-lambda, -gamma]] t, c I + s (A + gamma/2 I)
+    by :func:`_propagator_coefficients`' formula for one mode, in Python floats:
+    about 1 us a call, and ``decay_constants`` makes grid_points x modes calls."""
     t = _check_time(t)
     h = 0.5 * gamma
     below, gap = _mode_gap(lam, h)
@@ -244,45 +235,30 @@ def wave_subcritical_norm_sq(t: float, z: WaveState) -> float:
     if sp.n_over != 0:
         raise WrongCaseError("the window norm needs every mode oscillatory (gamma^2 < 4 lambda_1)")
     norm = wave_apply(t, z, 0.5 * sp.gamma * t).norm
-    try:
-        return norm ** 2
-    except OverflowError:  # the norm itself may be finite
-        return math.inf
+    return norm * norm  # inf where the square overflows, not OverflowError
+
+
+def _norm_2x2(a, b, c, d):
+    """Spectral norms (|(a + d, c - b)| + |(a - d, b + c)|) / 2 of the 2x2 blocks
+    [[a, b], [c, d]], arrays that broadcast; the entries are halved first,
+    exactly unless subnormal, so that no sum of finite entries overflows."""
+    a, b, c, d = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d
+    return np.hypot(a + d, c - b) + np.hypot(a - d, b + c)
 
 
 def decay_constants(
     kind: str,
     system=None,
     wave_spec: WaveSpectrum | None = None,
-    horizon_factor: float = 20.0,
     grid_points: int = 2000,
 ) -> tuple[float, float]:
     """(C, rate) with |S(t)| <= C e^{-rate t} certified on a time grid.
 
     Heat: exactly (1, lambda_1).  Wave: the rate is the slowest modal decay
     (``WaveSpectrum.rate``; a critically damped slowest mode raises); C maximizes
-    e^{rate t} |e^{t M_k}| over modes and a grid on [0, horizon_factor/rate],
-    where M_k is the mode block conjugated into graph-norm coordinates.
-
-    Only a few (time, mode) pairs reach LAPACK.  Every pair is scored with the
-    closed-form 2x2 norm (|(a + d, c - b)| + |(a - d, b + c)|) / 2 times
-    np.exp(rate t).  A pair is kept when its score is not below (1 - 1e-12)
-    times the largest finite score so far (or 1, where the fold starts),
-    itself the score of a kept pair, and the SVD norms of each mode are taken
-    from its first kept pair to its last.  Both norms are of the same float
-    matrix and within a few ulp of its exact norm (the sums of exact entries,
-    hypot and dgesdd each err by an ulp or so), and np.exp and math.exp agree
-    to an ulp or two: a score and the folded product e^{rate t} |.| differ by
-    under 1e-14 relatively, plus 2^-1074 e^{rate t} <= 2^-50 per subnormal
-    rounding against a bar >= 1.  So every pair screened out folds to less
-    than a kept one, and since rounding is monotone, fl(e max_k s_k) =
-    max_k fl(e s_k): C is the unscreened fold's bit for bit.  A NaN or inf
-    entry gives a NaN or inf score, which is kept; the fold still visits
-    every time, so math.exp overflows as before, and a time whose norm is NaN
-    (an inf entry) drops out as before.  Such a time cannot have set the bar
-    from a finite score of another mode: graph-norm entries stay below about
-    lambda_k (1 + 1e-15), finite unless lambda_k > (1 - 2^-26) DBL_MAX, and
-    there damping_gap overflows, the t = 0 block is NaN and LAPACK raises.
+    e^{rate t} |e^{t M_k}| over modes and a grid on [0, 20/rate], M_k the mode
+    block in graph-norm coordinates and |.| :func:`_norm_2x2`; a block that is
+    not finite raises InvalidDomainError.
     """
     if kind == "heat":
         if system is None:
@@ -297,38 +273,19 @@ def decay_constants(
         raise WrongCaseError("the slowest mode is critically damped: |S(t)| decays "
                              "like t e^{-gamma t/2}, no constant C exists")
     rate = sp.rate
-    grid = np.linspace(0.0, horizon_factor / rate, grid_points)
+    grid = np.linspace(0.0, 20.0 / rate, grid_points)
     lam = sp.system.lambdas
-    scale = np.sqrt(1.0 + lam)
-    with np.errstate(over="ignore"):
-        grow = 0.5 * np.exp(rate * grid)  # the closed form's 1/2 folded in
-    # worst[i] = max over modes of |e^{t_i M_k}| over the kept pairs, else 0
-    worst = np.zeros(grid.size)
-    bar = 1.0  # the largest finite score of a kept pair, or the fold's start
+    worst = np.zeros(grid.size)  # the largest norm over the modes so far, per time
     M = np.empty((grid.size, 2, 2))
-    score = np.empty(grid.size)
     # memoryviews yield Python floats without building lists
-    for lk, sk in zip(memoryview(lam), memoryview(scale)):
+    for k, (lk, sk) in enumerate(zip(memoryview(lam), memoryview(np.sqrt(1.0 + lam)))):
         for i, t in enumerate(memoryview(grid)):
             M[i] = wave_mode_propagator(t, lk, sp.gamma)
-        # conjugate into coordinates where the graph norm is Euclidean
-        M[:, 0, 1] /= sk
-        M[:, 1, 0] *= sk
-        a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are kept
-            np.hypot(a + d, c - b, out=score)
-            score += np.hypot(a - d, b + c)
-            score *= grow
-        top = score.max(initial=0.0)
-        if top < math.inf:  # an inf or NaN top screens nothing
-            bar = max(bar, top)
-        keep = ~(score < bar * (1.0 - 1e-12))  # NaN stays in
-        if keep.any():
-            # the blocks from the first kept one to the last, a view of M: a
-            # norm more than needed only moves worst towards the unscreened one
-            span = slice(keep.argmax(), grid.size - keep[::-1].argmax())
-            np.maximum(worst[span], np.linalg.norm(M[span], 2, axis=(-2, -1)),
-                       out=worst[span])
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: raised below
+            norm = _norm_2x2(M[:, 0, 0], M[:, 0, 1] / sk, M[:, 1, 0] * sk, M[:, 1, 1])
+        if not np.isfinite(norm).all():
+            raise InvalidDomainError(f"mode {k}: lambda = {lk!r} gives a block that is not finite")
+        np.maximum(worst, norm, out=worst)
     c_best = 1.0
     for t, w in zip(memoryview(grid), memoryview(worst)):
         c_best = max(c_best, math.exp(rate * t) * w)

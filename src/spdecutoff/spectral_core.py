@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDomainError, ZeroInitialDatumError
+from .errors import GapOverflowError, InvalidDomainError, ZeroInitialDatumError
 
 # Relative tolerance used to decide whether two eigenvalues tie.  Eigenvalues
 # of a rational box are correctly rounded sums of floating squares, so
@@ -300,15 +300,21 @@ def wave_spectrum(gamma: float, system: EigenSystem) -> WaveSpectrum:
     """Classify every mode of ``system`` under damping ``gamma`` > 0.
 
     Ties and critically damped modes are allowed: each mode is its own 2x2
-    block.  A slowest decay rate that rounds to 0 or leaves some cutoff time
-    infinite is rejected.
+    block.  A damping gap that is not finite (lambda near DBL_MAX) raises
+    :class:`GapOverflowError`; a slowest decay rate that rounds to 0 or
+    leaves some cutoff time infinite is rejected.
     """
     gamma = float(gamma)
     if not (gamma > 0 and math.isfinite(gamma)):
         raise InvalidDomainError(f"damping must be positive, got {gamma}")
     lam = system.lambdas
     h = 0.5 * gamma
-    below, gap = damping_gap(lam, h)  # gap: s, then theta
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        below, gap = damping_gap(lam, h)  # gap: s, then theta
+    if not np.isfinite(gap).all():
+        k = int(np.argmin(np.isfinite(gap)))
+        raise GapOverflowError(f"mode {k}: lambda = {float(lam[k])!r} is too large: the "
+                               "damping gap sqrt|gamma^2/4 - lambda| is not finite")
     n_over = int(np.count_nonzero(below >= 0.0))  # sorted lambdas: a prefix
     s = gap[:n_over]
     sp = WaveSpectrum(gamma=gamma, system=system, n_over=n_over,

@@ -444,14 +444,88 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
-    def test_overflowing_jump_moment_fails_its_row(self, tmp_path):
-        marks = [LEVY_MULT_CFG["marks"][0] | {"rate": 1e300}, LEVY_MULT_CFG["marks"][1]]
-        path = write_cfg(tmp_path, "m.json", LEVY_MULT_CFG | {"marks": marks})
-        out = tmp_path / "out"
-        assert main(["mult-profile", "--config", path, "--out", str(out)]) == 1
-        rows = (out / "mult_profile.csv").read_text().strip().split("\n")[1:]
-        assert rows and all(r.endswith(",false") for r in rows)
-        assert all(r.split(",")[4] == "inf" for r in rows)
+    @pytest.mark.parametrize("cfg, err", [
+        # eps^2 g^2 / 2 = 5e7 > lambda_2 = 4: 3 rows inf,1,nan,false before
+        (MULT_CFG | {"g": [[0.5, -1e6, 0.2]]},
+         "error: /g: mode 1: the second-moment drift -lambda + eps^2 v / 2 = 5e+07 at "
+         "eps = 0.01 is not negative"),
+        # eps^2 rate z^2 / 2 overflows the drift: rows of inf before
+        (LEVY_MULT_CFG | {"marks": [LEVY_MULT_CFG["marks"][0] | {"rate": 1e300},
+                                    LEVY_MULT_CFG["marks"][1]]},
+         "error: /marks: mode 1: the second-moment drift -lambda + eps^2 v / 2 = "),
+        # a mode without data may grow: mode 0 here, whose drift is 49 at eps = 1e-5
+        (MULT_CFG | {"g": [[-1e6, 0.5, 0.2]], "eps_grid": [1e-5, 1e-6, 1e-7]}, None),
+    ], ids=["brownian-g", "levy-rate", "mode-without-data"])
+    def test_a_growing_second_moment_exits_2_at_the_noise(self, tmp_path, capsys, cfg, err):
+        path = write_cfg(tmp_path, "m.json", cfg)
+        with warnings.catch_warnings():  # the message is the only output
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["mult-profile", "--config", path, "--out", str(tmp_path / "out")])
+        if err is None:
+            assert rc == 0 and capsys.readouterr().err == ""
+            return
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(err)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_mult_row_beyond_the_largest_double_exits_2_at_initial(self, tmp_path, capsys):
+        # e^{-lambda_1 rho} |v| = e^4 1.7e308 overflows
+        path = write_cfg(tmp_path, "m.json", MULT_CFG | {"initial": [0.0, 1.7e308, 0.5],
+                                                         "rho_grid": [-1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["mult-profile", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: /initial: the renormalized at rho_or_delta "
+                                           "= -1, eps = 0.01 is inf: the data are too large\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("levy-check", LEVY_CHECK_CFG),
+        ("mult-profile", LEVY_MULT_CFG),
+    ])
+    def test_a_huge_mark_exits_2_with_its_true_norm(self, tmp_path, capsys, command, cfg):
+        marks = [cfg["marks"][0] | {"values": [1e300] + cfg["marks"][0]["values"][1:]}]
+        path = write_cfg(tmp_path, "m.json", cfg | {"marks": marks})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: /marks/0: mark 0: norm 1e+300 outside "
+                                           "[eta, 1) = [0.05, 1)\n")
+
+    @pytest.mark.parametrize("command, cfg, rc", [
+        # the exact moment and the replay overflow on the way: no warning
+        ("levy-check", LEVY_CHECK_CFG | {"lambdas": [1.7e308, 4.0]}, 1),
+        ("mult-profile", MULT_CFG | {"lambdas": [1.7e308, 4.0, 9.0]}, 2),
+    ])
+    def test_a_huge_eigenvalue_prints_no_warning(self, tmp_path, capsys, command, cfg, rc):
+        path = write_cfg(tmp_path, "m.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == rc
+        err = capsys.readouterr().err
+        assert (err == "") if rc == 1 else err.startswith("error: /rho_grid/0: ")
+
+    @pytest.mark.parametrize("command, cfg, pointer", [
+        # damping_gap overflows at lambda = DBL_MAX: mode 0 went into the
+        # overdamped prefix and wave-window exited at a subcritical state
+        ("wave-window", {k: v for k, v in WAVE_WINDOW_CFG.items() if k != "dims"} | {
+            "lambdas": [1.0, 1.7976931348623157e308],
+            "initial": {"position": [1.0, 0.2], "velocity": [0.0, 0.1]}}, "/lambdas"),
+        ("wave-profile", WAVE_PROFILE_CFG | {"dims": [[2.3431068492751863e-154, 1]],
+                                             "initial": {"position": [1.0], "velocity": [0.0]}},
+         "/dims"),
+    ])
+    def test_an_overflowing_damping_gap_exits_2_at_the_spectrum(self, tmp_path, capsys,
+                                                                command, cfg, pointer):
+        path = write_cfg(tmp_path, "w.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {pointer}: mode ")
+        assert err[0].endswith("is too large: the damping gap sqrt|gamma^2/4 - lambda| "
+                               "is not finite")
 
 
 # The heat equilibrium variance of mode 0 overflows: exit 2 at its entry.
@@ -526,8 +600,8 @@ class TestConfigFuzz:
             rows = list(csv.DictReader(open(csv_path))) if os.path.exists(csv_path) else []
         assert rc in (0, 1, 2)
         # these commands write finite rows or exit 2 with a message;
-        # mult-profile and levy-check still write NaN rows (ROADMAP item 14)
-        if command in ("heat-profile", "wave-profile", "wave-window", "wasserstein-test"):
+        # levy-check still writes NaN rows (ROADMAP item 14)
+        if command != "levy-check":
             if rc == 2:
                 assert err.getvalue().startswith("error: ") and not rows
             else:
@@ -591,6 +665,35 @@ class TestRuns:
         out = tmp_path / "wwout"
         rc = main(["wave-window", "--config", cfg_path, "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("scale", [0, 532])
+    def test_window_centre_is_the_root_of_the_squared_norm(self, tmp_path, scale):
+        # the README wave config at gamma = 1, every mode oscillatory; at
+        # 2^532 the squared norm overflows, the centre stays finite
+        cfg = {"schema_version": 1, "dims": [[1.0, 11]], "gamma": 1.0,
+               "initial": {"position": [math.ldexp(1.0, scale), math.ldexp(0.3, scale)],
+                           "velocity": [0.0, math.ldexp(0.1, scale)]},
+               "noise": {"gaussian_q": "inverse-square"},
+               "eps_grid": [1e-4, 1e-6, 1e-8], "rho_grid": [-5.0, 0.0, 5.0]}
+        out = tmp_path / "out"
+        assert main(["wave-window", "--config", write_cfg(tmp_path, "w.json", cfg),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "wave_window.csv")))
+        z = cli._wave_setup(cfg)[1]
+        assert len(rows) == 9
+        for r in rows:
+            rho, eps = float(r["rho_or_delta"]), float(r["eps"])
+            t = cutoff_time(eps, 0.5) + rho
+            got = float(r["profile"])
+            sq = wave_subcritical_norm_sq(t, z)
+            if scale == 0:
+                assert got == math.exp(-0.5 * rho) * math.sqrt(sq)
+            else:
+                small = wave_subcritical_norm_sq(t, cli._wave_setup(cfg | {"initial": {
+                    "position": [1.0, 0.3], "velocity": [0.0, 0.1]}})[1])
+                assert sq == math.inf and math.isfinite(got)
+                assert got == pytest.approx(math.ldexp(math.exp(-0.5 * rho) * math.sqrt(small),
+                                                       scale), rel=1e-15)
 
     def test_mult_profile_run(self, tmp_path):
         cfg_path = write_cfg(tmp_path, "m.json", MULT_CFG)

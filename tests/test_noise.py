@@ -6,6 +6,7 @@ covariance, and moment identities for the compound-Poisson sampler.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +22,12 @@ from spdecutoff import (
     heat_levy_second_moment,
     sample_heat_levy_convolution,
     wave_gaussian_convolution_law,
-    wave_mode_propagator,
     wave_spectrum,
     stream,
 )
 from spdecutoff.errors import DegenerateNoiseError, InvalidTimeError
 from spdecutoff.noise_sim import levy_compensator_heat, sample_jump_realization
+from spdecutoff.semigroup import _propagator_coefficients
 
 
 def make_heat_spec(lams=(1.0, 4.0), q=(2.0, 8.0)):
@@ -125,19 +126,33 @@ class TestWaveGaussianLaw:
 
 def wave_law_loop(t, spec, wsp):
     """Reference for the stacked wave_gaussian_convolution_law: one 2x2
-    equilibrium block and one propagator conjugation per mode."""
+    equilibrium block, one propagator c I + s (A + gamma/2 I) from the
+    mode's (c, s) and one conjugation per mode."""
     lam = spec.system.lambdas
     gamma = wsp.gamma
     out = np.zeros((spec.system.n_modes, 2, 2))
+    if 0.0 < t < math.inf:
+        cs = _propagator_coefficients(t, wsp, 0.0)
     for k in range(spec.system.n_modes):
         q = float(spec.gaussian_q[k])
         s_inf = np.array([[q / (2.0 * gamma * lam[k]), 0.0], [0.0, q / (2.0 * gamma)]])
         if math.isinf(t):
             out[k] = s_inf
-        else:
-            P = wave_mode_propagator(t, float(lam[k]), gamma)
+        elif t > 0.0:
+            c, s, lk = float(cs[0][k]), float(cs[1][k]), float(lam[k])
+            P = np.array([[c + s * (0.5 * gamma), s], [-lk * s, c - s * (0.5 * gamma)]])
             out[k] = s_inf - P @ s_inf @ P.T
     return out
+
+
+def wave_law_50(t, lam, gamma, q):
+    """Sigma_inf - e^{tA} Sigma_inf e^{tA}^T of one mode at 50 digits, from
+    mpmath's matrix exponential."""
+    with mpmath.workdps(50):
+        lam, gamma, q = mpmath.mpf(lam), mpmath.mpf(gamma), mpmath.mpf(q)
+        s_inf = mpmath.matrix([[q / (2 * gamma * lam), 0], [0, q / (2 * gamma)]])
+        P = mpmath.expm(mpmath.matrix([[0, 1], [-lam, -gamma]]) * mpmath.mpf(t))
+        return s_inf - P * s_inf * P.T
 
 
 class TestStackedWaveLaw:
@@ -165,6 +180,23 @@ class TestStackedWaveLaw:
         for t in ts:
             got = wave_gaussian_convolution_law(t, spec, wsp)
             assert got.tobytes() == wave_law_loop(t, spec, wsp).tobytes(), t
+
+    def test_overdamped_law_against_mpmath(self):
+        # the gamma = 100 case above, every mode overdamped: each entry within
+        # 1e-14 of its block's largest equilibrium entry
+        system = build_box_eigensystem([(1.0, 5)])
+        qs = 1.0 / np.arange(1, 6) ** 2
+        spec = NoiseSpec(system=system, gaussian_q=qs)
+        wsp = wave_spectrum(100.0, system)
+        assert wsp.n_over == 5
+        for t in [1e-300, 0.37, 7.5, 18.4, 32.6, 150.0, 300.0]:
+            got = wave_gaussian_convolution_law(t, spec, wsp)
+            for k, lk in enumerate(system.lambdas.tolist()):
+                ref = wave_law_50(t, lk, 100.0, float(qs[k]))
+                scale = max(qs[k] / (200.0 * lk), qs[k] / 200.0)
+                for i in range(2):
+                    for j in range(2):
+                        assert abs(got[k, i, j] - ref[i, j]) <= 1e-14 * scale, (t, k, i, j)
 
 
 class TestGaussianSamplers:

@@ -4,6 +4,7 @@ The independent oracles for the wave flow are scipy's dense matrix
 exponential applied to each 2x2 mode block and, near critical damping,
 mpmath's at 50 digits.
 """
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -27,7 +28,9 @@ from spdecutoff import (
     wave_spectrum,
     wave_subcritical_norm_sq,
 )
+from spdecutoff.semigroup import _norm_2x2
 from spdecutoff.errors import (
+    InvalidDomainError,
     InvalidTimeError,
     SubcriticalRouteError,
     WrongCaseError,
@@ -434,25 +437,26 @@ class TestDecayConstants:
             assert norm_t <= c * math.exp(-rate * t) * norm_0 * (1 + 1e-9)
 
 
-def decay_constant_loop(sp, horizon_factor=20.0, grid_points=2000):
+def block_norm(a, b, c, d):
+    """The closed-form spectral norm of [[a, b], [c, d]], entries halved
+    first, on scalars: the references' copy of semigroup._norm_2x2."""
+    a, b, c, d = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d
+    return float(np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+
+
+def decay_constant_loop(sp, grid_points=2000):
     """Reference for the wave branch of decay_constants: one scalar
-    propagator and one 2x2 SVD per (time, mode) pair."""
+    propagator and one closed-form 2x2 norm per (time, mode) pair."""
     rate = sp.rate
     lam = sp.system.lambdas
     scale = np.sqrt(1.0 + lam)
-    ts = np.linspace(0.0, horizon_factor / rate, grid_points)
+    ts = np.linspace(0.0, 20.0 / rate, grid_points)
     c_best = 1.0
     for t in ts:
         worst = 0.0
         for lk, sk in zip(lam, scale):
             P = wave_mode_propagator(float(t), float(lk), sp.gamma)
-            M = np.array(
-                [
-                    [P[0, 0], P[0, 1] / sk],
-                    [P[1, 0] * sk, P[1, 1]],
-                ]
-            )
-            worst = max(worst, float(np.linalg.norm(M, 2)))
+            worst = max(worst, block_norm(P[0, 0], P[0, 1] / sk, P[1, 0] * sk, P[1, 1]))
         c_best = max(c_best, math.exp(rate * t) * worst)
     return float(c_best), rate
 
@@ -488,22 +492,21 @@ class TestStackedDecayConstants:
         assert rate == pytest.approx(1.0, rel=1e-15) and math.isfinite(c)
 
 
-def decay_constant_stacked(sp, horizon_factor=20.0, grid_points=2000):
-    """Reference for the screened wave branch of decay_constants: every
-    (time, mode) norm, one stacked SVD call per mode, the maximum over modes
-    per time, then the fold over times."""
+def decay_constant_stacked(sp, grid_points=2000):
+    """Reference for the wave branch of decay_constants: every (time, mode)
+    closed-form norm, one stacked evaluation per mode, the maximum over
+    modes per time, then the fold over times."""
     rate = sp.rate
     lam = sp.system.lambdas
     scale = np.sqrt(1.0 + lam)
-    ts = np.linspace(0.0, horizon_factor / rate, grid_points).tolist()
+    ts = np.linspace(0.0, 20.0 / rate, grid_points).tolist()
     worst = np.zeros(len(ts))
     M = np.empty((len(ts), 2, 2))
     for lk, sk in zip(lam.tolist(), scale.tolist()):
         for i, t in enumerate(ts):
             M[i] = wave_mode_propagator(t, lk, sp.gamma)
-        M[:, 0, 1] /= sk
-        M[:, 1, 0] *= sk
-        np.maximum(worst, np.linalg.norm(M, 2, axis=(-2, -1)), out=worst)
+        a, b, c, d = 0.5 * M[:, 0, 0], 0.5 * M[:, 0, 1] / sk, 0.5 * M[:, 1, 0] * sk, 0.5 * M[:, 1, 1]
+        np.maximum(worst, np.hypot(a + d, c - b) + np.hypot(a - d, b + c), out=worst)
     c_best = 1.0
     for t, w in zip(ts, worst.tolist()):
         c_best = max(c_best, math.exp(rate * t) * w)
@@ -519,12 +522,12 @@ def decay_outcome(fn, sp, **kw):
     return float.hex(c), float.hex(rate)
 
 
-def screened(sp, **kw):
+def wave_decay(sp, **kw):
     return decay_constants("wave", wave_spec=sp, **kw)
 
 
 @st.composite
-def screen_cases(draw):
+def decay_cases(draw):
     """A wave spectrum (1-40 modes, gamma in [0.1, 1e8], tied eigenvalues,
     lambda / (gamma/2)^2 in [1e-4, 1e4]), and sometimes a critically damped
     mode lambda = h^2 (exact: h an integer) behind a slower overdamped one."""
@@ -540,54 +543,36 @@ def screen_cases(draw):
     return wave_spectrum(2.0 * h, EigenSystem.from_lambdas(lams[:n]))
 
 
-class TestScreenedDecayConstants:
+class TestClosedFormDecayConstants:
     @settings(max_examples=80, deadline=None)
-    @given(sp=screen_cases(), grid_points=st.sampled_from([1, 2, 3, 50, 2000]),
-           horizon_factor=st.sampled_from([1e-14, 0.5, 5.0, 20.0, 60.0]))
-    def test_matches_unscreened_in_hex(self, sp, grid_points, horizon_factor):
+    @given(sp=decay_cases(), grid_points=st.sampled_from([1, 2, 3, 50, 2000]))
+    def test_matches_stacked_reference_in_hex(self, sp, grid_points):
         if sp.n_over and sp.s[0] == 0.0:
             return  # a critically damped slowest mode raises before any grid
-        kw = {"grid_points": grid_points, "horizon_factor": horizon_factor}
-        assert decay_outcome(screened, sp, **kw) == decay_outcome(decay_constant_stacked,
-                                                                  sp, **kw)
+        kw = {"grid_points": grid_points}
+        assert decay_outcome(wave_decay, sp, **kw) == decay_outcome(decay_constant_stacked,
+                                                                    sp, **kw)
 
     @pytest.mark.parametrize("lams, gamma, kw", [
-        # lambda_1 overflows damping_gap: a NaN block at t = 0, LAPACK raises
-        ([1.0, sys.float_info.max], 1.0, {}),
         # graph-norm entries near DBL_MAX but finite
         ([1.0, sys.float_info.max / 2], 1.0, {}),
         ([1.0, 1e308], 3.0, {}),
-        # e^{rate t} overflows in the fold: OverflowError
-        ([2.0, 9.0], 3.0, {"horizon_factor": 800.0}),
         ([2.0, 9.0], 3.0, {"grid_points": 0}),
     ])
-    def test_extremes_match_unscreened(self, lams, gamma, kw):
-        with np.errstate(over="ignore"):
-            sp = wave_spectrum(gamma, EigenSystem.from_lambdas(lams))
-        assert decay_outcome(screened, sp, **kw) == decay_outcome(decay_constant_stacked,
-                                                                  sp, **kw)
+    def test_extremes_match_stacked_reference(self, lams, gamma, kw):
+        sp = wave_spectrum(gamma, EigenSystem.from_lambdas(lams))
+        c, rate = wave_decay(sp, **kw)
+        assert math.isfinite(c)
+        assert decay_outcome(wave_decay, sp, **kw) == decay_outcome(decay_constant_stacked,
+                                                                    sp, **kw)
 
-    def norm_rows(self, monkeypatch):
-        """Record how many blocks each np.linalg.norm call gets."""
-        rows = []
-        norm = np.linalg.norm
-
-        def spy(x, *args, **kwargs):
-            rows.append(len(x))
-            return norm(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", spy)
-        return rows
-
-    def test_screen_keeps_the_plateau_of_the_slowest_mode(self, monkeypatch):
-        # e^{rate t} |e^{t M_0}| settles to its limit within 1e-12 on most of
-        # the grid, so mode 0 keeps many times; each faster mode keeps its peak
-        sp = wave_spectrum(10.0, build_box_eigensystem([(1.0, 21)]))
-        rows = self.norm_rows(monkeypatch)
-        c, rate = decay_constants("wave", wave_spec=sp)
-        assert len(rows) == 21 and rows[0] > 1000 and rows[1:] == [1] * 20
-        ref = decay_constant_stacked(sp)
-        assert (float.hex(c), float.hex(rate)) == tuple(map(float.hex, ref))
+    def test_a_block_that_is_not_finite_raises(self):
+        # wave_spectrum rejects lambda = DBL_MAX (its damping gap overflows);
+        # a spectrum built around that check gives a NaN block at t = 0
+        sp = wave_spectrum(1.0, EigenSystem.from_lambdas([1.0, 4.0]))
+        sp = dataclasses.replace(sp, system=EigenSystem.from_lambdas([1.0, sys.float_info.max]))
+        with pytest.raises(InvalidDomainError, match="mode 1: .* not finite"):
+            decay_constants("wave", wave_spec=sp, grid_points=5)
 
     def test_peak_memory_at_1001_modes(self):
         sp = wave_spectrum(10.0, build_box_eigensystem([(1.0, 1001)]))
@@ -597,5 +582,45 @@ class TestScreenedDecayConstants:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the unscreened stacked form peaks at about 536 KB on the same call
+        # a (time, mode) stack of all the blocks would take 64 MB
         assert peak <= 512 * 1024
+
+
+def entries():
+    """Block entries: zeros, and magnitudes from 2^-960 to DBL_MAX / 2."""
+    return st.one_of(st.just(0.0),
+                     st.floats(2.0 ** -960, sys.float_info.max / 2),
+                     st.floats(-sys.float_info.max / 2, -2.0 ** -960),
+                     st.floats(sys.float_info.max / 8, sys.float_info.max / 2))
+
+
+def sigma_max_50(a, b, c, d):
+    """The largest singular value of [[a, b], [c, d]] at 50 digits."""
+    with mpmath.workdps(50):
+        sv = mpmath.svd_r(mpmath.matrix([[a, b], [c, d]]), compute_uv=False)
+        return max(sv[0], sv[1])
+
+
+class TestBlockNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(a=entries(), b=entries(), c=entries(), d=entries(),
+           shape=st.sampled_from(["any", "a = -d", "a ~ -d", "zero", "diagonal"]),
+           ulps=st.integers(1, 2 ** 20))
+    def test_within_4_ulp_of_a_50_digit_singular_value(self, a, b, c, d, shape, ulps):
+        if shape == "a = -d":
+            d = -a
+        elif shape == "a ~ -d":  # a + d cancels all but a few bits
+            d = -a * (1.0 + ulps * 2.0 ** -52)
+        elif shape == "zero":
+            a = b = c = d = 0.0
+        elif shape == "diagonal":
+            b = c = 0.0
+        got = float(_norm_2x2(*np.array([a, b, c, d])))
+        exact = sigma_max_50(a, b, c, d)
+        assert abs(mpmath.mpf(got) - exact) <= 4 * math.ulp(float(exact)), (got, float(exact))
+
+    def test_entries_near_dbl_max_do_not_overflow(self):
+        big = sys.float_info.max / 2
+        assert _norm_2x2(big, 0.0, 0.0, big) == big
+        assert _norm_2x2(big, big, big, big) == sys.float_info.max
+        assert _norm_2x2(big, -big, big, big) == pytest.approx(math.sqrt(2.0) * big)

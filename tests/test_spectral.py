@@ -8,6 +8,7 @@ solves.
 import itertools
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -24,7 +25,7 @@ from spdecutoff import (
     wave_overdamped_leader,
     wave_spectrum,
 )
-from spdecutoff.errors import InvalidDomainError, ZeroInitialDatumError
+from spdecutoff.errors import GapOverflowError, InvalidDomainError, ZeroInitialDatumError
 from spdecutoff.spectral_core import TIE_RTOL, HeatLeadingData, _sum3
 
 
@@ -400,6 +401,17 @@ class TestWaveSpectrum:
         system = EigenSystem.from_lambdas([1.0])
         with pytest.raises(InvalidDomainError):
             wave_spectrum(-1.0, system)
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0, 1e300])
+    def test_gap_overflow_rejected(self, gamma):
+        # at lambda = DBL_MAX damping_gap gives (inf, inf), which would count
+        # the mode as overdamped and move mode 0 into the overdamped prefix
+        big = sys.float_info.max
+        with pytest.raises(GapOverflowError, match=r"mode 1: lambda = 1\.79.* not finite"):
+            wave_spectrum(gamma, EigenSystem.from_lambdas([1.0, big]))
+        # just below the overflow both modes keep their class
+        sp = wave_spectrum(1.0, EigenSystem.from_lambdas([1.0, big * (1.0 - 2.0 ** -25)]))
+        assert sp.n_over == 0 and np.isfinite(sp.theta).all()
 
 
 class TestWaveDecompose:
