@@ -385,6 +385,8 @@ def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]
 def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
+    if not math.isfinite(h.norm):  # every rate_ratio would read 0
+        raise ConfigError("/initial", "the norm |h| overflows: the data are too large")
     eps_grid = _eps_grid(cfg)
     if not eps_grid:
         raise ConfigError("/eps_grid", "the schedule needs a finest grid point")
@@ -400,7 +402,7 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     specs = _mult_specs(cfg, system, kind, eps_grid)
     # E|X_t|^2 must decay on every mode with data; its drift grows with eps (v >= 0)
     spec = max(specs, key=lambda s: s.eps)
-    drift = spec.second_moment_drift()
+    drift = spec.second_moment_drift
     grows = np.flatnonzero((drift >= 0.0) & (h.values != 0.0))
     if grows.size:
         j = grows[0]
@@ -449,12 +451,9 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
             raise ConfigError("/initial", "the squared norm sum_k h_k^2 overflows: "
                                           "the data are too large")
 
-    # replay at most 1,000 paths, path r drawn from stream(seed, 0, r), and
-    # stop drawing once MAX_EXPECTED_JUMPS jumps have been drawn
-    paths, replayed = [], 0
-    while len(paths) < min(n_paths, 1000) and replayed < MAX_EXPECTED_JUMPS:
-        paths.append(sample_jump_realization(t, spec.marks, stream(seed, 0, len(paths))))
-        replayed += paths[-1].times.size
+    # at most 1,000 paths, one batch from stream(seed, 0), cut at MAX_EXPECTED_JUMPS
+    paths = sample_jump_realization(t, spec.marks, stream(seed, 0), min(n_paths, 1000),
+                                    MAX_EXPECTED_JUMPS)
     worst, underflow = levy_pathwise_check(t, h, spec, paths)
 
     sq = levy_stochexp_batch(t, h, spec, stream(seed, 1), n_paths)
@@ -465,7 +464,7 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     report = CutoffReport()
     report.meta = {
         "pathwise_worst_relative": worst,
-        "pathwise_paths": len(paths),
+        "pathwise_paths": paths.counts.size,
         "pathwise_underflow_paths": underflow,
         "mc_second_moment": mc,
         "mc_se": se,

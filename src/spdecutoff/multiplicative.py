@@ -13,6 +13,7 @@ drift exponent vanishes at time |ln a| / lambda_lead.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,13 +64,16 @@ class MultBrownianSpec:
         """sum_i g_i^2 per mode."""
         return np.sum(self.g ** 2, axis=0)
 
+    @functools.cached_property
     def second_moment_drift(self) -> np.ndarray:
         """Per-mode exponent rate of E X^2 / 2: -lambda + eps^2 g_sq / 2."""
-        return -self.system.lambdas + 0.5 * self.eps ** 2 * self.g_sq_sum()
+        drift = -self.system.lambdas + 0.5 * self.eps ** 2 * self.g_sq_sum()
+        drift.flags.writeable = False
+        return drift
 
     def second_moment_exponent(self, t: float) -> np.ndarray:
         """Per-mode log(E X_j(t)^2 / h_j^2) = 2 t (-lambda_j + eps^2 g_sq_j / 2)."""
-        return 2.0 * t * self.second_moment_drift()
+        return 2.0 * t * self.second_moment_drift
 
 
 def mult_brownian_flow_sample(
@@ -121,7 +125,7 @@ def mult_distance_to_zero(t: float, h: ModeCoefficients,
     """W2(X_t(h), point mass at 0) * exp(log_scale) = renormalizable root
     second moment, assembled in log space."""
     t = _check_time(t)
-    return _log_space_root_sum(h.values, t * spec.second_moment_drift() + log_scale)
+    return _log_space_root_sum(h.values, t * spec.second_moment_drift + log_scale)
 
 
 # --------------------------------------------------------------------------
@@ -259,9 +263,12 @@ class MultLevySpec:
             acc += m.rate * m.values ** 2
         return self.eps ** 2 * acc
 
+    @functools.cached_property
     def second_moment_drift(self) -> np.ndarray:
         """Per-mode exponent rate of E X^2 / 2: -lambda + variance_rate / 2."""
-        return -self.system.lambdas + 0.5 * self.variance_rate()
+        drift = -self.system.lambdas + 0.5 * self.variance_rate()
+        drift.flags.writeable = False
+        return drift
 
     def second_moment_exponent(self, t: float) -> np.ndarray:
         """Per-mode log(E X_j(t)^2 / h_j^2) of the compensated jump flow.
@@ -270,16 +277,16 @@ class MultLevySpec:
         generating function of the jump sum: 2t(-lambda_j - eps sum_m r_m z_j^m)
         + t sum_m r_m ((1 + eps z_j^m)^2 - 1), which simplifies to
         -2 lambda_j t + t eps^2 sum_m r_m (z_j^m)^2.  It is evaluated in that
-        order, not as 2 t second_moment_drift(), whose rounding differs.
+        order, not as 2 t second_moment_drift, whose rounding differs.
         """
         return 2.0 * t * (-self.system.lambdas) + t * self.variance_rate()
 
 
 def _flow_blocks(t: float, h: ModeCoefficients, spec: MultLevySpec, paths):
-    """Both evaluations of the jump flow on each replayed path (a sequence
-    of :class:`JumpRealization` on (0, t]), in blocks of paths.
+    """Both evaluations of the jump flow on each replayed path (``paths``,
+    a :class:`JumpRealization` batch on (0, t]), in blocks of paths.
 
-    Yields ``(rows, x, y)``: the indices into ``paths`` of the block's paths
+    Yields ``(rows, x, y)``: the indices of the block's paths in the batch
     and their (len(rows), n_modes) flows, ``x`` the stochastic exponential
 
         X_j(t) = h_j exp( t (-lambda_j - eps sum_m r_m z_j^m)
@@ -298,23 +305,19 @@ def _flow_blocks(t: float, h: ModeCoefficients, spec: MultLevySpec, paths):
     base = drift * t
     logs = np.array([np.log1p(spec.eps * m.values) for m in spec.marks])
     factors = np.array([1.0 + spec.eps * m.values for m in spec.marks])
-    counts = np.array([p.times.size for p in paths])
+    counts, times, marks = paths.counts, paths.times, paths.mark_indices
     starts = np.cumsum(counts) - counts
-    times = np.concatenate([p.times for p in paths])
-    marks = np.concatenate([p.mark_indices for p in paths])
     # tau - prev per jump (prev = 0.0 at a path's first jump), and t - prev
     # after its last (prev = 0.0 on a path without jumps)
     jumped = counts > 0
-    prev = np.zeros_like(times)
-    prev[1:] = times[:-1]
-    prev[starts[jumped]] = 0.0
-    steps = times - prev
-    last = np.zeros(len(paths))
+    steps = np.diff(times, prepend=0.0)
+    steps[starts[jumped]] = times[starts[jumped]]
+    last = np.zeros(counts.size)
     last[jumped] = times[(starts + counts - 1)[jumped]]
     tails = t - last
     order = np.argsort(-counts, kind="stable")
     n_rows = max(1, _BLOCK_ENTRIES // drift.size)
-    for lo in range(0, len(paths), n_rows):
+    for lo in range(0, counts.size, n_rows):
         rows = order[lo:lo + n_rows]
         block_counts = counts[rows]
         # live[k] paths have a jump in slot k; the slots are laid out one
@@ -343,15 +346,15 @@ def _flow_blocks(t: float, h: ModeCoefficients, spec: MultLevySpec, paths):
 
 
 def levy_flow_oracle(t: float, h: ModeCoefficients, spec: MultLevySpec, jumps) -> np.ndarray:
-    """Interlacing evaluation of one path (a :class:`JumpRealization`):
+    """Interlacing evaluation of one path (a :class:`JumpRealization` of one):
     deterministic decay between jumps, multiplication by (1 + eps z_j) at
     each jump.  The ``y`` row of the batched replay."""
-    return next(_flow_blocks(t, h, spec, [jumps]))[2][0]
+    return next(_flow_blocks(t, h, spec, jumps))[2][0]
 
 
 def levy_pathwise_check(t: float, h: ModeCoefficients, spec: MultLevySpec,
                         paths) -> tuple[float, int]:
-    """Replay ``paths`` (a sequence of :class:`JumpRealization` on (0, t])
+    """Replay ``paths`` (a :class:`JumpRealization` batch on (0, t])
     through both evaluations of the jump flow and return (worst, underflow):
     the largest relative gap |x - y| / max(|y|, 1e-300) over the paths whose
     gaps are all numbers, and the number of paths where the oracle y falls

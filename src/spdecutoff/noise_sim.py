@@ -178,32 +178,35 @@ def wave_gaussian_convolution_law(t: float, spec: NoiseSpec, wspec: WaveSpectrum
 
 @dataclass(frozen=True)
 class JumpRealization:
-    """One sampled compound-Poisson path on (0, t]: sorted times and the
-    index of the mark drawn at each jump."""
+    """Compound-Poisson paths on (0, t], a single path a batch of one: each
+    path's jump count, and its jumps' sorted times and mark indices in turn."""
 
     t: float
+    counts: np.ndarray
     times: np.ndarray
     mark_indices: np.ndarray
 
 
-def sample_jump_realization(
-    t: float, marks: tuple[JumpMark, ...], rng: np.random.Generator
-) -> JumpRealization:
-    """One path on (0, t] of the jumps ``marks`` (``NoiseSpec.jumps`` or
-    ``MultLevySpec.marks``), each mark drawn in proportion to its rate."""
+def sample_jump_realization(t: float, marks: tuple[JumpMark, ...], rng: np.random.Generator,
+                            size: int = 1, max_jumps: float = math.inf) -> JumpRealization:
+    """``size`` paths on (0, t] of the jumps ``marks`` (``NoiseSpec.jumps`` or
+    ``MultLevySpec.marks``), drawn in this order: every path's Poisson count;
+    the paths that start below ``max_jumps`` jumps; their uniform times,
+    sorted within each path; their marks, each in proportion to its rate."""
     t = _check_time(t)
     if not marks:
         raise DegenerateNoiseError("spec has no jump part")
     rate = float(sum(m.rate for m in marks))
-    n = rng.poisson(rate * t)
-    times = rng.uniform(0.0, t, size=n)
-    times.sort()
-    # rng.choice(len(marks), size=n, p=probs) without its argument checks:
+    counts = rng.poisson(rate * t, size=size)
+    counts = counts[:int(np.searchsorted(counts.cumsum() - counts, max_jumps))]
+    times = rng.uniform(0.0, t, size=int(counts.sum()))
+    times = times[np.lexsort((times, np.repeat(np.arange(counts.size), counts)))]
+    # rng.choice(len(marks), size=times.size, p=probs) without its argument checks:
     # the same normalised cdf, uniforms and int64 indices
     cdf = (np.array([m.rate for m in marks]) / rate).cumsum()
     cdf /= cdf[-1]
-    idx = cdf.searchsorted(rng.random(n), side="right")
-    return JumpRealization(t=t, times=times, mark_indices=idx)
+    idx = cdf.searchsorted(rng.random(times.size), side="right")
+    return JumpRealization(t=t, counts=counts, times=times, mark_indices=idx)
 
 
 def levy_compensator_heat(t: float, spec: NoiseSpec) -> np.ndarray:

@@ -262,7 +262,7 @@ def test_criterion_08_levy_stochastic_exponential():
     )
     spec = MultLevySpec(system, marks, 0.05, 0.05)
     t = 0.8
-    paths = [sample_jump_realization(t, spec.marks, stream(1008, 0, r)) for r in range(1000)]
+    paths = sample_jump_realization(t, spec.marks, stream(1008, 0), 1000)
     worst, underflow = levy_pathwise_check(t, h, spec, paths)
     ok_path = worst <= 1e-10 and underflow == 0
     sq = levy_stochexp_batch(t, h, spec, stream(1008, 1), 100_000)

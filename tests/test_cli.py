@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import spdecutoff.cli as cli
 from spdecutoff import (
     CutoffReport,
-    JumpMark,
     build_box_eigensystem,
     cutoff_time,
     decay_constants,
@@ -38,7 +37,6 @@ from spdecutoff.errors import (
     SpdeCutoffError,
     WrongCaseError,
 )
-from spdecutoff.noise_sim import sample_jump_realization
 
 
 def write_cfg(tmp_path, name, payload):
@@ -373,6 +371,8 @@ class TestConfigValidation:
         ("heat-profile", heat_cfg(initial=[1.7e308, 1.0, 0.5])),
         # sum_k h_k^2 overflows: levy-moment,...,inf,inf,nan,false before
         ("levy-check", LEVY_CHECK_CFG | {"initial": [-1.7e308, 0.5]}),
+        # |h| overflows: rate_ratio 0, so every bound was 0 and every row failed
+        ("mult-profile", MULT_CFG | {"initial": [0.0, 1.7e308, 1.7e308]}),
     ])
     def test_a_row_beyond_the_largest_double_exits_2_at_initial(self, tmp_path, capsys,
                                                                 command, cfg):
@@ -734,13 +734,12 @@ class TestRuns:
         out = tmp_path / "lout"
         assert main(["levy-check", "--config", cfg_path, "--out", str(out)]) == 0
         meta = json.loads((out / "levy_check.json").read_text())["meta"]
-        # the same jump draws as the run: path r uses stream(seed, 0, r)
-        marks = tuple(JumpMark(np.array(m["values"]), m["rate"])
-                      for m in LEVY_CHECK_CFG["marks"])
+        # the same counts as the run: the batch of 1,000 paths on stream(seed, 0)
+        rate = sum(m["rate"] for m in LEVY_CHECK_CFG["marks"])
+        counts = iter(stream(0, 0).poisson(rate * LEVY_CHECK_CFG["t"], 1000).tolist())
         replayed = paths = 0
         while replayed < cap:
-            jumps = sample_jump_realization(LEVY_CHECK_CFG["t"], marks, stream(0, 0, paths))
-            replayed += jumps.times.size
+            replayed += next(counts)
             paths += 1
         assert 1 <= meta["pathwise_paths"] == paths < 1000
 

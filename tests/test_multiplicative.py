@@ -187,16 +187,17 @@ class TestLevyFlow:
         # deterministic drift
         system, h, spec = levy_setup()
         t, tau = 1.0, 0.4
-        jumps = JumpRealization(t=t, times=np.array([tau]), mark_indices=np.array([0]))
+        jumps = JumpRealization(t=t, counts=np.array([1]), times=np.array([tau]),
+                                mark_indices=np.array([0]))
         x = levy_flow_oracle(t, h, spec, jumps)
         drift = -system.lambdas - spec.compensator_drift()
         expect = h.values * np.exp(drift * t) * (1.0 + spec.eps * spec.marks[0].values)
         assert np.allclose(x, expect, rtol=1e-13)
-        assert np.allclose(batch_flows(t, h, spec, [jumps])[0][0], expect, rtol=1e-13)
+        assert np.allclose(batch_flows(t, h, spec, jumps)[0][0], expect, rtol=1e-13)
 
     def test_stochexp_matches_interlacing_pathwise(self):
         system, h, spec = levy_setup()
-        paths = [sample_jump_realization(0.8, spec.marks, stream(5, r)) for r in range(200)]
+        paths = sample_jump_realization(0.8, spec.marks, stream(5), 200)
         worst, underflow = levy_pathwise_check(0.8, h, spec, paths)
         assert worst <= 1e-12
         assert underflow == 0
@@ -204,9 +205,9 @@ class TestLevyFlow:
     def test_linearity_in_initial_datum(self):
         system, h, spec = levy_setup()
         jumps = sample_jump_realization(1.0, spec.marks, stream(6, 0))
-        x1 = batch_flows(1.0, h, spec, [jumps])[0][0]
+        x1 = batch_flows(1.0, h, spec, jumps)[0][0]
         h2 = ModeCoefficients(system, 3.0 * h.values)
-        x2 = batch_flows(1.0, h2, spec, [jumps])[0][0]
+        x2 = batch_flows(1.0, h2, spec, jumps)[0][0]
         assert np.allclose(x2, 3.0 * x1, rtol=1e-13)
 
     def test_second_moment_against_direct_campbell(self):
@@ -231,11 +232,25 @@ class TestLevyFlow:
         system, h, spec = levy_setup()
         t = 0.5
         batch = levy_stochexp_batch(t, h, spec, stream(8, 0), 50_000)
-        paths = [sample_jump_realization(t, spec.marks, stream(9, r)) for r in range(5_000)]
+        paths = sample_jump_realization(t, spec.marks, stream(9), 5_000)
         loop = np.sum(batch_flows(t, h, spec, paths)[0] ** 2, axis=1)
         bs = batch.std(ddof=1) / math.sqrt(batch.size)
         ls = loop.std(ddof=1) / math.sqrt(loop.size)
         assert abs(batch.mean() - loop.mean()) <= 4 * math.sqrt(bs**2 + ls**2)
+
+    def test_the_drift_is_computed_once_per_spec_and_read_only(self):
+        system, h, levy = levy_setup()
+        brownian = brownian_setup()[2]
+        for spec in (levy, brownian):
+            assert spec.second_moment_drift is spec.second_moment_drift
+            with pytest.raises(ValueError):
+                spec.second_moment_drift[0] = 0.0
+        specs = [MultLevySpec(system, levy.marks, 0.05, e) for e in (1e-2, 1e-3, 1e-4)]
+        with mock.patch.object(MultLevySpec, "variance_rate", autospec=True,
+                               side_effect=MultLevySpec.variance_rate) as rate:
+            for rho in (-1.0, 0.0, 1.0):
+                mult_profile(rho, h, specs)
+        assert rate.call_count == len(specs)
 
     def test_distance_log_space(self):
         system, h, spec = levy_setup(eps=0.01)
@@ -537,8 +552,8 @@ class TestGroupCountVectors:
 
 
 # --------------------------------------------------------------------------
-# The one-path flows and the levy-check runner loop that the batched replay
-# replaced, kept as byte-for-byte references.
+# The one-path flows that the batched replay replaced, and the levy-check
+# replay drawn path by path, kept as byte-for-byte references.
 # --------------------------------------------------------------------------
 
 
@@ -562,12 +577,28 @@ def reference_flow_oracle(t, h, spec, jumps):
     return x * np.exp(drift * (t - prev))
 
 
+def one_path_views(paths):
+    """Each path of a JumpRealization batch as a batch of one."""
+    ends = np.cumsum(paths.counts)
+    return [JumpRealization(paths.t, paths.counts[r:r + 1], paths.times[end - c:end],
+                            paths.mark_indices[end - c:end])
+            for r, (c, end) in enumerate(zip(paths.counts.tolist(), ends.tolist()))]
+
+
+def batch_of(t, times, mark_indices):
+    """The JumpRealization batch of the paths with the given jump times and marks."""
+    return JumpRealization(t, np.array([len(x) for x in times], dtype=np.int64),
+                           np.concatenate([np.asarray(x, dtype=float) for x in times]),
+                           np.concatenate([np.asarray(m, dtype=np.int64)
+                                           for m in mark_indices]))
+
+
 def reference_check(t, h, spec, paths):
-    """(worst, underflow) of the runner loop on the given paths."""
+    """(worst, underflow) of the runner loop on the paths of the batch."""
     worst, underflow = 0.0, 0
     floor = 1e-300
     nonzero = h.values != 0.0
-    for jumps in paths:
+    for jumps in one_path_views(paths):
         x = reference_stochexp_from_jumps(t, h, spec, jumps)
         y = reference_flow_oracle(t, h, spec, jumps)
         denom = np.maximum(np.abs(y), floor)
@@ -577,27 +608,33 @@ def reference_check(t, h, spec, paths):
 
 
 def reference_replay(t, h, spec, seed, n_paths, cap):
-    """(worst, paths, underflow) of the levy-check runner loop."""
-    paths = []
-    replayed = 0
-    for r in range(min(n_paths, 1000)):
-        paths.append(sample_jump_realization(t, spec.marks, stream(seed, 0, r)))
-        replayed += paths[-1].times.size
+    """(worst, paths, underflow) of the levy-check replay, drawn path by path
+    from stream(seed, 0) in the batch's order: every count, the paths up to
+    the one that brings the jumps to ``cap``, their times, their marks."""
+    rng = stream(seed, 0)
+    rate = sum(m.rate for m in spec.marks)
+    kept, replayed = [], 0
+    for c in rng.poisson(rate * t, min(n_paths, 1000)).tolist():
+        kept.append(c)
+        replayed += c
         if replayed >= cap:
             break
-    worst, underflow = reference_check(t, h, spec, paths)
-    return worst, len(paths), underflow
+    times = [np.sort(rng.uniform(0.0, t, c)) for c in kept]
+    probs = np.array([m.rate for m in spec.marks]) / rate
+    marks = [rng.choice(len(spec.marks), size=c, p=probs) for c in kept]
+    worst, underflow = reference_check(t, h, spec, batch_of(t, times, marks))
+    return worst, len(kept), underflow
 
 
 def batch_flows(t, h, spec, paths):
     """Every path's (x, y) rows from the batched replay, in path order."""
-    x = np.full((len(paths), h.values.size), np.nan)
+    x = np.full((paths.counts.size, h.values.size), np.nan)
     y = x.copy()
     seen = []
     for rows, xb, yb in multiplicative._flow_blocks(t, h, spec, paths):
         x[rows], y[rows] = xb, yb
         seen.extend(rows.tolist())
-    assert sorted(seen) == list(range(len(paths)))
+    assert sorted(seen) == list(range(paths.counts.size))
     return x, y
 
 
@@ -625,8 +662,9 @@ def replay_cases(draw):
     counts[rng.random(n_paths) < 0.2] = 0
     if draw(st.booleans()):
         counts[rng.integers(n_paths)] = draw(st.integers(50, 1500))
-    paths = [JumpRealization(t, np.sort(rng.uniform(0.0, t, c)), rng.integers(0, n_marks, c))
+    paths = [(np.sort(rng.uniform(0.0, t, c)), rng.integers(0, n_marks, c))
              for c in counts.tolist()]
+    paths = batch_of(t, *zip(*paths))
     block_entries = draw(st.one_of(st.integers(1, 2 * n_modes), st.just(2 ** 20)))
     return t, h, spec, paths, block_entries
 
@@ -640,13 +678,14 @@ class TestBatchedReplayEqualsThePathLoop:
                 mock.patch.object(multiplicative, "_BLOCK_ENTRIES", block_entries):
             x, y = batch_flows(t, h, spec, paths)
             worst, underflow = levy_pathwise_check(t, h, spec, paths)
-            want_x = [reference_stochexp_from_jumps(t, h, spec, j) for j in paths]
-            want_y = [reference_flow_oracle(t, h, spec, j) for j in paths]
+            want_x = [reference_stochexp_from_jumps(t, h, spec, j) for j in one_path_views(paths)]
+            want_y = [reference_flow_oracle(t, h, spec, j) for j in one_path_views(paths)]
             want = reference_check(t, h, spec, paths)
         assert hex_rows(x) == hex_rows(np.array(want_x))
         assert hex_rows(y) == hex_rows(np.array(want_y))
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            assert hex_rows(levy_flow_oracle(t, h, spec, paths[0])[None]) == hex_rows(y[:1])
+            first = one_path_views(paths)[0]
+            assert hex_rows(levy_flow_oracle(t, h, spec, first)[None]) == hex_rows(y[:1])
         assert (worst.hex(), underflow) == (want[0].hex(), want[1])
 
     def test_a_path_whose_gap_is_nan_is_skipped_as_in_the_loop(self):
@@ -656,8 +695,7 @@ class TestBatchedReplayEqualsThePathLoop:
         system = EigenSystem.from_lambdas([1.0, 2.0])
         h = ModeCoefficients(system, np.array([1.0, 0.0]))
         spec = MultLevySpec(system, (JumpMark(np.array([-0.9, 0.0]), 100.0),), 0.05, 0.9)
-        paths = [JumpRealization(10.0, np.array([]), np.array([], dtype=int)),
-                 JumpRealization(10.0, np.linspace(0.05, 9.95, 100), np.zeros(100, dtype=int))]
+        paths = batch_of(10.0, [[], np.linspace(0.05, 9.95, 100)], [[], np.zeros(100)])
         with np.errstate(over="ignore", invalid="ignore"):
             x, y = batch_flows(10.0, h, spec, paths)
             got = levy_pathwise_check(10.0, h, spec, paths)
@@ -699,7 +737,7 @@ class TestBatchedReplayEqualsThePathLoop:
         marks = (JumpMark(z, 2.0), JumpMark(-0.6 * z, 1.0))
         spec = MultLevySpec(system, marks, 0.05, 0.05)
         h = ModeCoefficients(system, np.ones(n))
-        paths = [sample_jump_realization(0.5, marks, stream(0, 0, r)) for r in range(1000)]
+        paths = sample_jump_realization(0.5, marks, stream(0, 0), 1000)
         tracemalloc.start()
         try:
             worst, underflow = levy_pathwise_check(0.5, h, spec, paths)

@@ -237,7 +237,8 @@ class TestLevyConvolution:
         # force an empty realization by conditioning on zero jumps
         from spdecutoff.noise_sim import JumpRealization
 
-        empty = JumpRealization(t=1.0, times=np.array([]), mark_indices=np.array([], dtype=int))
+        empty = JumpRealization(t=1.0, counts=np.array([0]), times=np.array([]),
+                                mark_indices=np.array([], dtype=int))
         x = sample_heat_levy_convolution(1.0, spec, rng, realization=empty)
         assert np.allclose(x.values, -levy_compensator_heat(1.0, spec), rtol=1e-14)
 
@@ -340,6 +341,82 @@ class TestJumpRealizationEqualsChoice:
             pytest.fail("no rates put u between the normalised and the raw step")
         got = self.assert_equals_choice(1.0, rates, 0)
         assert got.mark_indices[0] == 1
+
+
+def pre_batch_sampler(t, marks, rng):
+    """The one-path body of sample_jump_realization before it drew its paths
+    as one batch, kept as the reference for a batch of one."""
+    rate = float(sum(m.rate for m in marks))
+    n = rng.poisson(rate * t)
+    times = rng.uniform(0.0, t, size=n)
+    times.sort()
+    cdf = (np.array([m.rate for m in marks]) / rate).cumsum()
+    cdf /= cdf[-1]
+    return times, cdf.searchsorted(rng.random(n), side="right")
+
+
+def jump_marks(log10_rates):
+    return tuple(JumpMark(np.array([0.5]), 10.0 ** e) for e in log10_rates)
+
+
+ONE_TO_THREE_MARKS = st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=3).map(jump_marks)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestJumpBatch:
+    def assert_one_is_the_pre_batch_sampler(self, t, marks, seed):
+        want_rng, got_rng = stream(seed, 0), stream(seed, 0)
+        times, idx = pre_batch_sampler(t, marks, want_rng)
+        got = sample_jump_realization(t, marks, got_rng)
+        assert got.counts.tolist() == [times.size]
+        assert got.times.tobytes() == times.tobytes()
+        assert got.mark_indices.tobytes() == idx.tobytes()
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
+    @settings(max_examples=200)
+    @given(marks=ONE_TO_THREE_MARKS, t=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+           seed=SEEDS)
+    def test_a_batch_of_one_is_the_pre_batch_sampler(self, marks, t, seed):
+        self.assert_one_is_the_pre_batch_sampler(t, marks, seed)
+
+    def test_a_batch_of_one_on_1200_draws(self):
+        marks = jump_marks([math.log10(2.0), 0.0])
+        for seed in range(300):
+            for t in (0.0, 0.3, 2.0, 50.0):
+                self.assert_one_is_the_pre_batch_sampler(t, marks, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(marks=ONE_TO_THREE_MARKS, size=st.integers(1, 300),
+           cap=st.sampled_from([1, 5, 60, 10**6]), t=st.sampled_from([0.0, 0.05, 0.8, 4.0]),
+           seed=SEEDS)
+    def test_the_kept_prefix(self, marks, size, cap, t, seed):
+        # path i is kept iff the paths before it hold fewer than cap jumps
+        counts = stream(seed, 0).poisson(sum(m.rate for m in marks) * t, size).tolist()
+        kept = before = 0
+        while kept < size and before < cap:
+            before += counts[kept]
+            kept += 1
+        got = sample_jump_realization(t, marks, stream(seed, 0), size, cap)
+        assert 1 <= got.counts.size == kept
+        assert got.counts.tolist() == counts[:kept]
+        assert got.times.size == got.mark_indices.size == sum(counts[:kept])
+
+    @settings(max_examples=60, deadline=None)
+    @given(marks=ONE_TO_THREE_MARKS, size=st.integers(1, 300),
+           t=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), seed=SEEDS)
+    def test_times_sorted_within_each_path_and_in_0_t(self, marks, size, t, seed):
+        rng = stream(seed, 0)
+        counts = rng.poisson(sum(m.rate for m in marks) * t, size)
+        uniforms = rng.uniform(0.0, t, int(counts.sum()))
+        got = sample_jump_realization(t, marks, stream(seed, 0), size)
+        assert got.counts.tolist() == counts.tolist()
+        ends = np.cumsum(counts).tolist()
+        for c, end in zip(counts.tolist(), ends):
+            times = got.times[end - c:end]
+            assert np.all(np.diff(times) >= 0.0)
+            assert np.all((0.0 <= times) & (times <= t))
+            assert times.tobytes() == np.sort(uniforms[end - c:end]).tobytes()
+        assert np.all((0 <= got.mark_indices) & (got.mark_indices < len(marks)))
 
 
 class TestSpecValidation:
