@@ -277,14 +277,21 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
                    spec)
 
 
-def _finite(report: CutoffReport, spec: NoiseSpec | None = None, wspec=None) -> CutoffReport:
+def _finite_equilibrium(spec: NoiseSpec, wspec=None):
+    """Exit 2 at /noise/gaussian_q when the equilibrium second moment of the
+    noise ``spec`` (heat, or the wave's with ``wspec``) is not finite."""
+    if not math.isfinite(equilibrium_moment(spec, wspec)):
+        raise ConfigError("/noise/gaussian_q", "the equilibrium second moment "
+                          "sum_k tr A_k is not finite")
+
+
+def _finite(report: CutoffReport, spec: NoiseSpec | None = None) -> CutoffReport:
     """``report``, or exit 2 before any file is written when a row's distance,
-    profile or bound is not finite: at /noise/gaussian_q if the noise ``spec``'s, else /initial."""
+    profile or bound is not finite: at /noise/gaussian_q if the heat noise ``spec``'s, else /initial."""
     for r, key in ((r, k) for r in report.rows for k in ("renormalized", "profile", "bound")):
         if not math.isfinite(r[key]):
-            if spec is not None and not math.isfinite(equilibrium_moment(spec, wspec)):
-                raise ConfigError("/noise/gaussian_q", "the equilibrium second moment "
-                                  "sum_k tr A_k is not finite")
+            if spec is not None:
+                _finite_equilibrium(spec)
             raise ConfigError("/initial", f"the {key} at rho_or_delta = {r['rho_or_delta']:g}, "
                               f"eps = {r['eps']:g} is {r[key]}: the data are too large")
     return report
@@ -345,10 +352,11 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     eps_grid = _eps_grid(cfg)
     rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leader.rate,
                          float(wsp.theta.max(initial=0.0)))
+    _finite_equilibrium(spec, wsp)
     report = CutoffReport(meta={"rate": leader.rate, "shape_norm": leader.shape_norm,
                                 "leader_case": leader.case})
     return _finite(report.add_grid("wave-overdamped", p, rho_grid, eps_grid,
-                                   profile_cell(leader, p, z, spec, constants)), spec, wsp)
+                                   profile_cell(leader, p, z, spec, constants)))
 
 
 def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
@@ -358,8 +366,9 @@ def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     rho_grid = _float_list(cfg, "rho_grid", "")
     cell = window_cell(z, spec)  # a wrong case is reported before any rho
     _rho_grid(rho_grid, eps_grid, 0.5 * wsp.gamma, float(wsp.theta.max(initial=0.0)))
+    _finite_equilibrium(spec, wsp)
     return _finite(CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
-        "wave-window", p, rho_grid, eps_grid, cell), spec, wsp)
+        "wave-window", p, rho_grid, eps_grid, cell))
 
 
 def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]):
@@ -382,6 +391,18 @@ def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]
         raise ConfigError("/eta", str(e)) from e
 
 
+def _check_decay(spec: MultBrownianSpec | MultLevySpec, h: ModeCoefficients, pointer: str):
+    """Exit 2 at ``pointer`` unless E|X_t|^2 decays on every mode with data:
+    each needs a negative second-moment drift -lambda + eps^2 v / 2."""
+    drift = spec.second_moment_drift
+    grows = np.flatnonzero((drift >= 0.0) & (h.values != 0.0))
+    if grows.size:
+        j = grows[0]
+        raise ConfigError(pointer, f"mode {j}: the second-moment drift -lambda + eps^2 v / 2 = "
+                          f"{drift[j]:g} at eps = {spec.eps:g} is not negative: "
+                          "E|X_t|^2 does not decay")
+
+
 def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     system = _build_system(cfg)
     h = _coeffs(system, _get(cfg, "initial", list, ""), "/initial")
@@ -400,15 +421,8 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)
     specs = _mult_specs(cfg, system, kind, eps_grid)
-    # E|X_t|^2 must decay on every mode with data; its drift grows with eps (v >= 0)
-    spec = max(specs, key=lambda s: s.eps)
-    drift = spec.second_moment_drift
-    grows = np.flatnonzero((drift >= 0.0) & (h.values != 0.0))
-    if grows.size:
-        j = grows[0]
-        raise ConfigError("/g" if kind == "brownian" else "/marks", f"mode {j}: the second-"
-                          f"moment drift -lambda + eps^2 v / 2 = {drift[j]:g} at eps = "
-                          f"{spec.eps:g} is not negative: E|X_t|^2 does not decay")
+    # the drift grows with eps (v >= 0): the largest eps decides
+    _check_decay(max(specs, key=lambda s: s.eps), h, "/g" if kind == "brownian" else "/marks")
     if rho_grid:  # mult_profile's times: t_eps = |ln a(eps)| / lambda_1
         l1 = heat_leading_data(h).lambda_lead
         two_lam = 2.0 * float(system.lambdas[-1])
@@ -450,6 +464,7 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
         if not math.isfinite(float(np.sum(h.values ** 2))):
             raise ConfigError("/initial", "the squared norm sum_k h_k^2 overflows: "
                                           "the data are too large")
+    _check_decay(spec, h, "/marks")
 
     # at most 1,000 paths, one batch from stream(seed, 0), cut at MAX_EXPECTED_JUMPS
     paths = sample_jump_realization(t, spec.marks, stream(seed, 0), min(n_paths, 1000),

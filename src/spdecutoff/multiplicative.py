@@ -390,31 +390,82 @@ def _dense_ids(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     return ids, values.size
 
 
-def _group_count_vectors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, first) for the columns of the (n_marks, size) count matrix:
-    dense ids, equal exactly for equal columns, and one column index per id.
+def _fold_counts(ids: np.ndarray, n_ids: int, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the pairs (``ids``, ``c``), ids in [0, n_ids) and ``c``
+    one mark's counts, equal exactly for equal pairs, and their number.
 
-    Mark by mark, the counts fold into the ids so far as the key
-    ids * radix + (c - min c), radix = max c - min c + 1, which is then
-    relabelled to dense ids: the key stays below size * radix, and with
-    narrow counts every relabelling is an O(size) table pass, no sort.
+    The counts fold into the ids as the key ids * radix + (c - min c),
+    radix = max c - min c + 1, which is then relabelled to dense ids: the
+    key stays below n_ids * radix, and with narrow counts the relabelling is
+    an O(size) table pass, no sort.
     """
-    size = counts.shape[1]
-    ids = np.zeros(size, dtype=np.int64)
+    lo = int(c.min())
+    radix = int(c.max()) - lo + 1
+    key = c - lo
+    if n_ids * radix > _INT64_MAX:  # counts spread wider than 2^63 / n_ids
+        key, radix = _dense_ids(key, radix)
+    key += ids * radix
+    return _dense_ids(key, n_ids * radix)
+
+
+def _poisson_window(mu: float, max_len: int):
+    """(k, pmf) over every k whose Poisson(mu) pmf, exp(k ln mu - mu - ln k!),
+    is a positive double, the pmf divided by its sum; or None when the range
+    [lo, hi] that holds them is longer than ``max_len``.  Outside it the pmf
+    is below e^-L, L = 750, whose exp() is 0.0, by Bernstein's bounds
+    P(N <= mu - x) <= exp(-x^2 / (2 mu)) and
+    P(N >= mu + x) <= exp(-x^2 / (2 (mu + x / 3))): lo = mu - sqrt(2 L mu)
+    and hi = mu + L / 3 + sqrt((L / 3)^2 + 2 L mu)."""
+    if mu == 0.0:
+        return np.zeros(1, dtype=np.int64), np.ones(1)
+    lo = max(0, math.floor(mu - math.sqrt(1500.0 * mu)))
+    hi = math.ceil(mu + 250.0 + math.sqrt(62500.0 + 1500.0 * mu))
+    if hi - lo + 1 > max_len:
+        return None
+    k = np.arange(lo, hi + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(lo, hi + 1)])
+    pmf = np.exp(k * math.log(mu) - mu - log_fact)
+    keep = pmf > 0.0
+    return k[keep], pmf[keep] / math.fsum(pmf[keep])
+
+
+def _count_histogram(t: float, marks, rng: np.random.Generator,
+                     size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, weights): the histogram of ``size`` paths' jump-count vectors
+    on (0, t], mark by mark; ``cells`` (n_marks, n_cells) holds the distinct
+    vectors and ``weights`` the number of paths on each.
+
+    From one cell of all the paths, mark m splits every cell with one
+    ``rng.multinomial(weights, pmf)`` call over the Poisson(rate_m t) window
+    of :func:`_poisson_window`, and the nonzero entries are the new cells:
+    the exact law of the histogram of ``size`` iid per-path draws.  Where
+    that table, the cells times the window's range, would have more than
+    ``size`` entries (a large rate_m t over many cells), the mark is drawn
+    per path with ``rng.poisson`` instead and folded into the cells by
+    :func:`_fold_counts`.
+    """
     if size == 0:
-        return ids, ids
-    n_ids = 1
-    for c in counts:
-        lo = int(c.min())
-        radix = int(c.max()) - lo + 1
-        key = c - lo
-        if n_ids * radix > _INT64_MAX:  # counts spread wider than 2^63 / size
-            key, radix = _dense_ids(key, radix)
-        key += ids * radix
-        ids, n_ids = _dense_ids(key, n_ids * radix)
-    first = np.empty(n_ids, dtype=np.int64)
-    first[ids] = np.arange(size)
-    return ids, first
+        return np.zeros((len(marks), 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    cells = np.zeros((0, 1), dtype=np.int64)
+    weights = np.array([size])
+    for m in marks:
+        mu = m.rate * t
+        window = _poisson_window(mu, size // weights.size)
+        if window is not None:
+            k, pmf = window
+            table = rng.multinomial(weights, pmf)
+            cell, col = np.nonzero(table)
+            cells = np.vstack([cells[:, cell], k[col]])
+            weights = table[cell, col]
+        else:
+            ids = np.repeat(np.arange(weights.size), weights)
+            c = rng.poisson(mu, size=size)
+            new, n = _fold_counts(ids, weights.size, c)
+            first = np.empty(n, dtype=np.int64)
+            first[new] = np.arange(size)
+            cells = np.vstack([cells[:, ids[first]], c[first]])
+            weights = np.bincount(new, minlength=n)
+    return cells, weights
 
 
 def levy_stochexp_batch(
@@ -424,25 +475,21 @@ def levy_stochexp_batch(
     """(size,) exact draws of |X_t(h)|^2.
 
     The flow depends on a path only through its jump count per mark, so the
-    batch draws one Poisson array per mark, groups equal count vectors
-    without a sort (:func:`_group_count_vectors`) and evaluates
-    sum_j (h_j exp(theta_j))^2 once per distinct vector, in blocks of at
-    most ``_BLOCK_ENTRIES`` modes x rows: memory stays O(size + n_modes).
-    Each value is bit-identical to the full (size, n_modes) evaluation.
+    batch draws the histogram of the paths' count vectors
+    (:func:`_count_histogram`) and evaluates sum_j (h_j exp(theta_j))^2
+    once per distinct vector, in blocks of at most ``_BLOCK_ENTRIES``
+    modes x rows, each value repeated for the paths on it: memory stays
+    O(size + n_modes).  Each value is bit-identical to the full
+    (size, n_modes) evaluation of the count vectors repeated in that order.
     """
     lam = spec.system.lambdas
-    counts = np.empty((len(spec.marks), size), dtype=np.int64)
-    for mi, m in enumerate(spec.marks):
-        counts[mi] = rng.poisson(m.rate * t, size=size)
-    ids, first = _group_count_vectors(counts)
-    distinct = counts[:, first]
-    del counts
+    cells, weights = _count_histogram(t, spec.marks, rng, size)
     base = (-lam - spec.compensator_drift()) * t
     logs = [np.log1p(spec.eps * m.values) for m in spec.marks]
     rows = max(1, _BLOCK_ENTRIES // lam.size)
-    sq = np.empty(first.size)
-    for lo in range(0, first.size, rows):
-        block = distinct[:, lo:lo + rows]
+    sq = np.empty(weights.size)
+    for lo in range(0, weights.size, rows):
+        block = cells[:, lo:lo + rows]
         theta = np.broadcast_to(base, (block.shape[1], lam.size)).copy()
         for mi, log_m in enumerate(logs):
             theta += block[mi, :, None] * log_m[None, :]
@@ -451,4 +498,4 @@ def levy_stochexp_batch(
         theta *= h.values
         theta **= 2
         sq[lo:lo + rows] = np.sum(theta, axis=1)
-    return sq[ids]
+    return np.repeat(sq, weights)

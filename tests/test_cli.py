@@ -426,13 +426,31 @@ class TestConfigValidation:
         rows = (out / f"{command.replace('-', '_')}.csv").read_text().strip().split("\n")[1:]
         assert rows and all(math.isfinite(float(x)) for r in rows for x in r.split(",")[4:7])
 
-    def test_an_infinite_wave_equilibrium_exits_2_at_the_noise(self, tmp_path, capsys):
-        # q / (2 gamma lambda) = 1.7e308 / 0.2 overflows: NaN rows before
-        cfg = WAVE_WINDOW_CFG | {"gamma": 0.1, "noise": {"gaussian_q": [1.7e308, 1, 1, 1, 1]}}
+    @pytest.mark.parametrize("command, cfg", [
+        # q / (2 gamma lambda) = 1.7e308 / 0.2 overflows: NaN rows before, and
+        # three RuntimeWarnings of the cells before the exit
+        ("wave-window", WAVE_WINDOW_CFG | {"gamma": 0.1,
+                                           "noise": {"gaussian_q": [1.7e308, 1, 1, 1, 1]}}),
+        ("wave-profile", {k: v for k, v in WAVE_PROFILE_CFG.items() if k != "dims"} | {
+            "lambdas": [1e-4, 4.0, 9.0], "gamma": 0.1,
+            "noise": {"gaussian_q": [1.7e308, 1, 1]}}),
+    ], ids=["wave-window", "wave-profile"])
+    def test_an_infinite_wave_equilibrium_exits_2_at_the_noise(self, tmp_path, capsys,
+                                                               command, cfg):
+        path = write_cfg(tmp_path, "q.json", cfg)
+        with warnings.catch_warnings():  # checked before any cell: no warning
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: /noise/gaussian_q: the equilibrium second "
+                                           "moment sum_k tr A_k is not finite\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_wave_equilibrium_comes_after_the_rho_checks(self, tmp_path, capsys):
+        cfg = WAVE_WINDOW_CFG | {"gamma": 0.1, "noise": {"gaussian_q": [1.7e308, 1, 1, 1, 1]},
+                                 "rho_grid": [-1e300]}
         path = write_cfg(tmp_path, "q.json", cfg)
         assert main(["wave-window", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: /noise/gaussian_q: ")
-        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith("error: /rho_grid/0: ")
 
     @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test", "selftest"])
     def test_negative_seed_argument_exits_2(self, capsys, command):
@@ -444,23 +462,35 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg, err", [
+    @pytest.mark.parametrize("command, cfg, err", [
         # eps^2 g^2 / 2 = 5e7 > lambda_2 = 4: 3 rows inf,1,nan,false before
-        (MULT_CFG | {"g": [[0.5, -1e6, 0.2]]},
+        ("mult-profile", MULT_CFG | {"g": [[0.5, -1e6, 0.2]]},
          "error: /g: mode 1: the second-moment drift -lambda + eps^2 v / 2 = 5e+07 at "
          "eps = 0.01 is not negative"),
         # eps^2 rate z^2 / 2 overflows the drift: rows of inf before
-        (LEVY_MULT_CFG | {"marks": [LEVY_MULT_CFG["marks"][0] | {"rate": 1e300},
-                                    LEVY_MULT_CFG["marks"][1]]},
+        ("mult-profile", LEVY_MULT_CFG | {"marks": [LEVY_MULT_CFG["marks"][0] | {"rate": 1e300},
+                                                    LEVY_MULT_CFG["marks"][1]]},
          "error: /marks: mode 1: the second-moment drift -lambda + eps^2 v / 2 = "),
         # a mode without data may grow: mode 0 here, whose drift is 49 at eps = 1e-5
-        (MULT_CFG | {"g": [[-1e6, 0.5, 0.2]], "eps_grid": [1e-5, 1e-6, 1e-7]}, None),
-    ], ids=["brownian-g", "levy-rate", "mode-without-data"])
-    def test_a_growing_second_moment_exits_2_at_the_noise(self, tmp_path, capsys, cfg, err):
+        ("mult-profile", MULT_CFG | {"g": [[-1e6, 0.5, 0.2]], "eps_grid": [1e-5, 1e-6, 1e-7]},
+         None),
+        # the README levy config with -lambda_0 + eps^2 v_0 / 2 = +0.79: the
+        # exact moment overflowed, levy-moment,2,0.99,0,0,inf,0,false before
+        ("levy-check", {"schema_version": 1, "lambdas": [1e-3, 4.0], "initial": [1.0, 0.5],
+                        "marks": [{"values": [0.9, 0.1], "rate": 2.0}], "eta": 0.05,
+                        "eps": 0.99, "t": 2000, "n_paths": 1000},
+         "error: /marks: mode 0: the second-moment drift -lambda + eps^2 v / 2 = 0.792881 at "
+         "eps = 0.99 is not negative: E|X_t|^2 does not decay"),
+        ("levy-check", LEVY_CHECK_CFG | {"initial": [0.0, 0.5], "lambdas": [1e-6, 4.0],
+                                         "eps": 0.9}, None),
+    ], ids=["brownian-g", "levy-rate", "mode-without-data", "levy-check",
+            "levy-check-mode-without-data"])
+    def test_a_growing_second_moment_exits_2_at_the_noise(self, tmp_path, capsys, command,
+                                                          cfg, err):
         path = write_cfg(tmp_path, "m.json", cfg)
         with warnings.catch_warnings():  # the message is the only output
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["mult-profile", "--config", path, "--out", str(tmp_path / "out")])
+            rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
         if err is None:
             assert rc == 0 and capsys.readouterr().err == ""
             return
@@ -599,14 +629,12 @@ class TestConfigFuzz:
             csv_path = os.path.join(tmp, "out", command.replace("-", "_") + ".csv")
             rows = list(csv.DictReader(open(csv_path))) if os.path.exists(csv_path) else []
         assert rc in (0, 1, 2)
-        # these commands write finite rows or exit 2 with a message;
-        # levy-check still writes NaN rows (ROADMAP item 14)
-        if command != "levy-check":
-            if rc == 2:
-                assert err.getvalue().startswith("error: ") and not rows
-            else:
-                assert all(math.isfinite(float(r[k])) for r in rows
-                           for k in ("renormalized", "profile", "bound"))
+        # every command writes finite rows or exits 2 with a message
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and not rows
+        else:
+            assert all(math.isfinite(float(r[k])) for r in rows
+                       for k in ("renormalized", "profile", "bound"))
         if isinstance(value, float) and not math.isfinite(value):
             assert rc == 2
         # any change that leaves q_0 and the box in place still overflows

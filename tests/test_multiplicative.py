@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import kstest
+from scipy.stats import kstest, poisson
 
 from spdecutoff import (
     EigenSystem,
@@ -38,8 +38,10 @@ from spdecutoff.errors import (
 )
 from spdecutoff import cli, multiplicative
 from spdecutoff.multiplicative import (
-    _group_count_vectors,
+    _count_histogram,
+    _fold_counts,
     _log_space_root_sum,
+    _poisson_window,
     levy_stochexp_batch,
     mult_distance_to_zero,
     schedule_values,
@@ -404,24 +406,26 @@ class TestMergedJumpArithmetic:
 
 
 # --------------------------------------------------------------------------
-# The batch as the full (size, n_modes) matrix, before it was evaluated once
-# per distinct count vector: the reference the batch must equal bit for bit.
+# The batch as the full (size, n_modes) matrix of the sampled count vectors,
+# each repeated for its paths: the reference the batch must equal bit for bit.
 # --------------------------------------------------------------------------
 
 
-def dense_levy_sq(t, h, spec, rng, size):
+def expanded_levy_sq(t, h, spec, rng, size):
+    cells, weights = _count_histogram(t, spec.marks, rng, size)
+    counts = np.repeat(cells, weights, axis=1)
     lam = spec.system.lambdas
     theta = np.broadcast_to((-lam - spec.compensator_drift()) * t, (size, lam.size)).copy()
-    for m in spec.marks:
-        counts = rng.poisson(m.rate * t, size=size)
-        theta += counts[:, None] * np.log1p(spec.eps * m.values)[None, :]
+    for mi, m in enumerate(spec.marks):
+        theta += counts[mi][:, None] * np.log1p(spec.eps * m.values)[None, :]
     batch = h.values * np.exp(theta)
     return np.sum(batch ** 2, axis=1)
 
 
-def distinct_count_vectors(t, spec, rng, size):
-    counts = np.stack([rng.poisson(m.rate * t, size=size) for m in spec.marks], axis=1)
-    return len(np.unique(counts, axis=0))
+def poisson_window_range(mu):
+    """The range [lo, hi] that _poisson_window evaluates at rate * t = mu."""
+    return (max(0, math.floor(mu - math.sqrt(1500.0 * mu))),
+            math.ceil(mu + 250.0 + math.sqrt(62500.0 + 1500.0 * mu)))
 
 
 class TestLevyBatchEqualsDense:
@@ -438,32 +442,36 @@ class TestLevyBatchEqualsDense:
         spec = MultLevySpec(system, marks, 0.05, 10.0 ** log10_eps)
         with mock.patch.object(multiplicative, "_BLOCK_ENTRIES", block_entries):
             got = levy_stochexp_batch(t, h, spec, stream(seed, 1), size)
-        want = dense_levy_sq(t, h, spec, stream(seed, 1), size)
+        want = expanded_levy_sq(t, h, spec, stream(seed, 1), size)
         assert got.shape == (size,)
         assert got.tobytes() == want.tobytes()
 
     def test_bit_identical_when_almost_every_count_vector_is_distinct(self):
-        # rate * t = 10^4 per mark on three marks: the 40,000 paths fill
-        # several blocks of the shipped size
+        # rate * t = 10^4 per mark on three marks: the first mark is one
+        # multinomial over its window, the next two are drawn per path, and
+        # the 40,000 paths fill several blocks of the shipped size
         system, h, marks = monte_carlo_case(3)
         marks = marks + (JumpMark(0.1 / np.arange(1, 65), 1.0),)
         marks = tuple(JumpMark(m.values, 5000.0) for m in marks)
         spec = MultLevySpec(system, marks, 0.05, 1e-3)
         t, size = 2.0, 40_000
-        distinct = distinct_count_vectors(t, spec, stream(4, 1), size)
+        rng = mock.Mock(wraps=stream(4, 1))
+        distinct = _count_histogram(t, spec.marks, rng, size)[1].size
+        assert rng.multinomial.call_count == 1 and rng.poisson.call_count == 2
         assert distinct > 0.9 * size
         assert distinct > 2 * (multiplicative._BLOCK_ENTRIES // system.n_modes)
         got = levy_stochexp_batch(t, h, spec, stream(4, 1), size)
-        assert got.tobytes() == dense_levy_sq(t, h, spec, stream(4, 1), size).tobytes()
+        assert got.tobytes() == expanded_levy_sq(t, h, spec, stream(4, 1), size).tobytes()
 
     def assert_equals_dense(self, t, spec, size, seed=0):
         h = ModeCoefficients(spec.system, np.linspace(1.0, -0.5, spec.system.n_modes))
         got = levy_stochexp_batch(t, h, spec, stream(seed, 1), size)
-        assert got.tobytes() == dense_levy_sq(t, h, spec, stream(seed, 1), size).tobytes()
+        assert got.tobytes() == expanded_levy_sq(t, h, spec, stream(seed, 1), size).tobytes()
 
     def test_a_key_span_above_the_table_falls_back_to_unique(self):
-        # rate * t = 5,000: 200 paths spread each mark over about 400 counts,
-        # and two marks give a key span of about 80,000 > 4 * 200
+        # rate * t = 5,000: 200 paths, drawn per path, spread each mark over
+        # about 400 counts, and two marks give a key span of about
+        # 170 * 400 > 4 * 200
         system, _, marks = random_jump_case(11, 8, 2)
         spec = MultLevySpec(system, tuple(JumpMark(m.values, 5000.0) for m in marks),
                             0.05, 1e-3)
@@ -472,6 +480,7 @@ class TestLevyBatchEqualsDense:
         assert unique.called
 
     def test_folding_without_relabelling_would_pass_2_63(self):
+        # every mark is drawn per path, as 200 Poisson draws from the batch's stream
         system, _, marks = random_jump_case(12, 8, 8)
         spec = MultLevySpec(system, tuple(JumpMark(m.values, 5000.0) for m in marks),
                             0.05, 1e-3)
@@ -492,13 +501,31 @@ class TestLevyBatchEqualsDense:
         system, _, marks = random_jump_case(14, 3, 2)
         self.assert_equals_dense(1.0, MultLevySpec(system, marks, 0.05, 0.1), 0)
 
-    def test_the_table_branch_neither_sorts_nor_calls_unique(self):
+    def test_a_narrow_per_path_fold_neither_sorts_nor_calls_unique(self):
+        # rate * t = 5,000 over 2,000 paths: the window's range (5,740
+        # counts) is wider than the paths, so the mark is drawn per path,
+        # and its spread (about 500) is within the presence table's 4 * 2,000
+        system, h, marks = monte_carlo_case(0)
+        spec = MultLevySpec(system, (JumpMark(marks[0].values, 2500.0),), 0.05, 0.05)
+        refuse = mock.Mock(side_effect=AssertionError("sorted the count vectors"))
+        rng = mock.Mock(wraps=stream(7, 1))
+        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse):
+            got = levy_stochexp_batch(2.0, h, spec, rng, 2000)
+        assert rng.poisson.call_count == 1 and not rng.multinomial.called
+        assert got.tobytes() == expanded_levy_sq(2.0, h, spec, stream(7, 1), 2000).tobytes()
+
+    def test_the_monte_carlo_config_makes_no_per_path_poisson_draw(self):
+        # one multinomial per mark, no Poisson draw, no sort and no relabelling
         system, h, marks = monte_carlo_case(0)
         spec = MultLevySpec(system, marks, 0.05, 0.05)
-        refuse = mock.Mock(side_effect=AssertionError("sorted the count vectors"))
-        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse):
-            got = levy_stochexp_batch(2.0, h, spec, stream(7, 1), 200_000)
-        assert got.tobytes() == dense_levy_sq(2.0, h, spec, stream(7, 1), 200_000).tobytes()
+        refuse = mock.Mock(side_effect=AssertionError("grouped per path"))
+        rng = mock.Mock(wraps=stream(7, 1))
+        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse), \
+                mock.patch.object(multiplicative, "_fold_counts", refuse):
+            got = levy_stochexp_batch(2.0, h, spec, rng, 200_000)
+        assert not rng.poisson.called
+        assert [c.args[0].sum() for c in rng.multinomial.call_args_list] == [200_000] * 2
+        assert got.tobytes() == expanded_levy_sq(2.0, h, spec, stream(7, 1), 200_000).tobytes()
 
     def test_memory_is_linear_in_the_path_count(self):
         # the full matrix at this size takes about 300 MB
@@ -524,21 +551,129 @@ class TestLevyBatchEqualsDense:
         system = EigenSystem.from_lambdas(cfg["lambdas"])
         spec = MultLevySpec(system, (JumpMark(np.array([0.3, 0.15]), 2.0),), 0.05, 0.05)
         h = ModeCoefficients(system, np.array(cfg["initial"]))
-        sq = dense_levy_sq(cfg["t"], h, spec, stream(0, 1), cfg["n_paths"])
+        sq = expanded_levy_sq(cfg["t"], h, spec, stream(0, 1), cfg["n_paths"])
         assert meta["mc_second_moment"] == float(np.mean(sq))
         assert meta["mc_se"] == float(np.std(sq, ddof=1) / math.sqrt(sq.size))
 
+    def test_levy_check_on_the_monte_carlo_config_draws_no_per_path_poisson(self, tmp_path):
+        # the monte-carlo benchmark's levy-check config at seed 0: the replay
+        # draws its 1,000 paths' counts from stream(0, 0), the moment's
+        # stream(0, 1) none
+        k = np.arange(1, 65)
+        cfg = {"schema_version": 1, "lambdas": (k * k).tolist(),
+               "initial": [1.0, 0.3, -0.2, 0.1],
+               "marks": [{"values": (0.3 / k).tolist(), "rate": 2.0},
+                         {"values": (0.2 * (-1.0) ** k / k).tolist(), "rate": 1.0}],
+               "eta": 0.05, "eps": 0.05, "t": 2.0, "n_paths": 200_000}
+        path = tmp_path / "levy.json"
+        path.write_text(json.dumps(cfg))
+        rngs = {}
 
-class TestGroupCountVectors:
+        def wrapped(*key):
+            return rngs.setdefault(key, mock.Mock(wraps=stream(*key)))
+
+        with mock.patch.object(cli, "stream", side_effect=wrapped):
+            assert cli.main(["levy-check", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert sorted(rngs) == [(0, 0), (0, 1)]
+        assert [c.kwargs["size"] for c in rngs[0, 0].poisson.call_args_list] == [1000]
+        assert not rngs[0, 1].poisson.called
+        assert rngs[0, 1].multinomial.call_count == 2
+
+
+def assert_in_bernstein_band(observed, probs, n, alpha):
+    """Each observed bin count N ~ Binomial(n, p) must lie within Bernstein's
+    band |N - n p| <= x, P(|N - n p| >= x) <= 2 exp(-x^2 / (2 (n p (1 - p) + x / 3))),
+    at level alpha / (number of bins): by the union bound a correct sampler
+    fails with probability at most alpha."""
+    observed, probs = np.asarray(observed, dtype=float), np.asarray(probs, dtype=float)
+    log_term = math.log(2.0 * probs.size / alpha)
+    var = n * probs * (1.0 - probs)
+    band = log_term / 3.0 + np.sqrt(log_term ** 2 / 9.0 + 2.0 * var * log_term)
+    assert np.all(np.abs(observed - n * probs) <= band), np.max(np.abs(observed - n * probs) - band)
+
+
+def poisson_bin_probs(mu, edges):
+    """P(N in [edges[i], edges[i + 1])), edges[0] = 0 and the last bin
+    [edges[-1], inf)."""
+    cdf = poisson.cdf(np.asarray(edges[1:]) - 1, mu)
+    return np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+
+
+class TestCountHistogramLaw:
+    ALPHA = 1e-6
+
+    @pytest.mark.parametrize("rates, size, edges, per_path", [
+        # the monte-carlo marks: one multinomial each
+        ((2.0, 1.0), 200_000, (np.arange(13), np.arange(10)), 0),
+        # rate * t = 1,000 on the second mark: its window's range of 2,501
+        # counts over the 10-odd cells of the first passes 20,000, so it is
+        # drawn per path
+        ((2.0, 500.0), 20_000, (np.arange(13), np.r_[0, 920:1100:20]), 1),
+    ])
+    def test_marginals_and_the_two_mark_table_follow_the_product_pmf(self, rates, size,
+                                                                     edges, per_path):
+        # a correct sampler fails this test with probability at most 1e-6:
+        # the marginal and the joint bins share the level by the union bound
+        t = 2.0
+        marks = tuple(JumpMark(np.array([0.3]), r) for r in rates)
+        rng = mock.Mock(wraps=stream(2501 + per_path, 1))
+        cells, weights = _count_histogram(t, marks, rng, size)
+        assert rng.poisson.call_count == per_path
+        assert rng.multinomial.call_count == 2 - per_path
+        assert weights.sum() == size and np.all(weights > 0)
+        bins = [np.searchsorted(e, c, side="right") - 1 for e, c in zip(edges, cells)]
+        probs = [poisson_bin_probs(r * t, e) for r, e in zip(rates, edges)]
+        b1, b2 = (len(e) for e in edges)
+        observed = [np.bincount(b, weights=weights, minlength=len(e))
+                    for b, e in zip(bins, edges)]
+        joint = np.bincount(bins[0] * b2 + bins[1], weights=weights, minlength=b1 * b2)
+        assert_in_bernstein_band(np.concatenate([*observed, joint]),
+                                 np.concatenate([*probs, np.outer(*probs).ravel()]),
+                                 size, self.ALPHA)
+
+    def test_the_band_refutes_a_wrong_rate(self):
+        # the same sample against Poisson(4.2): the check has power
+        marks = (JumpMark(np.array([0.3]), 2.0),)
+        cells, weights = _count_histogram(2.0, marks, stream(2501, 1), 200_000)
+        edges = np.arange(13)
+        observed = np.bincount(np.searchsorted(edges, cells[0], side="right") - 1,
+                               weights=weights, minlength=13)
+        with pytest.raises(AssertionError):
+            assert_in_bernstein_band(observed, poisson_bin_probs(4.2, edges), 200_000, 1e-6)
+
+    @pytest.mark.parametrize("mu", [1e-9, 0.5, 4.0, 100.0, 1e4, 1e6])
+    def test_the_window_holds_every_positive_pmf(self, mu):
+        lo, hi = poisson_window_range(mu)
+        k, pmf = _poisson_window(mu, hi - lo + 1)
+        assert np.all(pmf > 0.0) and math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+        # just outside the Bernstein range the pmf is below e^-750
+        assert np.all(poisson.logpmf(np.array([lo - 1, hi + 1]), mu)[lo == 0:] < -750.0)
+        # the window is every k of the range with a positive pmf
+        inside = np.arange(lo, hi + 1)
+        assert np.array_equal(k, inside[np.exp(poisson.logpmf(inside, mu)) > 0.0])
+        assert _poisson_window(mu, hi - lo) is None
+
+
+class TestFoldCounts:
+    @staticmethod
+    def group(counts):
+        """The columns' dense ids, folded mark by mark, and one column per id."""
+        ids, n = np.zeros(counts.shape[1], dtype=np.int64), 1
+        for c in counts:
+            ids, n = _fold_counts(ids, n, c)
+        first = np.empty(n, dtype=np.int64)
+        first[ids] = np.arange(ids.size)
+        return ids, first
+
     @settings(max_examples=300)
     @given(columns=st.lists(st.lists(st.sampled_from([0, 1, 7, 2 ** 40, 2 ** 62, 2 ** 63 - 1]),
-                                     min_size=3, max_size=3), min_size=0, max_size=40),
+                                     min_size=3, max_size=3), min_size=1, max_size=40),
            n_marks=st.integers(1, 3))
     def test_equal_ids_exactly_for_equal_columns(self, columns, n_marks):
         counts = np.array(columns, dtype=np.int64).reshape(-1, 3)[:, :n_marks].T.copy()
-        ids, first = _group_count_vectors(counts)
+        ids, first = self.group(counts)
         n_distinct = len({tuple(c) for c in counts.T.tolist()})
-        assert ids.dtype == first.dtype == np.int64
+        assert ids.dtype == np.int64
         assert first.size == n_distinct and sorted(set(ids.tolist())) == list(range(n_distinct))
         assert np.array_equal(counts[:, first[ids]], counts)
 
@@ -546,7 +681,7 @@ class TestGroupCountVectors:
         # the second row: 3 ids so far times a radix of 2^62 + 1 passes 2^63
         big = 2 ** 62
         counts = np.array([[0, big, 0, big, 5], [big, 0, big, 3, 0]], dtype=np.int64)
-        ids, first = _group_count_vectors(counts)
+        ids, first = self.group(counts)
         assert ids[0] == ids[2] and len(set(ids.tolist())) == 4 == first.size
         assert np.array_equal(counts[:, first[ids]], counts)
 
