@@ -51,8 +51,6 @@ from .cutoff import (
     distance_and_gap,
     equilibrium_moment,
     window_cell,
-    cutoff_inequality_gap,
-    large_data_identity,
 )
 from .multiplicative import (
     MultBrownianSpec,

@@ -56,6 +56,7 @@ from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_mo
 from .multiplicative import (
     MultBrownianSpec,
     MultLevySpec,
+    MultSpec,
     levy_pathwise_check,
     levy_stochexp_batch,
     mult_profile,
@@ -137,10 +138,12 @@ def _float_rows(cfg: dict, key: str, pointer: str) -> np.ndarray:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ConfigError("/", f"invalid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError("/", f"cannot read the config: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be a JSON object")
     ver = _get(cfg, "schema_version", int, "")
@@ -254,10 +257,6 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "exact heat profile")
     leading = heat_leading_data(h)
     constants = decay_constants("heat", system=system)
-    variant = _get(cfg, "error_bound_variant", str, "", default="proof", required=False)
-    if variant != "proof":
-        raise ConfigError("/error_bound_variant",
-                          f"only the proven bound 'proof' is available, got {variant!r}")
     eps_grid = _eps_grid(cfg)
     rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leading.rate)
     delta_grid = _float_list(cfg, "delta_grid", "", required=False)
@@ -265,9 +264,12 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
         if delta <= 0 or abs(delta - 1.0) <= 1e-12:
             raise ConfigError(f"/delta_grid/{i}",
                               f"delta must be positive and not the cutoff 1, got {delta}")
+        for eps in eps_grid:
+            if not math.isfinite(delta * cutoff_time(eps, leading.rate)):
+                raise ConfigError(f"/delta_grid/{i}", f"delta * t_eps overflows at eps = "
+                                  f"{eps:g}: the time must be finite")
     report = CutoffReport(meta={"lambda_lead": leading.lambda_lead,
-                                "shape_norm": leading.shape_norm,
-                                "error_bound_variant": variant})
+                                "shape_norm": leading.shape_norm})
     report.add_grid("heat-additive", p, rho_grid, eps_grid,
                     profile_cell(leading, p, h, spec, constants))
     # simple cutoff at delta * t_eps: divergence for delta < 1, collapse for
@@ -391,7 +393,7 @@ def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]
         raise ConfigError("/eta", str(e)) from e
 
 
-def _check_decay(spec: MultBrownianSpec | MultLevySpec, h: ModeCoefficients, pointer: str):
+def _check_decay(spec: MultSpec, h: ModeCoefficients, pointer: str):
     """Exit 2 at ``pointer`` unless E|X_t|^2 decays on every mode with data:
     each needs a negative second-moment drift -lambda + eps^2 v / 2."""
     drift = spec.second_moment_drift

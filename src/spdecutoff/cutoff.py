@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDomainError, WrongCaseError
-from .noise_sim import NoiseSpec, gaussian_law, heat_gaussian_convolution_law
-from .semigroup import _heat_on_support, heat_apply, wave_apply
-from .spectral_core import ModeCoefficients, WaveState, root_sum_sq
+from .noise_sim import NoiseSpec, gaussian_law
+from .semigroup import _heat_on_support, wave_apply
+from .spectral_core import WaveState, root_sum_sq
 # w2_gaussian_2x2 is bound here, unused, so that a tracer that wraps each
 # module's names keeps covering the 2x2 closed form from this module.
-from .wasserstein import bures, w2_diag_gaussian, w2_gaussian_2x2  # noqa: F401
+from .wasserstein import bures, w2_gaussian_2x2  # noqa: F401
 
 
 def _check_eps(eps: float) -> float:
@@ -115,21 +115,6 @@ def profile_cell(leader, p: float, x, spec: NoiseSpec, constants: tuple[float, f
     return cell
 
 
-def cutoff_inequality_gap(
-    t: float, h: ModeCoefficients, eps: float, spec: NoiseSpec
-) -> dict:
-    """Exact-Gaussian check of the cutoff inequality at p = 2:
-
-        | d_eps(t) - |S(t)h|/eps | <= W2(conv_t, conv_inf).
-
-    The middle term uses shift linearity: W2(S(t)h/eps + U, U) = |S(t)h|/eps.
-    """
-    lhs, bound = distance_and_gap(t, h, eps, spec)
-    mid = heat_apply(t, h, log_scale=-math.log(eps)).norm
-    gap = abs(lhs - mid)
-    return {"lhs": lhs, "mid": mid, "gap": gap, "bound": bound, "pass": bool(gap <= bound + 1e-12)}
-
-
 def window_cell(z: WaveState, spec: NoiseSpec):
     """The oscillatory-damping window's cell at (rho, eps), t = t_eps + rho.
 
@@ -153,23 +138,6 @@ def window_cell(z: WaveState, spec: NoiseSpec):
         return dist, center, slack, abs(dist - center) <= slack + 1e-10 * (1.0 + dist)
 
     return cell
-
-
-def large_data_identity(
-    t: float, h: ModeCoefficients, eps: float, spec: NoiseSpec
-) -> tuple[float, float]:
-    """Both sides of the exact rescaling identity
-
-        W2(X_t^eps(h), eq^eps) / eps = W2(X_t^1(h/eps), eq^1).
-
-    Returns (lhs, rhs); they agree to rounding because the Gaussian closed
-    form scales exactly.
-    """
-    lhs = distance_and_gap(t, h, eps, spec)[0]
-    mean = heat_apply(t, ModeCoefficients(h.system, h.values / eps)).values
-    v_t = heat_gaussian_convolution_law(t, spec)
-    rhs = w2_diag_gaussian(mean, v_t, np.zeros_like(mean), spec.heat_equilibrium_var)
-    return lhs, rhs
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +180,6 @@ class CutoffReport:
             for eps in eps_grid:
                 self.add(case, p, eps, x, *cell(x, eps))
         return self
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r["pass"] for r in self.rows)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

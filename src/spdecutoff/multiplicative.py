@@ -40,8 +40,34 @@ _TABLE_FACTOR = 4
 _INT64_MAX = 2 ** 63 - 1
 
 
+class MultSpec:
+    """Diagonal multiplicative forcing of amplitude ``eps`` on ``system``.
+
+    Either driver, Brownian or jump, enters the second moment only through
+    its per-mode gain v = :meth:`variance_rate`: E X_j(t)^2 = h_j^2
+    exp(-2 lambda_j t + t v_j).
+    """
+
+    def __post_init__(self):
+        if not (0.0 < self.eps < 1.0):
+            raise InvalidDomainError(f"eps must lie in (0, 1), got {self.eps}")
+
+    @functools.cached_property
+    def second_moment_drift(self) -> np.ndarray:
+        """Per-mode exponent rate of E X^2 / 2: -lambda + variance_rate / 2."""
+        drift = -self.system.lambdas + 0.5 * self.variance_rate()
+        drift.flags.writeable = False
+        return drift
+
+    def second_moment_exponent(self, t: float) -> np.ndarray:
+        """Per-mode log(E X_j(t)^2 / h_j^2) = -2 lambda_j t + t v_j, evaluated
+        in that order, not as 2 t second_moment_drift, whose rounding
+        differs."""
+        return 2.0 * t * (-self.system.lambdas) + t * self.variance_rate()
+
+
 @dataclass(frozen=True)
-class MultBrownianSpec:
+class MultBrownianSpec(MultSpec):
     """Diagonal Brownian multiplicative forcing.
 
     ``g`` has shape (n_noises, n_modes): row i is the diagonal of the i-th
@@ -57,23 +83,11 @@ class MultBrownianSpec:
         if g.shape[1] != self.system.n_modes:
             raise DegenerateNoiseError("noise diagonals must match mode count")
         object.__setattr__(self, "g", g)
-        if not (0.0 < self.eps < 1.0):
-            raise InvalidDomainError(f"eps must lie in (0, 1), got {self.eps}")
+        super().__post_init__()
 
-    def g_sq_sum(self) -> np.ndarray:
-        """sum_i g_i^2 per mode."""
-        return np.sum(self.g ** 2, axis=0)
-
-    @functools.cached_property
-    def second_moment_drift(self) -> np.ndarray:
-        """Per-mode exponent rate of E X^2 / 2: -lambda + eps^2 g_sq / 2."""
-        drift = -self.system.lambdas + 0.5 * self.eps ** 2 * self.g_sq_sum()
-        drift.flags.writeable = False
-        return drift
-
-    def second_moment_exponent(self, t: float) -> np.ndarray:
-        """Per-mode log(E X_j(t)^2 / h_j^2) = 2 t (-lambda_j + eps^2 g_sq_j / 2)."""
-        return 2.0 * t * self.second_moment_drift
+    def variance_rate(self) -> np.ndarray:
+        """eps^2 sum_i g_i^2 per mode: the second-moment exponent gain."""
+        return self.eps ** 2 * np.sum(self.g ** 2, axis=0)
 
 
 def mult_brownian_flow_sample(
@@ -88,7 +102,7 @@ def mult_brownian_flow_sample(
     """
     t = _check_time(t)
     lam = spec.system.lambdas
-    drift = (-lam - 0.5 * spec.eps ** 2 * spec.g_sq_sum()) * t
+    drift = (-lam - 0.5 * spec.variance_rate()) * t
     n_noises = spec.g.shape[0]
     shape = (n_noises,) if size is None else (size, n_noises)
     bm = math.sqrt(t) * rng.standard_normal(shape)
@@ -96,9 +110,7 @@ def mult_brownian_flow_sample(
     return h.values * np.exp(expo)
 
 
-def mult_second_moment_exact(
-    t: float, h: ModeCoefficients, spec: MultBrownianSpec | MultLevySpec
-) -> float:
+def mult_second_moment_exact(t: float, h: ModeCoefficients, spec: MultSpec) -> float:
     """E |X_t(h)|^2 = sum_j h_j^2 exp(spec.second_moment_exponent(t)_j)."""
     t = _check_time(t)
     return float(np.sum(h.values ** 2 * np.exp(spec.second_moment_exponent(t))))
@@ -119,8 +131,7 @@ def _log_space_root_sum(values: np.ndarray, exponents: np.ndarray) -> float:
     return scale * math.sqrt(float(np.sum(np.exp(logs - m))))
 
 
-def mult_distance_to_zero(t: float, h: ModeCoefficients,
-                          spec: MultBrownianSpec | MultLevySpec,
+def mult_distance_to_zero(t: float, h: ModeCoefficients, spec: MultSpec,
                           log_scale: float = 0.0) -> float:
     """W2(X_t(h), point mass at 0) * exp(log_scale) = renormalizable root
     second moment, assembled in log space."""
@@ -218,7 +229,7 @@ def levy_mult_profile(rho: float, h: ModeCoefficients, marks, eta: float, eps_gr
 
 
 @dataclass(frozen=True)
-class MultLevySpec:
+class MultLevySpec(MultSpec):
     """Diagonal finite-activity multiplicative jumps, compensated.
 
     Every mark must satisfy eta <= |mark|_2 < 1 (marks below ``eta`` are
@@ -236,8 +247,7 @@ class MultLevySpec:
             raise DegenerateNoiseError("need at least one jump mark")
         if not (0.0 < self.eta < 1.0):
             raise InvalidDomainError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (0.0 < self.eps < 1.0):
-            raise InvalidDomainError(f"eps must lie in (0, 1), got {self.eps}")
+        super().__post_init__()
         for i, m in enumerate(self.marks):
             if m.values.shape != (self.system.n_modes,):
                 raise MarkOutOfRangeError(i, "length must match mode count")
@@ -257,29 +267,13 @@ class MultLevySpec:
         return self.eps * acc
 
     def variance_rate(self) -> np.ndarray:
-        """eps^2 sum_m rate_m (z_j^m)^2: the second-moment exponent gain."""
+        """eps^2 sum_m rate_m (z_j^m)^2: the second-moment exponent gain, the
+        jump sum's compound-Poisson mgf t sum_m r_m ((1 + eps z_j^m)^2 - 1)
+        less the compensator's 2 t eps sum_m r_m z_j^m, per unit t."""
         acc = np.zeros(self.system.n_modes)
         for m in self.marks:
             acc += m.rate * m.values ** 2
         return self.eps ** 2 * acc
-
-    @functools.cached_property
-    def second_moment_drift(self) -> np.ndarray:
-        """Per-mode exponent rate of E X^2 / 2: -lambda + variance_rate / 2."""
-        drift = -self.system.lambdas + 0.5 * self.variance_rate()
-        drift.flags.writeable = False
-        return drift
-
-    def second_moment_exponent(self, t: float) -> np.ndarray:
-        """Per-mode log(E X_j(t)^2 / h_j^2) of the compensated jump flow.
-
-        The exponent collects the drift and the compound-Poisson moment
-        generating function of the jump sum: 2t(-lambda_j - eps sum_m r_m z_j^m)
-        + t sum_m r_m ((1 + eps z_j^m)^2 - 1), which simplifies to
-        -2 lambda_j t + t eps^2 sum_m r_m (z_j^m)^2.  It is evaluated in that
-        order, not as 2 t second_moment_drift, whose rounding differs.
-        """
-        return 2.0 * t * (-self.system.lambdas) + t * self.variance_rate()
 
 
 def _flow_blocks(t: float, h: ModeCoefficients, spec: MultLevySpec, paths):

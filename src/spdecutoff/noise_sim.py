@@ -46,14 +46,13 @@ class NoiseSpec:
 
     ``gaussian_q[k]`` is the spectral intensity of the Wiener part on mode k
     (zero entries switch the mode off).  ``jumps`` lists finite-activity
-    compound-Poisson marks; ``compensated`` subtracts the running mean so the
-    jump part is a martingale.
+    compound-Poisson marks, compensated: their running mean is subtracted,
+    so the jump part is a martingale.
     """
 
     system: EigenSystem
     gaussian_q: np.ndarray | None = None
     jumps: tuple[JumpMark, ...] = ()
-    compensated: bool = True
 
     def __post_init__(self):
         if self.gaussian_q is not None:
@@ -226,17 +225,14 @@ def sample_heat_levy_convolution(
     rng: np.random.Generator,
     realization: JumpRealization | None = None,
 ) -> ModeCoefficients:
-    """Exact draw of the (compensated) heat jump convolution at time t."""
-    if spec.compensated and not spec.jumps:
-        raise DegenerateNoiseError("compensation requested with empty mark set")
+    """Exact draw of the compensated heat jump convolution at time t."""
     if realization is None:
         realization = sample_jump_realization(t, spec.jumps, rng)
     lam = spec.system.lambdas
     acc = np.zeros(spec.system.n_modes)
     for tau, mi in zip(realization.times, realization.mark_indices):
         acc += spec.jumps[mi].values * np.exp(-lam * (t - tau))
-    if spec.compensated:
-        acc -= levy_compensator_heat(t, spec)
+    acc -= levy_compensator_heat(t, spec)
     return ModeCoefficients(spec.system, acc)
 
 

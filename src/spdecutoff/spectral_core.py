@@ -26,18 +26,6 @@ import numpy as np
 
 from .errors import GapOverflowError, InvalidDomainError, ZeroInitialDatumError
 
-# Relative tolerance used to decide whether two eigenvalues tie.  Eigenvalues
-# of a rational box are correctly rounded sums of floating squares, so
-# genuine ties agree to the last bit; this tolerance only guards against
-# benign rounding in user-supplied spectra.
-TIE_RTOL = 1e-12
-
-
-def _ties(a, b):
-    """Whether eigenvalues a and b tie, elementwise on arrays."""
-    return np.abs(a - b) <= TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Truncated Dirichlet spectrum on a box, sorted ascending.
@@ -189,8 +177,8 @@ class ModeCoefficients:
 class HeatLeadingData:
     """Leading spectral content of a nonzero initial datum.
 
-    ``support``: indices with nonzero coefficient; ``first``: smallest such
-    index; ``leaders``: all supported indices tied with the first eigenvalue;
+    ``first``: smallest index with a nonzero coefficient; ``leaders``: all
+    supported indices whose eigenvalue equals the first one bit for bit;
     ``next_index``: smallest supported index beyond the leaders (None if the
     datum is concentrated on the leading eigenvalue).  ``v`` is the
     projection onto the leaders, the large-time shape of the renormalized
@@ -199,7 +187,6 @@ class HeatLeadingData:
     with error at most ``amplitude`` = |h| times e^{margin t}.
     """
 
-    support: tuple[int, ...]
     first: int
     leaders: tuple[int, ...]
     next_index: int | None
@@ -227,18 +214,19 @@ class HeatLeadingData:
 
 
 def heat_leading_data(h: ModeCoefficients) -> HeatLeadingData:
-    """Identify the slowest supported eigenvalue group of ``h``."""
+    """Identify the slowest supported eigenvalue group of ``h``, tied bit for
+    bit as the wave leader's: a near tie is the next eigenvalue, whose drift
+    the certificate keeps (a box's symmetric ties are exact)."""
     support = h.nonzero_indices()
     if support.size == 0:
         raise ZeroInitialDatumError("initial datum is identically zero")
     lam = h.system.lambdas[support]
-    tied = _ties(lam, lam[0])
+    tied = lam == lam[0]
     leaders, rest = support[tied], support[~tied]  # both ascending
     values = np.zeros_like(h.values)
     values[leaders] = h.values[leaders]
     v = ModeCoefficients(h.system, values)
     return HeatLeadingData(
-        support=tuple(support.tolist()),
         first=int(support[0]),
         leaders=tuple(leaders.tolist()),
         next_index=int(rest[0]) if rest.size else None,

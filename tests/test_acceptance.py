@@ -21,14 +21,14 @@ from spdecutoff import (
     MultLevySpec,
     NoiseSpec,
     build_box_eigensystem,
-    cutoff_inequality_gap,
     cutoff_time,
     decay_constants,
     distance_and_gap,
     equilibrium_moment,
     error_bound,
+    heat_apply,
+    heat_gaussian_convolution_law,
     heat_leading_data,
-    large_data_identity,
     levy_pathwise_check,
     mult_brownian_flow_sample,
     mult_profile,
@@ -142,8 +142,9 @@ def test_criterion_04_cutoff_inequality():
         h = ModeCoefficients(system, rng.standard_normal(32))
         t = float(rng.uniform(0.0, 5.0))
         eps = float(10.0 ** rng.uniform(-8.0, -0.3))
-        res = cutoff_inequality_gap(t, h, eps, spec)
-        if res["gap"] > res["bound"] + 1e-12:
+        # |d_eps(t) - |S(t)h|/eps| <= W2(conv_t, conv_inf)
+        lhs, bound = distance_and_gap(t, h, eps, spec)
+        if abs(lhs - heat_apply(t, h, log_scale=-math.log(eps)).norm) > bound:
             violations += 1
     report("criterion 4 (cutoff inequality, 100 random cells)",
            violations == 0, f"violations={violations}")
@@ -282,7 +283,11 @@ def test_criterion_09_large_initial_data():
         hv = ModeCoefficients(h.system, rng.standard_normal(32))
         t = float(rng.uniform(0.0, 4.0))
         eps = float(10.0 ** rng.uniform(-6.0, -0.5))
-        lhs, rhs = large_data_identity(t, hv, eps, spec)
+        # W2(X_t^eps(h), eq^eps) / eps = W2(X_t^1(h / eps), eq^1)
+        lhs = distance_and_gap(t, hv, eps, spec)[0]
+        mean = heat_apply(t, ModeCoefficients(hv.system, hv.values / eps)).values
+        rhs = w2_diag_gaussian(mean, heat_gaussian_convolution_law(t, spec),
+                               np.zeros_like(mean), spec.heat_equilibrium_var)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     report("criterion 9 (large initial data identity)", worst <= 1e-12,
            f"worst rel={worst:.2g}")

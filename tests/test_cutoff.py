@@ -14,7 +14,6 @@ from spdecutoff import (
     ModeCoefficients,
     NoiseSpec,
     build_box_eigensystem,
-    cutoff_inequality_gap,
     cutoff_time,
     decay_constants,
     error_bound,
@@ -24,7 +23,6 @@ from spdecutoff import (
     heat_apply,
     heat_gaussian_convolution_law,
     heat_leading_data,
-    large_data_identity,
     profile,
     profile_cell,
     stream,
@@ -254,9 +252,11 @@ class TestCutoffInequality:
             hv = ModeCoefficients(system, rng.standard_normal(8))
             t = float(rng.uniform(0.0, 5.0))
             eps = float(10 ** rng.uniform(-8, -0.5))
-            res = cutoff_inequality_gap(t, hv, eps, spec)
-            assert res["pass"]
-            assert res["gap"] <= res["bound"] + 1e-12
+            # |d_eps(t) - |S(t)h|/eps| <= W2(conv_t, conv_inf), shift linearity
+            # giving the middle term
+            lhs, bound = distance_and_gap(t, hv, eps, spec)
+            mid = heat_apply(t, hv, log_scale=-math.log(eps)).norm
+            assert abs(lhs - mid) <= bound
 
     def test_gap_closes_in_time(self):
         _, h, spec = heat_setup()
@@ -288,7 +288,11 @@ class TestLargeData:
         for _ in range(30):
             t = float(rng.uniform(0, 4))
             eps = float(10 ** rng.uniform(-6, -1))
-            lhs, rhs = large_data_identity(t, h, eps, spec)
+            # W2(X_t^eps(h), eq^eps) / eps = W2(X_t^1(h / eps), eq^1)
+            lhs = distance(t, h, eps, spec)
+            mean = heat_apply(t, ModeCoefficients(h.system, h.values / eps)).values
+            rhs = w2_diag_gaussian(mean, heat_gaussian_convolution_law(t, spec),
+                                   np.zeros_like(mean), spec.heat_equilibrium_var)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -713,9 +717,8 @@ class TestHeatLiveModes:
             v_inf = reference_heat_variances(math.inf, spec)
             assert heat_gaussian_convolution_law(t, spec).tobytes() == v_t.tobytes()
             assert spec.heat_equilibrium_var.tobytes() == v_inf.tobytes()
-            res = cutoff_inequality_gap(t, h, eps, spec)
-            assert (res["lhs"], res["bound"]) == distance_and_gap(t, h, eps, spec)
-            assert res["mid"].hex() == ModeCoefficients(h.system, mean).norm.hex()
+            mid = heat_apply(t, h, log_scale).norm
+            assert mid.hex() == ModeCoefficients(h.system, mean).norm.hex()
         assert_live_modes_hold_the_gap(t, spec)
 
     def test_every_heat_3d_cell_drops_only_negligible_terms(self):
@@ -825,4 +828,3 @@ class TestReport:
         # 17 significant digits roundtrip
         assert float(fields[4]) == 1.234567890123456789
         assert rep.to_csv() == text
-        assert not rep.all_pass

@@ -77,9 +77,9 @@ class TestBrownianFlow:
         t = 1.5
         x = mult_brownian_flow_sample(t, h, spec, stream(2, 0), size=20_000)
         j = 1  # h_j = 1
-        gsq = float(spec.g_sq_sum()[j])
-        mu = (-system.lambdas[j] - 0.5 * spec.eps**2 * gsq) * t
-        sigma = spec.eps * math.sqrt(gsq * t)
+        v = float(spec.variance_rate()[j])
+        mu = (-system.lambdas[j] - 0.5 * v) * t
+        sigma = math.sqrt(v * t)
         stat = kstest(np.log(x[:, j]), "norm", args=(mu, sigma))
         assert stat.pvalue > 1e-3
 
@@ -96,7 +96,7 @@ class TestBrownianFlow:
         x = h.values.copy()
         for k in range(steps):
             x = x + (-system.lambdas * x) * dt + spec.eps * g[0] * x * dB[k]
-        drift = (-system.lambdas - 0.5 * spec.eps**2 * spec.g_sq_sum()) * t
+        drift = (-system.lambdas - 0.5 * spec.eps**2 * np.sum(g**2, axis=0)) * t
         exact = h.values * np.exp(drift + spec.eps * g[0] * dB.sum())
         assert np.allclose(x, exact, rtol=2e-2)
 
@@ -113,8 +113,19 @@ class TestBrownianFlow:
         t = 400.0
         d = mult_distance_to_zero(t, h, spec, log_scale=4.0 * t)
         # mode 1 (lambda = 4) dominates after renormalization
-        gain = 0.5 * spec.eps**2 * spec.g_sq_sum()[1]
+        gain = 0.5 * spec.variance_rate()[1]
         assert d == pytest.approx(math.exp(gain * t), rel=1e-6)
+
+    def test_the_drift_is_half_eps_squared_times_sum_g_squared_bit_for_bit(self):
+        # 0.5 * (eps^2 sum g^2), through variance_rate, is the same double as
+        # (0.5 eps^2) sum g^2 outside subnormals: mult-profile rows keep their bits
+        rng = np.random.default_rng(5)
+        system = EigenSystem.from_lambdas(np.sort(rng.uniform(0.1, 50.0, 40)))
+        for eps in (0.9, 0.1, 1e-3, 1e-8):
+            g = rng.normal(size=(3, 40))
+            old = -system.lambdas + 0.5 * eps ** 2 * np.sum(g ** 2, axis=0)
+            drift = MultBrownianSpec(system, g, eps).second_moment_drift
+            assert drift.tobytes() == old.tobytes()
 
     def test_dimension_mismatch(self):
         system = EigenSystem.from_lambdas([1.0, 2.0])

@@ -223,13 +223,9 @@ class TestGaussianSamplers:
 
 
 class TestLevyConvolution:
-    def make(self, lams=(1.0, 4.0), mark=(1.0, -0.5), rate=3.0, compensated=True):
+    def make(self, lams=(1.0, 4.0), mark=(1.0, -0.5), rate=3.0):
         system = EigenSystem.from_lambdas(lams)
-        return NoiseSpec(
-            system=system,
-            jumps=(JumpMark(np.asarray(mark, dtype=float), rate),),
-            compensated=compensated,
-        )
+        return NoiseSpec(system=system, jumps=(JumpMark(np.asarray(mark, dtype=float), rate),))
 
     def test_no_jumps_gives_minus_compensator(self):
         spec = self.make()

@@ -26,7 +26,7 @@ from spdecutoff import (
     wave_spectrum,
 )
 from spdecutoff.errors import GapOverflowError, InvalidDomainError, ZeroInitialDatumError
-from spdecutoff.spectral_core import TIE_RTOL, HeatLeadingData, _sum3
+from spdecutoff.spectral_core import HeatLeadingData, _sum3
 
 
 def fd_interval_eigenvalues(L, n_modes, n_grid=6000):
@@ -226,29 +226,24 @@ class TestCorrectlyRoundedBuild:
 
 
 def heat_leading_data_loop(h):
-    """Reference: the leading data with one Python tie test per supported
-    mode and a membership test for the rest."""
+    """Reference: the leading data with one Python test of exact equality per
+    supported mode and a membership test for the rest."""
     support = h.nonzero_indices()
     lam = h.system.lambdas
-
-    def ties(a, b):
-        return abs(a - b) <= TIE_RTOL * max(abs(a), abs(b))
-
     first = int(support[0])
-    leaders = tuple(int(i) for i in support if ties(lam[i], lam[first]))
+    leaders = tuple(int(i) for i in support if float(lam[i]) == float(lam[first]))
     rest = [int(i) for i in support if int(i) not in leaders]
     values = np.zeros_like(h.values)
     for i in leaders:
         values[i] = h.values[i]
     v = ModeCoefficients(h.system, values)
-    return HeatLeadingData(support=tuple(int(i) for i in support), first=first,
-                           leaders=leaders, next_index=min(rest) if rest else None,
+    return HeatLeadingData(first=first, leaders=leaders, next_index=min(rest) if rest else None,
                            v=v, shape_norm=v.norm, amplitude=h.norm)
 
 
 def assert_same_leading_data(h):
     got, want = heat_leading_data(h), heat_leading_data_loop(h)
-    for name in ("support", "first", "leaders", "next_index"):
+    for name in ("first", "leaders", "next_index"):
         assert getattr(got, name) == getattr(want, name)
         assert repr(getattr(got, name)) == repr(getattr(want, name))
     assert got.v.values.tobytes() == want.v.values.tobytes()
@@ -275,7 +270,8 @@ class TestVectorisedLeadingData:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     def test_tied_spectra(self, n, seed):
-        # runs of eigenvalues that tie within, at or just beyond TIE_RTOL
+        # runs of eigenvalues that tie exactly or differ by 1e-14 to 1e-9
+        # relative: only the exact ties lead together
         rng = np.random.default_rng(seed)
         base = np.repeat(rng.uniform(0.1, 100.0, n), rng.integers(1, 5, n))
         rel = rng.choice([0.0, 1e-14, 0.5e-12, 1e-12, 2e-12, 1e-9], base.size)
@@ -316,6 +312,13 @@ class TestHeatLeadingData:
         lead = heat_leading_data(h)
         assert lead.next_index is None and lead.lambda_next is None
         assert lead.margin == -math.inf
+
+    def test_a_near_tie_is_the_next_eigenvalue(self):
+        system = EigenSystem.from_lambdas([1.0, 1.0000000000005, 4.0])
+        lead = heat_leading_data(ModeCoefficients(system, np.array([1.0, 1.0, 0.5])))
+        assert lead.leaders == (0,)
+        assert lead.next_index == 1
+        assert lead.margin == 1.0 - 1.0000000000005
 
     def test_zero_datum_rejected(self):
         system = build_box_eigensystem([(math.pi, 3)])
