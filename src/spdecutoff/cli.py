@@ -51,7 +51,7 @@ from .spectral_core import (
 from .semigroup import decay_constants, wave_overdamped_leader
 from .noise_sim import JumpMark, NoiseSpec, sample_jump_realization
 from .wasserstein import SHIFT_ALPHA, homogeneity_check, shift_linearity_check
-from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_moment,
+from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_moment, passes,
                      profile_cell, window_cell)
 from .multiplicative import (
     MultBrownianSpec,
@@ -273,10 +273,10 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     report.add_grid("heat-additive", p, rho_grid, eps_grid,
                     profile_cell(leading, p, h, spec, constants))
     # simple cutoff at delta * t_eps: divergence for delta < 1, collapse for
-    # delta > 1; no certificate yet, so bound 0 and pass by construction
-    return _finite(report.add_grid("heat-simple", p, delta_grid or (), eps_grid, lambda d, eps: (
-        distance_and_gap(d * cutoff_time(eps, leading.rate), h, eps, spec)[0], 0.0, 0.0, True)),
-                   spec)
+    # delta > 1, against the Gaussian sandwich |S(t)h|/eps +- gap
+    return _finite(report.add_grid("heat-simple", p, delta_grid or (), eps_grid, lambda d, eps:
+                                   distance_and_gap(d * cutoff_time(eps, leading.rate), h, eps,
+                                                    spec)), spec)
 
 
 def _finite_equilibrium(spec: NoiseSpec, wspec=None):
@@ -438,9 +438,8 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
         k0 = rows[0]["rate_ratio"]
         for row in rows:
             bound = k0 * (row["residual"] / row["rate_ratio"] if row["rate_ratio"] > 0
-                          else 0.0)
-            report.add(f"mult-{kind}", p, row["eps"], rho, row["distance"],
-                       row["profile"], bound, row["residual"] <= bound + 1e-15)
+                          else 0.0) + 1e-15
+            report.add(f"mult-{kind}", p, row["eps"], rho, row["distance"], row["profile"], bound)
     return _finite(report)
 
 
@@ -478,20 +477,15 @@ def run_levy_check(cfg: dict, seed: int) -> CutoffReport:
     se = float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
     exact = mult_second_moment_exact(t, h, spec)
 
-    report = CutoffReport()
-    report.meta = {
-        "pathwise_worst_relative": worst,
-        "pathwise_paths": paths.counts.size,
-        "pathwise_underflow_paths": underflow,
-        "mc_second_moment": mc,
-        "mc_se": se,
-        "exact_second_moment": exact,
-    }
-    report.add("levy-pathwise", 2.0, eps, 0.0, worst, 0.0, 1e-10,
-               worst <= 1e-10 and underflow == 0)
-    # an exact moment of 0 from h != 0 has underflowed: nothing to compare
-    report.add("levy-moment", 2.0, eps, 0.0, mc, exact, 4.0 * se,
-               abs(mc - exact) <= 4.0 * se and (exact > 0.0 or not np.any(h.values)))
+    report = CutoffReport(meta={
+        "pathwise_worst_relative": worst, "pathwise_paths": paths.counts.size,
+        "pathwise_underflow_paths": underflow, "mc_second_moment": mc, "mc_se": se,
+        "exact_second_moment": exact})
+    # a path whose oracle underflowed, or an exact moment of 0 from h != 0,
+    # leaves nothing to compare: bound -1, an empty interval, fails the row
+    report.add("levy-pathwise", 2.0, eps, 0.0, worst, 0.0, -1.0 if underflow else 1e-10)
+    report.add("levy-moment", 2.0, eps, 0.0, mc, exact,
+               4 * se if exact > 0.0 or not np.any(h.values) else -1.0)
     return report
 
 
@@ -518,9 +512,8 @@ def run_wasserstein_test(cfg: dict, seed: int) -> CutoffReport:
             raise ConfigError("/u", f"the shift-linearity row at p = {p:g}, u = {u:g} is not "
                               "finite: a p-th power of u + x - y overflows")
         report.add("shift-linearity", p, 0.5, 0.0, res["estimate"], res["target"],
-                   res["bound"], res["pass"])
-        report.add("homogeneity", p, 0.5, 0.0, hom["estimate"], 0.0,
-                   hom["budget"], hom["pass"])
+                   res["bound"], res["target"] - res["lower"])
+        report.add("homogeneity", p, 0.5, 0.0, hom["estimate"], 0.0, hom["budget"])
         report.meta["shift_lower"].append(res["lower"])
     return report
 
@@ -558,7 +551,8 @@ def run_selftest(seed: int) -> int:
     leader = wave_overdamped_leader(z)
     check("wave leader margin negative", leader.margin < 0)
     res = shift_linearity_check(2.0, 2.0, 20000, stream(seed, 99))
-    check("shift linearity band", res["pass"])
+    check("shift linearity band",
+          passes(res["estimate"], res["target"], res["bound"], res["target"] - res["lower"]))
     print(f"selftest: {8 - failures}/8 passed")
     return failures
 

@@ -70,14 +70,15 @@ def error_bound(rho: float, eps: float, leader, c_star: float, rate: float,
                     * leader.amplitude)
 
 
-def distance_and_gap(t: float, x, eps: float, spec: NoiseSpec) -> tuple[float, float]:
-    """The exact renormalized distance W2(X_t(x), equilibrium) / eps and the
-    noise gap W2(conv_t, conv_inf) for Gaussian forcing, at p = 2, of a heat
-    datum or (velocity forcing) a wave state ``x``.  Both laws are products
-    of mode blocks whose covariances carry eps^2, so dividing by eps leaves
-    W2(N(S(t)x/eps, A - D), N(0, A)) with the law of :func:`gaussian_law`,
-    the mean assembled in log space: (|(S(t)x/eps, g)|, |g|), g the blocks'
-    Bures distances, with neither root overflowing or underflowing first.
+def distance_and_gap(t: float, x, eps: float, spec: NoiseSpec) -> tuple[float, float, float]:
+    """The exact renormalized distance W2(X_t(x), equilibrium) / eps, the
+    mean |S(t)x/eps| and the noise gap W2(conv_t, conv_inf) for Gaussian
+    forcing, at p = 2, of a heat datum or (velocity forcing) a wave state
+    ``x``.  Both laws are products of mode blocks whose covariances carry
+    eps^2, so dividing by eps leaves W2(N(S(t)x/eps, A - D), N(0, A)) with
+    the law of :func:`gaussian_law`, the mean assembled in log space: the
+    distance is hypot(mean, gap), gap = |g|, g the blocks' Bures distances,
+    with neither root overflowing or underflowing first.
     """
     log_scale = -math.log(_check_eps(eps))
     if isinstance(x, WaveState):
@@ -87,7 +88,7 @@ def distance_and_gap(t: float, x, eps: float, spec: NoiseSpec) -> tuple[float, f
         mean = root_sum_sq(_heat_on_support(t, x, log_scale)[1])
         law = gaussian_law(t, spec)
     gap = root_sum_sq(bures(law.eq[:len(law.deficit)], law.deficit, law.cov))
-    return math.hypot(mean, gap), gap
+    return math.hypot(mean, gap), mean, gap
 
 
 def equilibrium_moment(spec: NoiseSpec, wspec=None) -> float:
@@ -100,17 +101,15 @@ def equilibrium_moment(spec: NoiseSpec, wspec=None) -> float:
 
 def profile_cell(leader, p: float, x, spec: NoiseSpec, constants: tuple[float, float]):
     """The profile grid's cell at (rho, eps) for the datum or state ``x`` that
-    ``leader`` leads: the exact distance at t = t_eps + rho, the profile, the
-    two-term certificate built from the decay ``constants`` (C, rate) and
-    the equilibrium moment, and whether the certificate holds."""
+    ``leader`` leads: the exact distance at t = t_eps + rho, the profile and
+    the two-term certificate built from the decay ``constants`` (C, rate)
+    and the equilibrium moment."""
     moment = equilibrium_moment(spec, x.spectrum if isinstance(x, WaveState) else None)
 
     def cell(rho: float, eps: float):
         t = cutoff_time(eps, leader.rate) + rho
-        dist = distance_and_gap(t, x, eps, spec)[0]
-        prof = profile(rho, leader, p)
-        bound = error_bound(rho, eps, leader, *constants, moment)
-        return dist, prof, bound, abs(dist - prof) <= bound
+        return (distance_and_gap(t, x, eps, spec)[0], profile(rho, leader, p),
+                error_bound(rho, eps, leader, *constants, moment))
 
     return cell
 
@@ -120,22 +119,54 @@ def window_cell(z: WaveState, spec: NoiseSpec):
 
     In the subcritical regime the renormalized flow never settles to a
     single shape: |e^{gamma t/2} S(t) z| oscillates between positive bounds.
-    The cell returns the exact Gaussian distance, the oscillating center
-    e^{-gamma rho / 2} |v(t_eps + rho, z)|, the noise relaxation gap and
-    the rigorous check |distance - center| <= gap.  An overdamped mode or a
-    zero state raises before any cell is evaluated.
+    An overdamped mode or a zero state raises before any cell.  The cell
+    returns the exact Gaussian distance d, the oscillating centre
+    c = e^{-h rho} |v(t, z)|, h = gamma/2, and the noise gap plus a rounding
+    budget.  In exact arithmetic the mean |S(t) z / eps| equals c and d lies
+    in [mean, mean + gap]; the budget bounds |mean - c| as computed, and the
+    roundings of d and of the pass rule.  Both flows share t, every
+    (cos, sin / theta) pair and k = (h u + w, lambda u + h w), and scale
+    them by D = e^{L - h t}, L = fl(-ln eps), and by exactly 1 (h t - h t
+    is 0) times E = e^{-h rho}.  With u = 2^-53:
+
+      * Scales.  t_eps = fl(L / h) and t = fl(t_eps + rho) put L - h t
+        within u (L + h t) of -h rho; D's and E's exponents add
+        u (h t + 2 h |rho|), each exp one ulp (2u), and
+        |e^a - e^b| <= |a - b| max(e^a, e^b).
+      * Moves.  A component c u + s k is within 3u (|c u| + |s k|) of its
+        exact value at scale D (scale, product, sum), 2u at scale 1; with
+        |c| <= 1, |s| <= (1 + u) / theta and Minkowski the moved states are
+        within 3u D K and 2u K in the graph norm, K = |z| + |k / theta|.
+      * Norms.  Each of the M terms (1 + lambda) u^2 + w^2 takes 4 roundings
+        and NumPy's pairwise sum ceil(log2 M) + 17 more (as in
+        :func:`~spdecutoff.wasserstein.homogeneity_check`); the root halves
+        them and adds one: (ceil(log2 M) + 23) u / 2 on the direct path of
+        ``WaveState.norm``, norms in [2^-500, DBL_MAX].
+      * The product E |v|, d - c and gap + budget one rounding each, d's
+        hypot one ulp.
+
+    budget = u ((L + 2h (t + |rho|) + (ceil(log2 M) + 41) / 2) (d + c)
+    + 3 (D + E) K) times 1 + 2^-40 for second-order terms and its rounding.
     """
     wsp = z.spectrum
     if wsp.n_over != 0:
         raise WrongCaseError("window diagnostics require subcritical damping")
     if z.is_zero():
         raise WrongCaseError("zero state has no oscillatory content")
+    h, lam = 0.5 * wsp.gamma, wsp.system.lambdas
+    k_sum = z.norm + WaveState(wsp, (h * z.position + z.velocity) / wsp.theta,
+                               (lam * z.position + h * z.velocity) / wsp.theta).norm
+    sums = 0.5 * ((wsp.n_modes - 1).bit_length() + 41)
 
     def cell(rho: float, eps: float):
-        t = cutoff_time(eps, 0.5 * wsp.gamma) + rho
-        dist, slack = distance_and_gap(t, z, eps, spec)
-        center = math.exp(-0.5 * wsp.gamma * rho) * wave_apply(t, z, 0.5 * wsp.gamma * t).norm
-        return dist, center, slack, abs(dist - center) <= slack + 1e-10 * (1.0 + dist)
+        t = cutoff_time(eps, h) + rho
+        dist, _, gap = distance_and_gap(t, z, eps, spec)
+        scale = math.exp(-h * rho)
+        center = scale * wave_apply(t, z, h * t).norm
+        log_scale = -math.log(eps)
+        budget = 2.0 ** -53 * ((log_scale + 2.0 * h * (t + abs(rho)) + sums) * (dist + center)
+                               + 3.0 * (math.exp(-h * t + log_scale) + scale) * k_sum)
+        return dist, center, gap + (1.0 + 2.0 ** -40) * budget
 
     return cell
 
@@ -145,6 +176,13 @@ def window_cell(z: WaveState, spec: NoiseSpec):
 # --------------------------------------------------------------------------
 
 CSV_HEADER = "case,p,eps,rho_or_delta,renormalized,profile,bound,pass"
+
+
+def passes(renormalized: float, profile: float, bound: float,
+           lower: float | None = None) -> bool:
+    """The one pass rule of every row: -lower <= renormalized - profile <=
+    bound, with ``lower`` = ``bound`` unless given; a NaN fails."""
+    return bool(-float(bound if lower is None else lower) <= renormalized - profile <= bound)
 
 
 def _fmt(x: float) -> str:
@@ -159,46 +197,26 @@ class CutoffReport:
     meta: dict = field(default_factory=dict)
 
     def add(self, case: str, p: float, eps: float, rho_or_delta: float,
-            renormalized: float, profile: float, bound: float, ok: bool):
-        self.rows.append(
-            {
-                "case": case,
-                "p": float(p),
-                "eps": float(eps),
-                "rho_or_delta": float(rho_or_delta),
-                "renormalized": float(renormalized),
-                "profile": float(profile),
-                "bound": float(bound),
-                "pass": bool(ok),
-            }
-        )
+            renormalized: float, profile: float, bound: float, lower: float | None = None):
+        """One row; its ``pass`` is :func:`passes` on the row's own values."""
+        row = dict(case=case, p=float(p), eps=float(eps), rho_or_delta=float(rho_or_delta),
+                   renormalized=float(renormalized), profile=float(profile), bound=float(bound))
+        row["pass"] = passes(row["renormalized"], row["profile"], row["bound"], lower)
+        self.rows.append(row)
 
     def add_grid(self, case: str, p: float, outer, eps_grid, cell) -> "CutoffReport":
         """One row per (x, eps) of ``outer`` x ``eps_grid``, x outermost:
-        ``cell(x, eps)`` gives (renormalized, profile, bound, pass)."""
+        ``cell(x, eps)`` gives (renormalized, profile, bound)."""
         for x in outer:
             for eps in eps_grid:
                 self.add(case, p, eps, x, *cell(x, eps))
         return self
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["case"],
-                        _fmt(r["p"]),
-                        _fmt(r["eps"]),
-                        _fmt(r["rho_or_delta"]),
-                        _fmt(r["renormalized"]),
-                        _fmt(r["profile"]),
-                        _fmt(r["bound"]),
-                        "true" if r["pass"] else "false",
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        cols = ("p", "eps", "rho_or_delta", "renormalized", "profile", "bound")
+        return "\n".join([CSV_HEADER] + [",".join([r["case"], *(_fmt(r[c]) for c in cols),
+                                                   "true" if r["pass"] else "false"])
+                                         for r in self.rows]) + "\n"
 
     def to_json(self) -> str:
         return json.dumps({"meta": self.meta, "rows": self.rows}, indent=2, sort_keys=True)

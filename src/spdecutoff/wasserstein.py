@@ -243,11 +243,11 @@ def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) 
     """Check of the shift identity/bounds for U ~ N(0, 1) from one sample pair.
 
     x, y ~ N(0, 1)^n are drawn from ``rng`` in that order, and the estimate is
-    the sorted estimator of W_p(u + x, y).  ``pass`` says that it lies in a
-    band that holds with probability at least 1 - ``SHIFT_ALPHA`` for every
-    u, p and n >= 2.  Let beta = :func:`empirical_distance_bound` at
-    q = max(p, 1), so that W_q(mu_n^x, N) and W_q(nu_n^y, N) are both at most
-    beta with probability >= 1 - alpha.
+    the sorted estimator of W_p(u + x, y).  It lies in a band that holds
+    with probability at least 1 - ``SHIFT_ALPHA`` for every u, p and n >= 2.
+    Let beta = :func:`empirical_distance_bound` at q = max(p, 1), so that
+    W_q(mu_n^x, N) and W_q(nu_n^y, N) are both at most beta with
+    probability >= 1 - alpha.
 
       * p >= 1: the sorted estimator is W_p(mu_n^(u + x), nu_n^y), and the
         triangle inequality around W_p(u + U, U) = |u| gives
@@ -270,7 +270,7 @@ def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) 
         rounding of the band itself.
 
     Returns the estimate, the target |u| or |u|^p, ``bound``, the band's
-    excess over the target, ``lower``, its lower end, and ``pass``.
+    excess over the target, and ``lower``, its lower end.
     """
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
@@ -289,13 +289,7 @@ def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) 
     grow = 1.0 + 2.0 ** -40
     lower = lo - grow * (below + rounding)
     bound = grow * (above + rounding)
-    return {
-        "estimate": est,
-        "target": hi,
-        "bound": bound,
-        "lower": lower,
-        "pass": bool(math.isfinite(bound) and lower <= est <= hi + bound),
-    }
+    return {"estimate": est, "target": hi, "bound": bound, "lower": lower}
 
 
 def homogeneity_check(
@@ -334,8 +328,8 @@ def homogeneity_check(
 
     ``budget`` is the sum of these terms, enlarged by the factor
     1 + 2^-40, which covers the second-order terms in u and the rounding of
-    the budget's own evaluation.  ``pass`` is |scaled - factor * base| <=
-    budget.  A wrong factor (|c| instead of |c|^p at p < 1, say) is off by
+    the budget's own evaluation; the row checks |scaled - factor * base|
+    against it.  A wrong factor (|c| instead of |c|^p at p < 1, say) is off by
     O(1) and fails by many orders of magnitude.
     """
     xs = np.sort(np.asarray(law_sampler(n, rng), dtype=float))
@@ -354,10 +348,4 @@ def homogeneity_check(
     ceil_log2_n = (n - 1).bit_length()
     evaluation = (ceil_log2_n + 25) * u * (scaled + factor * base)
     budget = (1.0 + 2.0 ** -40) * (pairwise + evaluation)
-    diff = scaled - factor * base
-    return {
-        "estimate": diff,
-        "budget": budget,
-        "factor": factor,
-        "pass": bool(abs(diff) <= budget),
-    }
+    return {"estimate": scaled - factor * base, "budget": budget, "factor": factor}

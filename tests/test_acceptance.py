@@ -143,7 +143,7 @@ def test_criterion_04_cutoff_inequality():
         t = float(rng.uniform(0.0, 5.0))
         eps = float(10.0 ** rng.uniform(-8.0, -0.3))
         # |d_eps(t) - |S(t)h|/eps| <= W2(conv_t, conv_inf)
-        lhs, bound = distance_and_gap(t, h, eps, spec)
+        lhs, _, bound = distance_and_gap(t, h, eps, spec)
         if abs(lhs - heat_apply(t, h, log_scale=-math.log(eps)).norm) > bound:
             violations += 1
     report("criterion 4 (cutoff inequality, 100 random cells)",
@@ -178,7 +178,7 @@ def test_criterion_05_wave_overdamped():
     worst_rel = 0.0
     for rho in (-1.0, 0.0, 1.0):
         t = cutoff_time(eps, lead.rate) + rho
-        dist, _ = distance_and_gap(t, z, eps, spec)
+        dist = distance_and_gap(t, z, eps, spec)[0]
         prof = profile(rho, lead)
         worst_rel = max(worst_rel, abs(dist - prof) / prof)
     ok = violations == 0 and worst_rel <= 0.10

@@ -254,13 +254,13 @@ class TestCutoffInequality:
             eps = float(10 ** rng.uniform(-8, -0.5))
             # |d_eps(t) - |S(t)h|/eps| <= W2(conv_t, conv_inf), shift linearity
             # giving the middle term
-            lhs, bound = distance_and_gap(t, hv, eps, spec)
+            lhs, mean, bound = distance_and_gap(t, hv, eps, spec)
             mid = heat_apply(t, hv, log_scale=-math.log(eps)).norm
-            assert abs(lhs - mid) <= bound
+            assert mean == pytest.approx(mid, rel=1e-14) and abs(lhs - mid) <= bound
 
     def test_gap_closes_in_time(self):
         _, h, spec = heat_setup()
-        gaps = [distance_and_gap(float(t), h, 0.5, spec)[1] for t in np.linspace(0.1, 8, 20)]
+        gaps = [distance_and_gap(float(t), h, 0.5, spec)[2] for t in np.linspace(0.1, 8, 20)]
         assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -313,7 +313,7 @@ class TestWaveProfile:
         eps = 1e-8
         for rho in (-1.0, 0.0, 1.0):
             t = cutoff_time(eps, lead.rate) + rho
-            d, _ = distance_and_gap(t, z, eps, spec)
+            d = distance_and_gap(t, z, eps, spec)[0]
             prof = profile(rho, lead)
             assert d == pytest.approx(prof, rel=1e-2)
 
@@ -325,7 +325,7 @@ class TestWaveProfile:
         for eps in (1e-3, 1e-5, 1e-8):
             for rho in (-1.0, 0.0, 1.0):
                 t = cutoff_time(eps, lead.rate) + rho
-                d, _ = distance_and_gap(t, z, eps, spec)
+                d = distance_and_gap(t, z, eps, spec)[0]
                 prof = profile(rho, lead)
                 bound = error_bound(rho, eps, lead, c, rate, moment)
                 assert abs(d - prof) <= bound
@@ -403,7 +403,7 @@ class TestWaveLawAtTimeZero:
         # is sqrt(|z/eps|^2 + m^2), m the equilibrium's root second moment
         wsp, z, spec = zero_time_case()
         eps = 1e-3
-        dist, gap = distance_and_gap(0.0, z, eps, spec)
+        dist, _, gap = distance_and_gap(0.0, z, eps, spec)
         moment = equilibrium_moment(spec, wsp)
         assert gap == pytest.approx(moment, rel=1e-14)
         lam = wsp.system.lambdas
@@ -419,7 +419,7 @@ class TestWaveLawAtTimeZero:
         rho = -cutoff_time(eps, lead.rate)
         assert cutoff_time(eps, lead.rate) + rho == 0.0
         cell = profile_cell(lead, 2.0, z, spec, decay_constants("wave", wave_spec=wsp))
-        dist, prof, bound, _ = cell(rho, eps)
+        dist, prof, bound = cell(rho, eps)
         assert dist == distance_and_gap(0.0, z, eps, spec)[0]
         assert all(map(math.isfinite, (dist, prof, bound)))
 
@@ -632,7 +632,7 @@ class TestOneDistance:
         wsp, z, spec = case
         eps = 10.0 ** log10_eps
         try:
-            dist, gap = distance_and_gap(t, z, eps, spec)
+            dist, _, gap = distance_and_gap(t, z, eps, spec)
         except InvalidDomainError as e:
             # Sigma_inf - P_t Sigma_inf P_t^T rounds below 0 next to t = 0
             # on overdamped modes (ROADMAP item 2, the small-t closed form)
@@ -649,7 +649,7 @@ class TestOneDistance:
     def test_heat_distance_and_gap_match_a_50_digit_oracle(self, case, t, log_eps):
         h, spec = case
         eps = math.exp(log_eps)
-        dist, gap = distance_and_gap(t, h, eps, spec)
+        dist, _, gap = distance_and_gap(t, h, eps, spec)
         want_dist, want_gap, tol = mp_heat_distance_and_gap(t, h, eps, spec)
         assert near(dist, want_dist, tol)
         assert near(gap, want_gap, tol)
@@ -784,7 +784,7 @@ class TestHeatLiveModes:
         system, h, spec = heat_setup(32)
         assert gaussian_law(math.inf, spec).deficit.size == 0  # the gap at t = inf is 0
         want = mp_heat_noise_gap(t, spec)
-        assert abs(distance_and_gap(t, h, 0.5, spec)[1] - want) <= 1e-13 * want
+        assert abs(distance_and_gap(t, h, 0.5, spec)[2] - want) <= 1e-13 * want
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 32), t=st.floats(0.0, 300.0), data=st.data())
@@ -794,7 +794,7 @@ class TestHeatLiveModes:
         spec = NoiseSpec(system=system, gaussian_q=np.array(q))
         h = ModeCoefficients(system, np.zeros(n))
         want = mp_heat_noise_gap(t, spec)
-        assert abs(distance_and_gap(t, h, 0.5, spec)[1] - want) <= 1e-13 * want
+        assert abs(distance_and_gap(t, h, 0.5, spec)[2] - want) <= 1e-13 * want
 
 
 def mp_heat_noise_gap(t, spec):
@@ -818,7 +818,7 @@ def mp_heat_noise_gap(t, spec):
 class TestReport:
     def test_csv_schema_and_determinism(self):
         rep = CutoffReport()
-        rep.add("heat-additive", 2.0, 1e-4, 0.5, 1.234567890123456789, 1.0, 0.1, False)
+        rep.add("heat-additive", 2.0, 1e-4, 0.5, 1.234567890123456789, 1.0, 0.1)
         text = rep.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "case,p,eps,rho_or_delta,renormalized,profile,bound,pass"
