@@ -39,6 +39,7 @@ from .wasserstein import (
     w2_gaussian_2x2,
     wp_empirical_1d,
     shift_bounds,
+    sorted_normal_pair,
     shift_linearity_check,
     homogeneity_check,
 )

@@ -50,7 +50,8 @@ from .spectral_core import (
 )
 from .semigroup import decay_constants, wave_overdamped_leader
 from .noise_sim import JumpMark, NoiseSpec, sample_jump_realization
-from .wasserstein import SHIFT_ALPHA, homogeneity_check, shift_linearity_check
+from .wasserstein import (SHIFT_ALPHA, homogeneity_check, shift_linearity_check,
+                          sorted_normal_pair)
 from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_moment, passes,
                      profile_cell, window_cell)
 from .multiplicative import (
@@ -500,10 +501,11 @@ def run_wasserstein_test(cfg: dict, seed: int) -> CutoffReport:
     for i, p in enumerate(p_list):
         if p <= 0:
             raise ConfigError(f"/p_grid/{i}", "order p must be positive")
+    xs, ys = sorted_normal_pair(n, stream(seed, 7, 0))  # for every p and both row kinds
     report = CutoffReport(meta={"shift_alpha": SHIFT_ALPHA, "shift_lower": []})
     for i, p in enumerate(p_list):
-        res = shift_linearity_check(u, p, n, stream(seed, 7, i))
-        hom = homogeneity_check(3.0, lambda k, r: r.standard_normal(k), p, n, stream(seed, 8, i))
+        res = shift_linearity_check(u, p, xs, ys)
+        hom = homogeneity_check(3.0, p, xs, ys)
         if not all(map(math.isfinite, (hom["estimate"], hom["budget"]))):
             raise ConfigError(f"/p_grid/{i}", f"the homogeneity row at p = {p:g} is not "
                               "finite: a p-th power of the samples overflows")
@@ -550,7 +552,7 @@ def run_selftest(seed: int) -> int:
     z = wave_decompose(wsp, np.array([1.0, 0.3, 0, 0]), np.zeros(4))
     leader = wave_overdamped_leader(z)
     check("wave leader margin negative", leader.margin < 0)
-    res = shift_linearity_check(2.0, 2.0, 20000, stream(seed, 99))
+    res = shift_linearity_check(2.0, 2.0, *sorted_normal_pair(20000, stream(seed, 99)))
     check("shift linearity band",
           passes(res["estimate"], res["target"], res["bound"], res["target"] - res["lower"]))
     print(f"selftest: {8 - failures}/8 passed")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,28 @@ def distance_and_gap(t: float, x, eps: float, spec: NoiseSpec) -> tuple[float, f
     else:  # the flow on the datum's support only, not a copy of all modes
         mean = root_sum_sq(_heat_on_support(t, x, log_scale)[1])
         law = gaussian_law(t, spec)
+        if law.deficit.size and law.deficit.max() < sys.float_info.min:
+            gap = _subnormal_heat_gap(t, spec, law.deficit.size)
+            return math.hypot(mean, gap), mean, gap
     gap = root_sum_sq(bures(law.eq[:len(law.deficit)], law.deficit, law.cov))
     return math.hypot(mean, gap), mean, gap
+
+
+def _subnormal_heat_gap(t: float, spec: NoiseSpec, k: int) -> float:
+    """The heat noise gap where every deficit D = A e^{-2 lambda t} (modes
+    below ``k``) is subnormal or 0: there the double grid of 2^-1074 would
+    cost each Bures term D / (sqrt A + sqrt(A - D)) up to 2^-1074 / D of
+    relative accuracy, so the terms are taken in 40-digit decimals (exact
+    products, correctly rounded exp and sqrt) and rounded once at the end."""
+    import decimal  # here, not at the top: the path is rare, the import ~1 ms
+    with decimal.localcontext(decimal.Context(prec=40)):
+        total = decimal.Decimal(0)
+        for a, lam in zip(spec.heat_equilibrium_var[:k].tolist(), spec.system.lambdas[:k].tolist()):
+            if a > 0.0:
+                a = decimal.Decimal(a)
+                d = a * (-2 * decimal.Decimal(lam) * decimal.Decimal(t)).exp()
+                total += (d / (a.sqrt() + (a - d).sqrt())) ** 2
+        return float(total.sqrt())
 
 
 def equilibrium_moment(spec: NoiseSpec, wspec=None) -> float:

@@ -402,10 +402,63 @@ def _fold_counts(ids: np.ndarray, n_ids: int, c: np.ndarray) -> tuple[np.ndarray
     return _dense_ids(key, n_ids * radix)
 
 
+# stirlerr(k) = ln k! - ln(sqrt(2 pi k) (k / e)^k) at k = 0, ..., 15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """stirlerr(k) for integers k >= 1: the table up to 15, and above it
+    Stirling's series to k^-9, whose next term is below 3e-16."""
+    out = _STIRLERR[np.minimum(k, 15)]
+    big = k > 15
+    kb = k[big].astype(float)
+    nn = kb * kb
+    out[big] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / kb
+    return out
+
+
+def _bd0(k: np.ndarray, mu: float) -> np.ndarray:
+    """k ln(k / mu) + mu - k for integers k >= 1, without its cancellation.
+    Where mu / 2 < k < 2 mu, k - mu is exact (Sterbenz) and it is the series
+    (k - mu) v + 2 k sum_{j >= 1} v^(2j + 1) / (2j + 1), v = (k - mu) / (k + mu),
+    |v| < 1/3, summed until it stops changing.  Elsewhere |ln(k / mu)| >= ln 2
+    and the direct form loses at most a few digits to cancellation; at
+    mu < 1 it takes ln k - ln mu, two terms of one sign, as k / mu may
+    overflow."""
+    k = k.astype(float)
+    out = np.empty_like(k)
+    near = (k > 0.5 * mu) & (k < 2.0 * mu)
+    far = k[~near]
+    log_ratio = np.log(far / mu) if mu >= 1.0 else np.log(far) - math.log(mu)
+    out[~near] = far * log_ratio + mu - far
+    d = k[near] - mu
+    v = d / (k[near] + mu)
+    total = d * v
+    term = 2.0 * k[near] * v
+    v2 = v * v
+    j = 1
+    while True:
+        term *= v2
+        step = total + term / (2 * j + 1)
+        if np.array_equal(step, total):
+            break
+        total, j = step, j + 1
+    out[near] = total
+    return out
+
+
 def _poisson_window(mu: float, max_len: int):
-    """(k, pmf) over every k whose Poisson(mu) pmf, exp(k ln mu - mu - ln k!),
-    is a positive double, the pmf divided by its sum; or None when the range
-    [lo, hi] that holds them is longer than ``max_len``.  Outside it the pmf
+    """(k, pmf) over every k whose Poisson(mu) pmf is a positive double, the
+    pmf divided by its sum; or None when the range [lo, hi] that holds them
+    is longer than ``max_len``.  The pmf is Loader's saddle-point form
+    e^(-stirlerr(k) - bd0(k, mu)) / sqrt(2 pi k) (e^-mu at k = 0), which
+    keeps its relative accuracy at large mu, where the terms of
+    k ln mu - mu - ln k! cancel.  Outside [lo, hi] the pmf
     is below e^-L, L = 750, whose exp() is 0.0, by Bernstein's bounds
     P(N <= mu - x) <= exp(-x^2 / (2 mu)) and
     P(N >= mu + x) <= exp(-x^2 / (2 (mu + x / 3))): lo = mu - sqrt(2 L mu)
@@ -417,8 +470,11 @@ def _poisson_window(mu: float, max_len: int):
     if hi - lo + 1 > max_len:
         return None
     k = np.arange(lo, hi + 1)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(lo, hi + 1)])
-    pmf = np.exp(k * math.log(mu) - mu - log_fact)
+    pmf = np.empty(k.size)
+    pmf[k == 0] = math.exp(-mu)
+    pos = k > 0
+    pmf[pos] = (np.exp(-_stirlerr(k[pos]) - _bd0(k[pos], mu))
+                / np.sqrt(2.0 * math.pi * k[pos]))
     keep = pmf > 0.0
     return k[keep], pmf[keep] / math.fsum(pmf[keep])
 

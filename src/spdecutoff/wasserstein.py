@@ -9,10 +9,11 @@ expected cost without an outer root.  Three facts drive the experiments:
         max(|u|^p - 2 E|U|^p, 0) <= W_p(u + U, U) <= |u|^p  holds;
   * homogeneity: W_p(cX, cY) = |c| W_p(X, Y) for p >= 1 and |c|^p otherwise.
 
-The sampling checks each draw one sample pair.  Shift linearity for
-U ~ N(0, 1) is checked against a band with proven constants that holds with
-probability at least 1 - SHIFT_ALPHA (:func:`shift_linearity_check`), and
-homogeneity against an a-priori rounding budget (:func:`homogeneity_check`).
+The sampling checks read one sorted sample pair (:func:`sorted_normal_pair`),
+which serves every p.  Shift linearity for U ~ N(0, 1) is checked against a
+band with proven constants that holds with probability at least
+1 - SHIFT_ALPHA (:func:`shift_linearity_check`), and homogeneity against an
+a-priori rounding budget (:func:`homogeneity_check`).
 """
 from __future__ import annotations
 
@@ -239,12 +240,19 @@ def empirical_distance_bound(q: float, n: int) -> float:
             + n ** (-1.0 / max(q, 2.0)) * math.sqrt(2.0 * math.log(2.0 / SHIFT_ALPHA)))
 
 
-def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) -> dict:
+def sorted_normal_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """x then y ~ N(0, 1)^n from ``rng``, each sorted once: the pair that
+    :func:`shift_linearity_check` and :func:`homogeneity_check` read."""
+    return np.sort(rng.standard_normal(n)), np.sort(rng.standard_normal(n))
+
+
+def shift_linearity_check(u: float, p: float, xs: np.ndarray, ys: np.ndarray) -> dict:
     """Check of the shift identity/bounds for U ~ N(0, 1) from one sample pair.
 
-    x, y ~ N(0, 1)^n are drawn from ``rng`` in that order, and the estimate is
-    the sorted estimator of W_p(u + x, y).  It lies in a band that holds
-    with probability at least 1 - ``SHIFT_ALPHA`` for every u, p and n >= 2.
+    ``xs`` and ``ys`` are two iid N(0, 1)^n samples, sorted, and the
+    estimate is the sorted estimator of W_p(u + x, y): rounding is monotone,
+    so xs + u is the sorted u + x.  It lies in a band that holds with
+    probability at least 1 - ``SHIFT_ALPHA`` for every u, p and n >= 2.
     Let beta = :func:`empirical_distance_bound` at q = max(p, 1), so that
     W_q(mu_n^x, N) and W_q(nu_n^y, N) are both at most beta with
     probability >= 1 - alpha.
@@ -269,12 +277,13 @@ def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) 
         terms join each end of the band, enlarged by 1 + 2^-40 for the
         rounding of the band itself.
 
-    Returns the estimate, the target |u| or |u|^p, ``bound``, the band's
-    excess over the target, and ``lower``, its lower end.
+    The band of each (u, p) holds with that probability on its own, so one
+    pair serves every p.  Returns the estimate, the target |u| or |u|^p,
+    ``bound``, the band's excess over the target, and ``lower``, its lower
+    end.
     """
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-    est = wp_empirical_1d(x + u, y, p)
+    n = xs.size
+    est = _wp_sorted(xs + u, ys, p)
     beta = empirical_distance_bound(max(p, 1.0), n)
     if p >= 1.0:
         lo = hi = abs(u)
@@ -283,7 +292,8 @@ def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) 
         lo, hi = shift_bounds(u, p, gaussian_abs_moment(p))
         below, above = 2.0 * beta ** p, (2.0 * beta) ** p
     unit = 2.0 ** -53
-    delta = 3.0 * unit * (abs(u) + float(np.abs(x).max() + np.abs(y).max()))
+    # max|x| of a sorted sample sits at one of its ends
+    delta = 3.0 * unit * (abs(u) + float(max(-xs[0], xs[-1]) + max(-ys[0], ys[-1])))
     rounding = (delta ** concentration_exponent(p)
                 + ((n - 1).bit_length() + 25) * unit * (est + hi))
     grow = 1.0 + 2.0 ** -40
@@ -292,22 +302,17 @@ def shift_linearity_check(u: float, p: float, n: int, rng: np.random.Generator) 
     return {"estimate": est, "target": hi, "bound": bound, "lower": lower}
 
 
-def homogeneity_check(
-    c: float,
-    law_sampler,
-    p: float,
-    n: int,
-    rng: np.random.Generator,
-) -> dict:
+def homogeneity_check(c: float, p: float, xs: np.ndarray, ys: np.ndarray) -> dict:
     """Deterministic check that scaling both marginals by c scales the
     sorted W_p estimate by factor = |c| (p >= 1) or |c|^p (p < 1).
 
-    One sample pair x, y (y shifted by 1 to separate the marginals) is drawn
-    from ``rng``.  In exact arithmetic the sorted estimator is exactly
+    ``xs`` and ``ys`` are one sorted sample pair, and ys + 1 separates the
+    marginals.  In exact arithmetic the sorted estimator is exactly
     homogeneous, so ``scaled - factor * base`` is pure rounding error, and
-    the check compares it with an a-priori bound on that error.  Below,
-    u = 2^-53 is the unit roundoff and x_i, y_i are the sorted samples,
-    which the scaled estimate pairs the same way (rounding is monotone).
+    the check compares it with an a-priori bound on that error, which holds
+    for any pair.  Below, u = 2^-53 is the unit roundoff and x_i, y_i are
+    the sorted samples, which the scaled estimate pairs the same way
+    (rounding is monotone).
 
       * Per pair, the computed |fl(c x_i) - fl(c y_i)| and |c| times the
         computed |fl(x_i - y_i)| differ by at most
@@ -332,8 +337,8 @@ def homogeneity_check(
     against it.  A wrong factor (|c| instead of |c|^p at p < 1, say) is off by
     O(1) and fails by many orders of magnitude.
     """
-    xs = np.sort(np.asarray(law_sampler(n, rng), dtype=float))
-    ys = np.sort(law_sampler(n, rng) + 1.0)  # separate the marginals
+    n = xs.size
+    ys = ys + 1.0  # separate the marginals
     base = _wp_sorted(xs, ys, p)
     # rounding is monotone: c * xs is sorted for c > 0 and reversed for c < 0
     step = 1 if c > 0 else -1

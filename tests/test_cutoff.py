@@ -796,6 +796,19 @@ class TestHeatLiveModes:
         want = mp_heat_noise_gap(t, spec)
         assert abs(distance_and_gap(t, h, 0.5, spec)[2] - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("t", [89.5, 90.0, 92.0])
+    def test_a_subnormal_gap_is_rounded_once(self, t):
+        # lambda = 4 live alone: D = e^{-8 t} / 8 is subnormal, and rounding D
+        # and its Bures term on the 2^-1074 grid put the gap one step off the
+        # 50-digit value at t = 89.5 and 92 (up to 13 steps on random box
+        # spectra with several live modes)
+        system = build_box_eigensystem([(math.pi, 2)])
+        spec = NoiseSpec(system=system, gaussian_q=np.array([0.0, 1.0]))
+        h = ModeCoefficients(system, np.zeros(2))
+        want = mp_heat_noise_gap(t, spec)
+        assert 0.0 < want < sys.float_info.min
+        assert distance_and_gap(t, h, 0.5, spec)[2] == want
+
 
 def mp_heat_noise_gap(t, spec):
     """sqrt(sum (sd_inf - sd_t)^2) by direct subtraction in mpmath, with

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -663,6 +664,23 @@ class TestCountHistogramLaw:
         inside = np.arange(lo, hi + 1)
         assert np.array_equal(k, inside[np.exp(poisson.logpmf(inside, mu)) > 0.0])
         assert _poisson_window(mu, hi - lo) is None
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 4.0, 1e2, 1e4, 1e6])
+    def test_the_window_pmf_matches_a_50_digit_oracle(self, mu):
+        # k ln mu - mu - ln k! was off by 3.5e-11 at mu = 1e4 and 3.3e-9 at 1e6
+        lo, hi = poisson_window_range(mu)
+        k, pmf = _poisson_window(mu, hi - lo + 1)
+        got = dict(zip(k.tolist(), pmf.tolist()))
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mu)
+            exact = mpmath.exp(lo * mpmath.log(m) - m - mpmath.loggamma(lo + 1))
+            worst, checked = 0.0, 0
+            for j in range(lo, hi + 1):
+                if exact >= 1e-300:
+                    worst = max(worst, float(abs(got[j] - exact) / exact))
+                    checked += 1
+                exact = exact * m / (j + 1)  # p(j + 1) = p(j) mu / (j + 1)
+        assert checked > 0 and worst <= 5e-12, worst
 
 
 class TestFoldCounts:

@@ -16,6 +16,7 @@ from spdecutoff import (
     NoiseSpec,
     homogeneity_check,
     shift_linearity_check,
+    sorted_normal_pair,
     stream,
     wave_decompose,
     wave_spectrum,
@@ -124,9 +125,9 @@ class TestOneRule:
         assert [r["pass"] for r in rep.rows] == [False, True]
 
     def test_the_sampling_checks_return_numbers_only(self):
-        res = shift_linearity_check(2.0, 2.0, 1000, stream(0, 7, 0))
-        hom = homogeneity_check(3.0, lambda k, r: r.standard_normal(k), 2.0, 1000,
-                                stream(0, 8, 0))
+        xs, ys = sorted_normal_pair(1000, stream(0, 7, 0))
+        res = shift_linearity_check(2.0, 2.0, xs, ys)
+        hom = homogeneity_check(3.0, 2.0, xs, ys)
         assert "pass" not in res and "pass" not in hom
         assert passes(res["estimate"], res["target"], res["bound"],
                       res["target"] - res["lower"])

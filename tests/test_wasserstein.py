@@ -19,17 +19,18 @@ from spdecutoff import (
     homogeneity_check,
     shift_bounds,
     shift_linearity_check,
+    sorted_normal_pair,
     stream,
     w2_diag_gaussian,
     w2_gaussian_2x2,
     wp_empirical_1d,
 )
-from spdecutoff import wasserstein
+from spdecutoff import cli, wasserstein
 from spdecutoff.cutoff import passes
 from spdecutoff.errors import InvalidDomainError
 from spdecutoff.spectral_core import root_sum_sq
-from spdecutoff.wasserstein import (concentration_exponent, gaussian_abs_moment,
-                                    log_quantile_integral_bound)
+from spdecutoff.wasserstein import (concentration_exponent, empirical_distance_bound,
+                                    gaussian_abs_moment, log_quantile_integral_bound)
 
 
 class TestExponents:
@@ -411,7 +412,7 @@ def budget_passes(res):
 
 class TestShiftAndHomogeneity:
     def test_shift_linearity_gaussian_p2(self):
-        res = shift_linearity_check(2.0, 2.0, 50_000, stream(21, 0))
+        res = shift_linearity_check(2.0, 2.0, *sorted_normal_pair(50_000, stream(21, 0)))
         assert band_passes(res)
         assert res["target"] == 2.0 and res["lower"] == 2.0 - res["bound"]
         assert abs(res["estimate"] - 2.0) <= res["bound"]
@@ -424,7 +425,7 @@ class TestShiftAndHomogeneity:
         assert lo == 0.0  # sqrt(2) - 2 * 0.82... < 0
 
     def test_shift_sandwich_p_half_mc(self):
-        res = shift_linearity_check(2.0, 0.5, 50_000, stream(22, 0))
+        res = shift_linearity_check(2.0, 0.5, *sorted_normal_pair(50_000, stream(22, 0)))
         assert band_passes(res)
         assert res["target"] == math.sqrt(2.0)
         assert res["lower"] < shift_bounds(2.0, 0.5, gaussian_abs_moment(0.5))[0] == 0.0
@@ -434,7 +435,7 @@ class TestShiftAndHomogeneity:
         # wasserstein-test with {"u": 0, "p_grid": [2]} at master_seed 0: the
         # estimate 0.0084 is the empirical measures' own distance, which the
         # band covers (4 se = 0.0018 of 20 repetitions did not)
-        res = shift_linearity_check(0.0, 2.0, 100_000, stream(0, 7, 0))
+        res = shift_linearity_check(0.0, 2.0, *sorted_normal_pair(100_000, stream(0, 7, 0)))
         assert band_passes(res), res
         assert 0.008 < res["estimate"] <= res["bound"]
 
@@ -447,20 +448,21 @@ class TestShiftAndHomogeneity:
     )
     def test_shift_band_holds_for_every_seed(self, seed, n, p, u):
         # each example fails with probability at most SHIFT_ALPHA = 1e-6
-        res = shift_linearity_check(u, p, n, stream(seed, 7, 0))
+        res = shift_linearity_check(u, p, *sorted_normal_pair(n, stream(seed, 7, 0)))
         assert band_passes(res), res
 
-    @pytest.mark.parametrize("estimator", [
-        # pairs the samples in draw order instead of sorted order
-        lambda x, y, p: float(np.mean(np.abs(np.asarray(x) - y) ** p) ** (1.0 / p)),
-        # drops the 1/p root at p >= 1
-        lambda x, y, p: float(np.mean(np.abs(np.sort(x) - np.sort(y)) ** p)),
-    ], ids=["unsorted", "no-root"])
-    def test_shift_band_catches_a_wrong_estimator(self, monkeypatch, estimator):
-        good = shift_linearity_check(2.0, 2.0, 100_000, stream(0, 7, 0))
+    @pytest.mark.parametrize("wrong", ["unsorted", "no-root"])
+    def test_shift_band_catches_a_wrong_estimator(self, monkeypatch, wrong):
+        rng = stream(0, 7, 0)
+        x, y = rng.standard_normal(100_000), rng.standard_normal(100_000)
+        good = shift_linearity_check(2.0, 2.0, np.sort(x), np.sort(y))
         assert band_passes(good) and good["bound"] < 0.45
-        monkeypatch.setattr(wasserstein, "wp_empirical_1d", estimator)
-        res = shift_linearity_check(2.0, 2.0, 100_000, stream(0, 7, 0))
+        if wrong == "unsorted":  # pairs the samples in draw order
+            res = shift_linearity_check(2.0, 2.0, x, y)
+        else:  # drops the 1/p root at p >= 1
+            monkeypatch.setattr(wasserstein, "_wp_sorted",
+                                lambda xs, ys, p: float(np.mean(np.abs(xs - ys) ** p)))
+            res = shift_linearity_check(2.0, 2.0, np.sort(x), np.sort(y))
         assert not band_passes(res)
         assert res["estimate"] - 2.0 > res["bound"]  # unsorted: sqrt(6) = 2.449
 
@@ -485,8 +487,7 @@ class TestShiftAndHomogeneity:
 
     def test_homogeneity(self):
         for p in (2.0, 0.5):
-            res = homogeneity_check(3.0, lambda n, r: r.standard_normal(n),
-                                    p, 30_000, stream(23, int(p * 2)))
+            res = homogeneity_check(3.0, p, *sorted_normal_pair(30_000, stream(23, int(p * 2))))
             assert budget_passes(res)
             assert abs(res["estimate"]) <= res["budget"]
             assert res["factor"] == pytest.approx(3.0 ** min(1.0, p))
@@ -499,8 +500,7 @@ class TestShiftAndHomogeneity:
         c=st.sampled_from([3.0, -3.0, 0.1, 7.5e3]),
     )
     def test_homogeneity_passes_for_every_seed(self, seed, n, p, c):
-        res = homogeneity_check(c, lambda k, r: r.standard_normal(k),
-                                p, n, stream(seed, 8, 0))
+        res = homogeneity_check(c, p, *sorted_normal_pair(n, stream(seed, 7, 0)))
         assert budget_passes(res), res
 
     @settings(max_examples=300, deadline=None)
@@ -511,27 +511,36 @@ class TestShiftAndHomogeneity:
         c=st.sampled_from([3.0, -3.0, 0.1, 7.5e3]),
     )
     def test_homogeneity_equals_the_three_sort_body(self, seed, n, p, c):
-        # ties, signed zeros and subnormals that c = 0.1 rounds to +-0
-        rng = np.random.default_rng(seed)
-        special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -1e-320])
-        samples = []
-        for _ in range(2):
-            x = rng.uniform(-1e3, 1e3, n)
-            x[rng.random(n) < 0.2] = x[0]
-            pick = rng.random(n) < 0.3
-            x[pick] = rng.choice(special, int(pick.sum()))
-            samples.append(x)
-        it_new, it_old = iter([s.copy() for s in samples]), iter([s.copy() for s in samples])
-        got = homogeneity_check(c, lambda k, r: next(it_new), p, n, None)
-        want = reference_homogeneity_check(c, lambda k, r: next(it_old), p, n, None)
-        assert {k: v.hex() if isinstance(v, float) else v for k, v in got.items()} \
-            == {k: v.hex() if isinstance(v, float) else v for k, v in want.items()}
+        x, y = awkward_pair(seed, n)
+        got = homogeneity_check(c, p, np.sort(x), np.sort(y))
+        want = reference_homogeneity_check(c, normal_law, p, n, Replay(x, y))
+        assert hex_dict(got) == hex_dict(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        u=st.sampled_from([0.0, 1e-3, 2.0, -3.0, 1.7e308]),
+        p=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+        c=st.sampled_from([3.0, -3.0, 0.1, 7.5e3]),
+    )
+    def test_both_checks_equal_the_per_p_bodies(self, seed, n, u, p, c):
+        # one sorted pair read by both checks gives the bits of the bodies
+        # that drew and sorted their own pair for every p
+        x, y = awkward_pair(seed, n)
+        xs, ys = np.sort(x), np.sort(y)
+        with np.errstate(over="ignore"):  # u = 1.7e308: the p-th powers overflow alike
+            got = shift_linearity_check(u, p, xs, ys)
+            want = reference_shift_linearity_check(u, p, n, Replay(x, y))
+        assert hex_dict(got) == hex_dict(want)
+        got = homogeneity_check(c, p, xs, ys)
+        want = reference_homogeneity_check(c, normal_law, p, n, Replay(x, y))
+        assert hex_dict(got) == hex_dict(want)
 
     def test_homogeneity_catches_a_wrong_factor(self, monkeypatch):
         # |c| in place of |c|^p at p = 1/2: off by O(1), far above the budget
         monkeypatch.setattr(wasserstein, "concentration_exponent", lambda p: 1.0)
-        res = homogeneity_check(3.0, lambda k, r: r.standard_normal(k),
-                                0.5, 2000, stream(23, 1))
+        res = homogeneity_check(3.0, 0.5, *sorted_normal_pair(2000, stream(23, 1)))
         assert not budget_passes(res)
         assert abs(res["estimate"]) > 1e6 * res["budget"]
 
@@ -543,6 +552,97 @@ class TestShiftAndHomogeneity:
         shifted = wp_empirical_1d(x + 5.0, y + 5.0, 2.0)
         assert shifted == pytest.approx(base, rel=1e-12)
 
+
+class TestOnePairRunner:
+    """wasserstein-test draws one sorted pair, x then y from stream(seed, 7, 0),
+    for every p and both row kinds."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_first_shift_row_is_the_per_p_runners(self, seed):
+        report = cli.run_wasserstein_test({}, seed)
+        want = reference_shift_linearity_check(2.0, 2.0, 100_000, stream(seed, 7, 0))
+        row = report.rows[0]
+        assert (row["case"], row["p"]) == ("shift-linearity", 2.0)
+        got = {"estimate": row["renormalized"], "target": row["profile"],
+               "bound": row["bound"], "lower": report.meta["shift_lower"][0]}
+        assert hex_dict(got) == hex_dict(want)
+
+    def test_a_run_draws_and_sorts_two_samples(self, monkeypatch):
+        draws, sorts = [], []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, n):
+                draws.append(n)
+                return self.rng.standard_normal(n)
+
+        np_sort = np.sort
+        monkeypatch.setattr(cli, "stream", lambda *key: Counting(stream(*key)))
+        monkeypatch.setattr(np, "sort", lambda a: sorts.append(len(a)) or np_sort(a))
+        report = cli.run_wasserstein_test({"n": 1000, "p_grid": [0.25, 0.5, 1, 2, 3]}, 0)
+        assert len(report.rows) == 10 and all(r["pass"] for r in report.rows)
+        assert draws == [1000, 1000] and sorts == [1000, 1000]
+
+
+class Replay:
+    """Stands in for a generator: ``standard_normal`` returns the given
+    samples in turn."""
+
+    def __init__(self, *samples):
+        self.samples = iter(samples)
+
+    def standard_normal(self, n):
+        sample = next(self.samples)
+        assert sample.size == n
+        return sample.copy()
+
+
+def normal_law(n, rng):
+    return rng.standard_normal(n)
+
+
+def awkward_pair(seed, n):
+    """Two samples of size n with ties, signed zeros and subnormals that
+    c = 0.1 rounds to +-0."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -1e-320])
+    samples = []
+    for _ in range(2):
+        x = rng.uniform(-1e3, 1e3, n)
+        x[rng.random(n) < 0.2] = x[0]
+        pick = rng.random(n) < 0.3
+        x[pick] = rng.choice(special, int(pick.sum()))
+        samples.append(x)
+    return samples
+
+
+def hex_dict(res):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in res.items()}
+
+
+def reference_shift_linearity_check(u, p, n, rng):
+    """shift_linearity_check as it drew x then y from its own ``rng`` for
+    every p and sorted both in the estimate."""
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    est = wp_empirical_1d(x + u, y, p)
+    beta = empirical_distance_bound(max(p, 1.0), n)
+    if p >= 1.0:
+        lo = hi = abs(u)
+        below = above = 2.0 * beta
+    else:
+        lo, hi = shift_bounds(u, p, gaussian_abs_moment(p))
+        below, above = 2.0 * beta ** p, (2.0 * beta) ** p
+    unit = 2.0 ** -53
+    delta = 3.0 * unit * (abs(u) + float(np.abs(x).max() + np.abs(y).max()))
+    rounding = (delta ** concentration_exponent(p)
+                + ((n - 1).bit_length() + 25) * unit * (est + hi))
+    grow = 1.0 + 2.0 ** -40
+    lower = lo - grow * (below + rounding)
+    bound = grow * (above + rounding)
+    return {"estimate": est, "target": hi, "bound": bound, "lower": lower}
 
 
 def reference_homogeneity_check(c, law_sampler, p, n, rng):
