@@ -56,7 +56,6 @@ from .cutoff import (
 from .multiplicative import (
     MultBrownianSpec,
     MultLevySpec,
-    mult_brownian_flow_sample,
     mult_second_moment_exact,
     mult_profile,
     levy_flow_oracle,

@@ -9,7 +9,6 @@ Subcommands map one-to-one onto the experiment families:
     mult-profile      multiplicative Brownian profile along a schedule
     levy-check        multiplicative jump flow: pathwise + moment checks
     wasserstein-test  shift-linearity band / homogeneity rounding checks
-    selftest          fast deterministic invariant sweep
 
 Every run is driven by a JSON config (--config), an optional master seed
 override (--seed) and an output directory (--out); --threads is accepted
@@ -39,6 +38,8 @@ from .errors import (
     ScheduleRejectedError,
     SpdeCutoffError,
     VarianceOverflowError,
+    WrongCaseError,
+    ZeroInitialDatumError,
 )
 from .spectral_core import (
     EigenSystem,
@@ -52,7 +53,7 @@ from .semigroup import decay_constants, wave_overdamped_leader
 from .noise_sim import JumpMark, NoiseSpec, sample_jump_realization
 from .wasserstein import (SHIFT_ALPHA, homogeneity_check, shift_linearity_check,
                           sorted_normal_pair)
-from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_moment, passes,
+from .cutoff import (CutoffReport, cutoff_time, distance_and_gap, equilibrium_moment,
                      profile_cell, window_cell)
 from .multiplicative import (
     MultBrownianSpec,
@@ -241,6 +242,14 @@ def _eps_grid(cfg: dict) -> list[float]:
     return grid
 
 
+def _at(pointer: str, fn, *args):
+    """``fn(*args)``; a wrong case or a zero datum that it raises exits 2 at ``pointer``."""
+    try:
+        return fn(*args)
+    except (WrongCaseError, ZeroInitialDatumError) as e:
+        raise ConfigError(pointer, str(e)) from e
+
+
 # --------------------------------------------------------------------------
 # Experiment drivers
 # --------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
         listed = isinstance(cfg["noise"].get("gaussian_q"), list)
         raise ConfigError("/noise/gaussian_q" + (f"/{e.index}" if listed else ""), str(e)) from e
     p = _require_p2(cfg, "exact heat profile")
-    leading = heat_leading_data(h)
+    leading = _at("/initial", heat_leading_data, h)
     constants = decay_constants("heat", system=system)
     eps_grid = _eps_grid(cfg)
     rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leading.rate)
@@ -350,7 +359,7 @@ def _rho_grid(rho_grid: list[float], eps_grid: list[float], rate: float,
 def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "exact wave profile")
-    leader = wave_overdamped_leader(z)
+    leader = _at("/initial" if wsp.n_over else "/gamma", wave_overdamped_leader, z)
     constants = decay_constants("wave", wave_spec=wsp)
     eps_grid = _eps_grid(cfg)
     rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leader.rate,
@@ -367,7 +376,7 @@ def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "wave window")
     eps_grid = _eps_grid(cfg)
     rho_grid = _float_list(cfg, "rho_grid", "")
-    cell = window_cell(z, spec)  # a wrong case is reported before any rho
+    cell = _at("/gamma" if wsp.n_over else "/initial", window_cell, z, spec)  # before any rho
     _rho_grid(rho_grid, eps_grid, 0.5 * wsp.gamma, float(wsp.theta.max(initial=0.0)))
     _finite_equilibrium(spec, wsp)
     return _finite(CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
@@ -427,7 +436,7 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     # the drift grows with eps (v >= 0): the largest eps decides
     _check_decay(max(specs, key=lambda s: s.eps), h, "/g" if kind == "brownian" else "/marks")
     if rho_grid:  # mult_profile's times: t_eps = |ln a(eps)| / lambda_1
-        l1 = heat_leading_data(h).lambda_lead
+        l1 = _at("/initial", heat_leading_data, h).lambda_lead
         two_lam = 2.0 * float(system.lambdas[-1])
         _check_rho_grid(rho_grid, [(e, abs(math.log(a)) / l1, two_lam) for e, a in
                                    zip(sorted(eps_grid, reverse=True), a_desc)],
@@ -520,45 +529,6 @@ def run_wasserstein_test(cfg: dict, seed: int) -> CutoffReport:
     return report
 
 
-def run_selftest(seed: int) -> int:
-    """Fast invariant sweep; returns the number of failures."""
-    failures = 0
-
-    def check(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    system = build_box_eigensystem([(math.pi, 8)])
-    check("spectrum sorted", bool(np.all(np.diff(system.lambdas) > 0)))
-    check("spectrum squares", bool(np.allclose(system.lambdas,
-                                               np.arange(1, 9) ** 2, rtol=1e-12)))
-    h = ModeCoefficients(system, np.array([0, 1, 0.5, 0, 0, 0, 0, 0.0]))
-    leading = heat_leading_data(h)
-    check("leading eigenvalue", abs(leading.lambda_lead - 4.0) < 1e-12)
-    spec = NoiseSpec(system=system, gaussian_q=1.0 / np.arange(1, 9.0) ** 2)
-    eps = 1e-6
-    t = cutoff_time(eps, leading.rate)
-    d0 = distance_and_gap(t, h, eps, spec)[0]
-    check("distance near profile at cutoff",
-          abs(d0 - leading.shape_norm) < 0.1 * leading.shape_norm)
-    t_8 = cutoff_time(1e-8, leading.rate)
-    pre, post = (distance_and_gap(delta * t_8, h, 1e-8, spec)[0] for delta in (0.5, 2.0))
-    check("pre-cutoff large", pre > 1e3)
-    check("post-cutoff small", post < 1e-3)
-    wsys = build_box_eigensystem([(1.0, 4)])
-    wsp = wave_spectrum(10.0, wsys)
-    z = wave_decompose(wsp, np.array([1.0, 0.3, 0, 0]), np.zeros(4))
-    leader = wave_overdamped_leader(z)
-    check("wave leader margin negative", leader.margin < 0)
-    res = shift_linearity_check(2.0, 2.0, *sorted_normal_pair(20000, stream(seed, 99)))
-    check("shift linearity band",
-          passes(res["estimate"], res["target"], res["bound"], res["target"] - res["lower"]))
-    print(f"selftest: {8 - failures}/8 passed")
-    return failures
-
-
 # --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
@@ -599,13 +569,8 @@ def main(argv=None) -> int:
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; runs are serial")
 
-    st = sub.add_parser("selftest")
-    st.add_argument("--seed", type=_seed, default=0)
-
     args = parser.parse_args(argv)
     try:
-        if args.command == "selftest":
-            return 1 if run_selftest(args.seed) else 0
         cfg = load_config(args.config)
         if args.command == "spectrum":
             system = _build_system(cfg)

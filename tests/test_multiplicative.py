@@ -1,9 +1,11 @@
 """Multiplicative-noise tests.
 
-Oracles: Euler-Maruyama pathwise integration for the Brownian flow,
-Kolmogorov-Smirnov against the exact lognormal marginal, quadrature/Campbell
-cross-checks and the interlacing evaluation for the jump flow.
+Oracles: an exact lognormal sampler of the Brownian flow, checked by
+Euler-Maruyama pathwise integration and Kolmogorov-Smirnov against the
+lognormal marginal, quadrature/Campbell cross-checks and the interlacing
+evaluation for the jump flow.
 """
+import collections
 import json
 import math
 import tempfile
@@ -26,7 +28,6 @@ from spdecutoff import (
     heat_leading_data,
     levy_flow_oracle,
     levy_pathwise_check,
-    mult_brownian_flow_sample,
     mult_profile,
     mult_second_moment_exact,
     stream,
@@ -40,7 +41,6 @@ from spdecutoff.errors import (
 from spdecutoff import cli, multiplicative
 from spdecutoff.multiplicative import (
     _count_histogram,
-    _fold_counts,
     _log_space_root_sum,
     _poisson_window,
     levy_stochexp_batch,
@@ -54,6 +54,16 @@ def brownian_specs(system, g, eps_grid):
     return [MultBrownianSpec(system, g, e) for e in eps_grid]
 
 
+def brownian_flow_sample(t, h, spec, rng, size=None):
+    """Exact draws of the Brownian multiplicative flow at time t, (n_modes,)
+    or (size, n_modes): mode j is the lognormal
+    h_j exp((-lambda_j - eps^2 sum_i g_ij^2 / 2) t + eps sum_i g_ij B_i(t))."""
+    drift = (-spec.system.lambdas - 0.5 * spec.variance_rate()) * t
+    shape = (spec.g.shape[0],) if size is None else (size, spec.g.shape[0])
+    bm = math.sqrt(t) * rng.standard_normal(shape)
+    return h.values * np.exp(drift + spec.eps * bm @ spec.g)
+
+
 def brownian_setup(eps=0.1):
     system = EigenSystem.from_lambdas([1.0, 4.0, 9.0])
     h = ModeCoefficients(system, np.array([0.0, 1.0, 0.5]))
@@ -65,18 +75,18 @@ class TestBrownianFlow:
     def test_zero_noise_reduces_to_heat(self):
         system, h, _ = brownian_setup()
         spec = MultBrownianSpec(system, np.zeros((1, 3)), 0.5)
-        x = mult_brownian_flow_sample(1.0, h, spec, stream(1, 0))
+        x = brownian_flow_sample(1.0, h, spec, stream(1, 0))
         assert np.allclose(x, h.values * np.exp(-system.lambdas), rtol=1e-13)
 
     def test_zero_initial_mode_stays_zero(self):
         system, h, spec = brownian_setup()
-        x = mult_brownian_flow_sample(2.0, h, spec, stream(1, 1), size=50)
+        x = brownian_flow_sample(2.0, h, spec, stream(1, 1), size=50)
         assert np.all(x[:, 0] == 0.0)
 
     def test_lognormal_marginal_ks(self):
         system, h, spec = brownian_setup(eps=0.3)
         t = 1.5
-        x = mult_brownian_flow_sample(t, h, spec, stream(2, 0), size=20_000)
+        x = brownian_flow_sample(t, h, spec, stream(2, 0), size=20_000)
         j = 1  # h_j = 1
         v = float(spec.variance_rate()[j])
         mu = (-system.lambdas[j] - 0.5 * v) * t
@@ -104,7 +114,7 @@ class TestBrownianFlow:
     def test_second_moment_exact_vs_mc(self):
         system, h, spec = brownian_setup(eps=0.2)
         t = 0.8
-        x = mult_brownian_flow_sample(t, h, spec, stream(4, 0), size=100_000)
+        x = brownian_flow_sample(t, h, spec, stream(4, 0), size=100_000)
         sq = np.sum(x**2, axis=1)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - mult_second_moment_exact(t, h, spec)) <= 4 * se
@@ -480,10 +490,9 @@ class TestLevyBatchEqualsDense:
         got = levy_stochexp_batch(t, h, spec, stream(seed, 1), size)
         assert got.tobytes() == expanded_levy_sq(t, h, spec, stream(seed, 1), size).tobytes()
 
-    def test_a_key_span_above_the_table_falls_back_to_unique(self):
+    def test_a_wide_per_path_key_goes_through_unique(self):
         # rate * t = 5,000: 200 paths, drawn per path, spread each mark over
-        # about 400 counts, and two marks give a key span of about
-        # 170 * 400 > 4 * 200
+        # about 400 counts, and two marks give a key span of about 170 * 400
         system, _, marks = random_jump_case(11, 8, 2)
         spec = MultLevySpec(system, tuple(JumpMark(m.values, 5000.0) for m in marks),
                             0.05, 1e-3)
@@ -513,27 +522,26 @@ class TestLevyBatchEqualsDense:
         system, _, marks = random_jump_case(14, 3, 2)
         self.assert_equals_dense(1.0, MultLevySpec(system, marks, 0.05, 0.1), 0)
 
-    def test_a_narrow_per_path_fold_neither_sorts_nor_calls_unique(self):
+    def test_a_narrow_per_path_draw_is_one_poisson_call(self):
         # rate * t = 5,000 over 2,000 paths: the window's range (5,740
         # counts) is wider than the paths, so the mark is drawn per path,
-        # and its spread (about 500) is within the presence table's 4 * 2,000
+        # with a spread of about 500 counts
         system, h, marks = monte_carlo_case(0)
         spec = MultLevySpec(system, (JumpMark(marks[0].values, 2500.0),), 0.05, 0.05)
-        refuse = mock.Mock(side_effect=AssertionError("sorted the count vectors"))
+        refuse = mock.Mock(side_effect=AssertionError("lexsorted the count vectors"))
         rng = mock.Mock(wraps=stream(7, 1))
-        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse):
+        with mock.patch.object(np, "lexsort", refuse):
             got = levy_stochexp_batch(2.0, h, spec, rng, 2000)
         assert rng.poisson.call_count == 1 and not rng.multinomial.called
         assert got.tobytes() == expanded_levy_sq(2.0, h, spec, stream(7, 1), 2000).tobytes()
 
     def test_the_monte_carlo_config_makes_no_per_path_poisson_draw(self):
-        # one multinomial per mark, no Poisson draw, no sort and no relabelling
+        # one multinomial per mark, no Poisson draw and no sort
         system, h, marks = monte_carlo_case(0)
         spec = MultLevySpec(system, marks, 0.05, 0.05)
         refuse = mock.Mock(side_effect=AssertionError("grouped per path"))
         rng = mock.Mock(wraps=stream(7, 1))
-        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse), \
-                mock.patch.object(multiplicative, "_fold_counts", refuse):
+        with mock.patch.object(np, "lexsort", refuse), mock.patch.object(np, "unique", refuse):
             got = levy_stochexp_batch(2.0, h, spec, rng, 200_000)
         assert not rng.poisson.called
         assert [c.args[0].sum() for c in rng.multinomial.call_args_list] == [200_000] * 2
@@ -683,36 +691,106 @@ class TestCountHistogramLaw:
         assert checked > 0 and worst <= 5e-12, worst
 
 
-class TestFoldCounts:
+# --------------------------------------------------------------------------
+# The per-path branch of _count_histogram before it took one sorted key per
+# mark, kept as a byte-for-byte reference: each path's (cell, count) pair
+# relabelled to dense ids through a presence table or np.unique.
+# --------------------------------------------------------------------------
+
+
+def reference_dense_ids(key, span):
+    if span <= 4 * key.size:
+        present = np.zeros(span, dtype=bool)
+        present[key] = True
+        ids = np.cumsum(present)
+        ids -= 1
+        return ids[key], int(ids[-1]) + 1
+    values, ids = np.unique(key, return_inverse=True)
+    return ids, values.size
+
+
+def reference_fold_counts(ids, n_ids, c):
+    lo = int(c.min())
+    radix = int(c.max()) - lo + 1
+    key = c - lo
+    if n_ids * radix > 2 ** 63 - 1:
+        key, radix = reference_dense_ids(key, radix)
+    key += ids * radix
+    return reference_dense_ids(key, n_ids * radix)
+
+
+def reference_count_histogram(t, marks, rng, size):
+    if size == 0:
+        return np.zeros((len(marks), 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    cells = np.zeros((0, 1), dtype=np.int64)
+    weights = np.array([size])
+    for m in marks:
+        mu = m.rate * t
+        window = _poisson_window(mu, size // weights.size)
+        if window is not None:
+            k, pmf = window
+            table = rng.multinomial(weights, pmf)
+            cell, col = np.nonzero(table)
+            cells = np.vstack([cells[:, cell], k[col]])
+            weights = table[cell, col]
+        else:
+            ids = np.repeat(np.arange(weights.size), weights)
+            c = rng.poisson(mu, size=size)
+            new, n = reference_fold_counts(ids, weights.size, c)
+            first = np.empty(n, dtype=np.int64)
+            first[new] = np.arange(size)
+            cells = np.vstack([cells[:, ids[first]], c[first]])
+            weights = np.bincount(new, minlength=n)
+    return cells, weights
+
+
+class TestPerPathKey:
+    @settings(max_examples=200)
+    @given(rates=st.lists(st.sampled_from([1e-9, 2.0, 5000.0, 1e5]), min_size=1, max_size=4),
+           t=st.sampled_from([0.0, 0.8, 1.0, 3.0]), size=st.sampled_from([0, 1, 200, 2000]),
+           seed=st.integers(0, 2 ** 16))
+    def test_the_histogram_equals_the_relabelling_reference(self, rates, t, size, seed):
+        marks = tuple(JumpMark(np.array([0.3]), r) for r in rates)
+        got = _count_histogram(t, marks, stream(seed, 1), size)
+        want = reference_count_histogram(t, marks, stream(seed, 1), size)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+
     @staticmethod
-    def group(counts):
-        """The columns' dense ids, folded mark by mark, and one column per id."""
-        ids, n = np.zeros(counts.shape[1], dtype=np.int64), 1
-        for c in counts:
-            ids, n = _fold_counts(ids, n, c)
-        first = np.empty(n, dtype=np.int64)
-        first[ids] = np.arange(ids.size)
-        return ids, first
+    def histogram(counts):
+        """_count_histogram with mark m's per-path counts read from counts[m]:
+        at rate * t = 5,000 every window is wider than the paths."""
+        rng = mock.Mock(spec=["poisson"])
+        rng.poisson.side_effect = [np.array(c, dtype=np.int64) for c in counts]
+        marks = [JumpMark(np.array([0.3]), 5000.0)] * len(counts)
+        return _count_histogram(1.0, marks, rng, len(counts[0]))
 
     @settings(max_examples=300)
     @given(columns=st.lists(st.lists(st.sampled_from([0, 1, 7, 2 ** 40, 2 ** 62, 2 ** 63 - 1]),
                                      min_size=3, max_size=3), min_size=1, max_size=40),
            n_marks=st.integers(1, 3))
-    def test_equal_ids_exactly_for_equal_columns(self, columns, n_marks):
+    def test_equal_cells_exactly_for_equal_columns(self, columns, n_marks):
         counts = np.array(columns, dtype=np.int64).reshape(-1, 3)[:, :n_marks].T.copy()
-        ids, first = self.group(counts)
-        n_distinct = len({tuple(c) for c in counts.T.tolist()})
-        assert ids.dtype == np.int64
-        assert first.size == n_distinct and sorted(set(ids.tolist())) == list(range(n_distinct))
-        assert np.array_equal(counts[:, first[ids]], counts)
+        # the paths come in cell order: mark m's i-th count extends the i-th
+        # of the sorted vectors so far, unless a key would pass 2^63 - 1
+        vectors = [()] * counts.shape[1]
+        for c in counts:
+            if len(set(vectors)) * (int(c.max()) - int(c.min()) + 1) > 2 ** 63 - 1:
+                with pytest.raises(InvalidDomainError):
+                    self.histogram(counts)
+                return
+            vectors = [v + (k,) for v, k in zip(sorted(vectors), c.tolist())]
+        cells, weights = self.histogram(counts)
+        want = collections.Counter(vectors)
+        assert cells.dtype == weights.dtype == np.int64
+        assert [tuple(v) for v in cells.T.tolist()] == sorted(want)
+        assert weights.tolist() == [want[v] for v in sorted(want)]
 
-    def test_counts_wider_than_2_63_over_the_ids_are_relabelled_first(self):
-        # the second row: 3 ids so far times a radix of 2^62 + 1 passes 2^63
+    def test_a_key_past_2_63_raises_and_is_not_relabelled(self):
+        # the second mark: 2 cells times a radix of 2^62 + 1 pass 2^63 - 1
         big = 2 ** 62
-        counts = np.array([[0, big, 0, big, 5], [big, 0, big, 3, 0]], dtype=np.int64)
-        ids, first = self.group(counts)
-        assert ids[0] == ids[2] and len(set(ids.tolist())) == 4 == first.size
-        assert np.array_equal(counts[:, first[ids]], counts)
+        with pytest.raises(InvalidDomainError, match=f"2 cells x {big + 1} counts"):
+            self.histogram([[0, big], [0, big]])
 
 
 # --------------------------------------------------------------------------

@@ -291,6 +291,10 @@ class TestOverdampedLeader:
         u, w = rng.standard_normal(6), rng.standard_normal(6)
         z = wave_decompose(sp, u, w)
         self.assert_certificate_on_grid(wave_overdamped_leader(z), z)
+        # gamma = 10 on four modes of the unit interval, data on the first two
+        sp = wave_spectrum(10.0, build_box_eigensystem([(1.0, 4)]))
+        z = wave_decompose(sp, np.array([1.0, 0.3, 0.0, 0.0]), np.zeros(4))
+        self.assert_certificate_on_grid(wave_overdamped_leader(z), z)
 
     def test_tied_leader_holds_both_modes(self):
         # lambda = 2 twice under gamma = 3: roots -1 and -2 on both modes
