@@ -435,8 +435,8 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
     specs = _mult_specs(cfg, system, kind, eps_grid)
     # the drift grows with eps (v >= 0): the largest eps decides
     _check_decay(max(specs, key=lambda s: s.eps), h, "/g" if kind == "brownian" else "/marks")
+    l1 = _at("/initial", heat_leading_data, h).lambda_lead  # a zero datum exits 2 here
     if rho_grid:  # mult_profile's times: t_eps = |ln a(eps)| / lambda_1
-        l1 = _at("/initial", heat_leading_data, h).lambda_lead
         two_lam = 2.0 * float(system.lambdas[-1])
         _check_rho_grid(rho_grid, [(e, abs(math.log(a)) / l1, two_lam) for e, a in
                                    zip(sorted(eps_grid, reverse=True), a_desc)],

@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState, damping_ga
 def _check_time(t: float, last: float = sys.float_info.max) -> float:
     """float(t) if 0 <= t <= last, else InvalidTimeError (NaN included).
     Callers where t = inf means equilibrium pass ``last=math.inf``; one
-    chained comparison keeps the check cheap for ``wave_mode_propagator``."""
+    chained comparison keeps the check cheap, since ``wave_mode_propagator``
+    runs it once per (time, mode) pair of ``decay_constants``."""
     t = float(t)
     if not (0.0 <= t <= last):
         need = ">= 0" if last == math.inf else "finite and >= 0"
@@ -100,10 +102,11 @@ def _mode_gap(lam: float, h: float) -> tuple[float, float]:
     return damping_gap(lam, h, math.sqrt)
 
 
-def wave_mode_propagator(t: float, lam: float, gamma: float) -> np.ndarray:
+def wave_mode_propagator(t: float, lam: float, gamma: float) -> tuple[float, float, float, float]:
     """The 2x2 exponential of [[0, 1], [-lambda, -gamma]] t, c I + s (A + gamma/2 I)
-    by :func:`_propagator_coefficients`' formula for one mode, in Python floats:
-    about 1 us a call, and ``decay_constants`` makes grid_points x modes calls."""
+    by :func:`_propagator_coefficients`' formula for one mode, as its entries
+    (P00, P01, P10, P11) in row-major order, Python floats: ``decay_constants``
+    makes grid_points x modes calls and stacks the tuples without a list."""
     t = _check_time(t)
     h = 0.5 * gamma
     below, gap = _mode_gap(lam, h)
@@ -116,7 +119,7 @@ def wave_mode_propagator(t: float, lam: float, gamma: float) -> np.ndarray:
         damp = math.exp(-h * t)
         c = damp * math.cos(gap * t)
         s = damp * (math.sin(gap * t) / gap)
-    return np.array([c + s * h, s, -lam * s, c - s * h]).reshape(2, 2)
+    return c + s * h, s, -lam * s, c - s * h
 
 
 @dataclass(frozen=True)
@@ -275,18 +278,20 @@ def decay_constants(
     rate = sp.rate
     grid = np.linspace(0.0, 20.0 / rate, grid_points)
     lam = sp.system.lambdas
-    worst = np.zeros(grid.size)  # the largest norm over the modes so far, per time
-    M = np.empty((grid.size, 2, 2))
-    # memoryviews yield Python floats without building lists
-    for k, (lk, sk) in enumerate(zip(memoryview(lam), memoryview(np.sqrt(1.0 + lam)))):
-        for i, t in enumerate(memoryview(grid)):
-            M[i] = wave_mode_propagator(t, lk, sp.gamma)
+    n = grid.size
+    ts = grid.tolist()
+    worst = np.zeros(n)  # the largest norm over the modes so far, per time
+    for k, (lk, sk) in enumerate(zip(lam.tolist(), np.sqrt(1.0 + lam).tolist())):
+        # one call per time; its four entries stream into row i, no list kept
+        M = np.fromiter(chain.from_iterable(map(wave_mode_propagator, ts, repeat(lk, n),
+                                                repeat(sp.gamma, n))),
+                        float, 4 * n).reshape(n, 4)
         with np.errstate(over="ignore", invalid="ignore"):  # not finite: raised below
-            norm = _norm_2x2(M[:, 0, 0], M[:, 0, 1] / sk, M[:, 1, 0] * sk, M[:, 1, 1])
+            norm = _norm_2x2(M[:, 0], M[:, 1] / sk, M[:, 2] * sk, M[:, 3])
         if not np.isfinite(norm).all():
             raise InvalidDomainError(f"mode {k}: lambda = {lk!r} gives a block that is not finite")
         np.maximum(worst, norm, out=worst)
     c_best = 1.0
-    for t, w in zip(memoryview(grid), memoryview(worst)):
+    for t, w in zip(ts, worst.tolist()):
         c_best = max(c_best, math.exp(rate * t) * w)
     return float(c_best), rate

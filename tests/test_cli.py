@@ -306,6 +306,9 @@ class TestConfigValidation:
          "/initial: initial datum is identically zero"),
         ("mult-profile", MULT_CFG | {"initial": [0.0, 0.0, 0.0]},
          "/initial: initial datum is identically zero"),
+        # no rho at which to need lambda_1: the zero datum is still rejected
+        ("mult-profile", MULT_CFG | {"initial": [0.0, 0.0, 0.0], "rho_grid": []},
+         "/initial: initial datum is identically zero"),
         # gamma = 10: lambda = 36 > 25 is oscillatory and holds all the data
         ("wave-profile", WAVE_ON_LAMBDAS | {"lambdas": [9.0, 36.0], "initial": {
             "position": [0.0, 1.0], "velocity": [0.0, 0.0]}},

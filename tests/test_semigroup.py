@@ -133,7 +133,8 @@ class TestWaveApply:
     def test_propagator_matches_expm(self):
         for lam, gamma, t in [(2.0, 3.0, 0.7), (9.0, 1.0, 2.1), (0.5, 5.0, 0.05)]:
             oracle = expm(t * mode_block(lam, gamma))
-            assert np.allclose(wave_mode_propagator(t, lam, gamma), oracle, atol=1e-12)
+            assert np.allclose(np.reshape(wave_mode_propagator(t, lam, gamma), (2, 2)), oracle,
+                               atol=1e-12)
 
     def test_rescaled_oscillatory_mode_evolves_on_circle(self):
         # For subcritical damping, after removing e^{-gamma t / 2} each mode
@@ -157,6 +158,11 @@ def expm_50(t, lam, gamma):
     """exp(t A) of the mode block at 50 digits, the float inputs taken exactly."""
     with mpmath.workdps(50):
         return mpmath.expm(mpmath.matrix([[0, 1], [-lam, -gamma]]) * t)
+
+
+def block_of(P):
+    """The row-major entries of ``wave_mode_propagator`` as a 2x2 mpmath matrix."""
+    return mpmath.matrix(np.reshape(P, (2, 2)).tolist())
 
 
 def graph_coords(P, lam):
@@ -189,7 +195,7 @@ class TestPropagatorOracle:
         lam = gamma * gamma / (4.0 * (1.0 + x))
         t = tau / gamma
         exact = graph_coords(expm_50(t, lam, gamma), lam)
-        got = graph_coords(mpmath.matrix(wave_mode_propagator(t, lam, gamma).tolist()), lam)
+        got = graph_coords(block_of(wave_mode_propagator(t, lam, gamma)), lam)
         scale = max(abs(v) for v in exact)
         assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-14 * scale
 
@@ -201,8 +207,7 @@ class TestPropagatorOracle:
         for tau in (0.0, 0.5, 1.0, 7.0):
             t = tau / h
             exact = graph_coords(expm_50(t, h * h, 2.0 * h), h * h)
-            got = graph_coords(mpmath.matrix(wave_mode_propagator(t, h * h, 2.0 * h).tolist()),
-                               h * h)
+            got = graph_coords(block_of(wave_mode_propagator(t, h * h, 2.0 * h)), h * h)
             assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-15 * max(map(abs, exact))
 
     @pytest.mark.parametrize("gamma", [1e4, 1e8, 1e200])
@@ -219,7 +224,7 @@ class TestPropagatorOracle:
                 exact = (mpmath.exp(rp * t) * (A - rm * eye)
                          - mpmath.exp(rm * t) * (A - rp * eye)) / (rp - rm)
             exact = graph_coords(exact, lam)
-            got = graph_coords(mpmath.matrix(wave_mode_propagator(t, lam, gamma).tolist()), lam)
+            got = graph_coords(block_of(wave_mode_propagator(t, lam, gamma)), lam)
             assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-14 * max(map(abs, exact))
 
     @settings(max_examples=200, deadline=None)
@@ -459,7 +464,7 @@ def decay_constant_loop(sp, grid_points=2000):
     for t in ts:
         worst = 0.0
         for lk, sk in zip(lam, scale):
-            P = wave_mode_propagator(float(t), float(lk), sp.gamma)
+            P = np.reshape(wave_mode_propagator(float(t), float(lk), sp.gamma), (2, 2))
             worst = max(worst, block_norm(P[0, 0], P[0, 1] / sk, P[1, 0] * sk, P[1, 1]))
         c_best = max(c_best, math.exp(rate * t) * worst)
     return float(c_best), rate
@@ -485,6 +490,19 @@ class TestStackedDecayConstants:
         c_ref, rate_ref = decay_constant_loop(sp, grid_points=grid_points)
         assert (float.hex(c), float.hex(rate)) == (float.hex(c_ref), float.hex(rate_ref))
 
+    # Both references call wave_mode_propagator, so only fixed values catch a
+    # change in its bits.  ROADMAP item 1 (C in closed form, no grid) changes
+    # C on purpose; its pins are then taken again from the new formula.
+    @pytest.mark.parametrize("n_modes, c_hex", [
+        (11, "0x1.fa6d363628114p+9"),
+        (21, "0x1.e0aac2f665c31p+11"),
+        (101, "0x1.45f922be3bc87p+16"),
+    ])
+    def test_constant_and_rate_are_pinned_in_hex(self, n_modes, c_hex):
+        sp = wave_spectrum(10.0, build_box_eigensystem([(1.0, n_modes)]))
+        c, rate = decay_constants("wave", wave_spec=sp)
+        assert (float.hex(c), float.hex(rate)) == (c_hex, "0x1.1c375153afa4ep+0")
+
     def test_critical_slowest_mode_rejected(self):
         sp = wave_spectrum(2.0, EigenSystem.from_lambdas([1.0, 4.0]))
         assert sp.s[0] == 0.0
@@ -508,7 +526,7 @@ def decay_constant_stacked(sp, grid_points=2000):
     M = np.empty((len(ts), 2, 2))
     for lk, sk in zip(lam.tolist(), scale.tolist()):
         for i, t in enumerate(ts):
-            M[i] = wave_mode_propagator(t, lk, sp.gamma)
+            M[i] = np.reshape(wave_mode_propagator(t, lk, sp.gamma), (2, 2))
         a, b, c, d = 0.5 * M[:, 0, 0], 0.5 * M[:, 0, 1] / sk, 0.5 * M[:, 1, 0] * sk, 0.5 * M[:, 1, 1]
         np.maximum(worst, np.hypot(a + d, c - b) + np.hypot(a - d, b + c), out=worst)
     c_best = 1.0
