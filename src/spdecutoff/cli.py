@@ -35,11 +35,8 @@ from .errors import (
     GapOverflowError,
     InvalidDomainError,
     MarkOutOfRangeError,
-    ScheduleRejectedError,
     SpdeCutoffError,
     VarianceOverflowError,
-    WrongCaseError,
-    ZeroInitialDatumError,
 )
 from .spectral_core import (
     EigenSystem,
@@ -91,13 +88,7 @@ def _get(cfg: dict, key: str, kind, pointer: str, default=None, required=True):
     val = cfg[key]
     if kind is float:
         return _number(val, f"{pointer}/{key}")
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is list and isinstance(val, list):
-        return val
-    if kind is str and isinstance(val, str):
-        return val
-    if kind is dict and isinstance(val, dict):
+    if isinstance(val, kind) and not isinstance(val, bool):  # JSON true is no int
         return val
     raise ConfigError(f"{pointer}/{key}", f"expected {kind.__name__}")
 
@@ -156,17 +147,10 @@ def load_config(path: str) -> dict:
 
 def _build_system(cfg: dict) -> EigenSystem:
     if "lambdas" in cfg:
-        lam = _float_list(cfg, "lambdas", "")
-        try:
-            return EigenSystem.from_lambdas(lam)
-        except InvalidDomainError as e:
-            raise ConfigError("/lambdas", str(e)) from e
-    dims_raw = _get(cfg, "dims", list, "")
-    if not dims_raw:
-        raise ConfigError("/dims", "need at least one axis")
+        return _at("/lambdas", EigenSystem.from_lambdas, _float_list(cfg, "lambdas", ""))
     dims = []
     total = 1
-    for i, d in enumerate(dims_raw):
+    for i, d in enumerate(_get(cfg, "dims", list, "")):
         if (not isinstance(d, list)) or len(d) != 2:
             raise ConfigError(f"/dims/{i}", "expected [side_length, mode_count]")
         length, modes = _number(d[0], f"/dims/{i}/0"), d[1]
@@ -181,7 +165,7 @@ def _build_system(cfg: dict) -> EigenSystem:
             raise ConfigError(f"/dims/{i}/1",
                               f"the box would have more than {MAX_BOX_MODES:,} modes")
         dims.append((length, modes))
-    return build_box_eigensystem(dims)
+    return _at("/dims", build_box_eigensystem, dims)
 
 
 def _coeffs(system: EigenSystem, raw, pointer: str) -> ModeCoefficients:
@@ -227,10 +211,8 @@ def _levy_marks(cfg: dict) -> list[JumpMark]:
         if not isinstance(m, dict):
             raise ConfigError(f"/marks/{i}", "expected object")
         values = np.asarray(_float_list(m, "values", f"/marks/{i}"))
-        try:
-            marks.append(JumpMark(values, _get(m, "rate", float, f"/marks/{i}")))
-        except DegenerateNoiseError as e:
-            raise ConfigError(f"/marks/{i}/rate", str(e)) from e
+        marks.append(_at(f"/marks/{i}/rate", JumpMark, values,
+                         _get(m, "rate", float, f"/marks/{i}")))
     return marks
 
 
@@ -243,10 +225,10 @@ def _eps_grid(cfg: dict) -> list[float]:
 
 
 def _at(pointer: str, fn, *args):
-    """``fn(*args)``; a wrong case or a zero datum that it raises exits 2 at ``pointer``."""
+    """``fn(*args)``; every library error that it raises exits 2 at ``pointer``."""
     try:
         return fn(*args)
-    except (WrongCaseError, ZeroInitialDatumError) as e:
+    except SpdeCutoffError as e:
         raise ConfigError(pointer, str(e)) from e
 
 
@@ -267,8 +249,7 @@ def run_heat_profile(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "exact heat profile")
     leading = _at("/initial", heat_leading_data, h)
     constants = decay_constants("heat", system=system)
-    eps_grid = _eps_grid(cfg)
-    rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leading.rate)
+    eps_grid, rho_grid = _grids(cfg, leading.rate, 0.0)
     delta_grid = _float_list(cfg, "delta_grid", "", required=False)
     for i, delta in enumerate(delta_grid or ()):
         if delta <= 0 or abs(delta - 1.0) <= 1e-12:
@@ -349,11 +330,22 @@ def _check_rho_grid(rho_grid: list[float], cutoffs, rate: float,
     return rho_grid
 
 
-def _rho_grid(rho_grid: list[float], eps_grid: list[float], rate: float,
-              theta: float = 0.0) -> list[float]:
-    """:func:`_check_rho_grid` with t_eps = |ln eps| / ``rate``."""
-    return _check_rho_grid(rho_grid, [(eps, cutoff_time(eps, rate), theta) for eps in eps_grid],
-                           rate)
+def _grids(cfg: dict, rate: float, theta: float) -> tuple[list[float], list[float]]:
+    """The checked eps_grid and rho_grid of a Gaussian profile:
+    :func:`_check_rho_grid` at t_eps = |ln eps| / ``rate`` and ``theta``."""
+    eps_grid = _eps_grid(cfg)
+    cutoffs = [(eps, cutoff_time(eps, rate), theta) for eps in eps_grid]
+    return eps_grid, _check_rho_grid(_float_list(cfg, "rho_grid", ""), cutoffs, rate)
+
+
+def _wave_report(cfg: dict, wsp, spec: NoiseSpec, case: str, p: float, rate: float,
+                 cell, meta: dict) -> CutoffReport:
+    """wave-profile's and wave-window's rows of ``cell`` once the case is
+    known: the grids at ``rate`` and the largest theta_k, the equilibrium,
+    then the rows, each finite."""
+    eps_grid, rho_grid = _grids(cfg, rate, float(wsp.theta.max(initial=0.0)))
+    _finite_equilibrium(spec, wsp)
+    return _finite(CutoffReport(meta=meta).add_grid(case, p, rho_grid, eps_grid, cell))
 
 
 def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
@@ -361,26 +353,18 @@ def run_wave_profile(cfg: dict, seed: int) -> CutoffReport:
     p = _require_p2(cfg, "exact wave profile")
     leader = _at("/initial" if wsp.n_over else "/gamma", wave_overdamped_leader, z)
     constants = decay_constants("wave", wave_spec=wsp)
-    eps_grid = _eps_grid(cfg)
-    rho_grid = _rho_grid(_float_list(cfg, "rho_grid", ""), eps_grid, leader.rate,
-                         float(wsp.theta.max(initial=0.0)))
-    _finite_equilibrium(spec, wsp)
-    report = CutoffReport(meta={"rate": leader.rate, "shape_norm": leader.shape_norm,
-                                "leader_case": leader.case})
-    return _finite(report.add_grid("wave-overdamped", p, rho_grid, eps_grid,
-                                   profile_cell(leader, p, z, spec, constants)))
+    return _wave_report(cfg, wsp, spec, "wave-overdamped", p, leader.rate,
+                        profile_cell(leader, p, z, spec, constants),
+                        {"rate": leader.rate, "shape_norm": leader.shape_norm,
+                         "leader_case": leader.case})
 
 
 def run_wave_window(cfg: dict, seed: int) -> CutoffReport:
     wsp, z, spec = _wave_setup(cfg)
     p = _require_p2(cfg, "wave window")
-    eps_grid = _eps_grid(cfg)
-    rho_grid = _float_list(cfg, "rho_grid", "")
-    cell = _at("/gamma" if wsp.n_over else "/initial", window_cell, z, spec)  # before any rho
-    _rho_grid(rho_grid, eps_grid, 0.5 * wsp.gamma, float(wsp.theta.max(initial=0.0)))
-    _finite_equilibrium(spec, wsp)
-    return _finite(CutoffReport(meta={"gamma": wsp.gamma}).add_grid(
-        "wave-window", p, rho_grid, eps_grid, cell))
+    cell = _at("/gamma" if wsp.n_over else "/initial", window_cell, z, spec)
+    return _wave_report(cfg, wsp, spec, "wave-window", p, 0.5 * wsp.gamma, cell,
+                        {"gamma": wsp.gamma})
 
 
 def _mult_specs(cfg: dict, system: EigenSystem, kind: str, eps_grid: list[float]):
@@ -425,10 +409,7 @@ def run_mult_profile(cfg: dict, seed: int) -> CutoffReport:
         raise ConfigError("/eps_grid", "the schedule needs a finest grid point")
     rho_grid = _float_list(cfg, "rho_grid", "")
     schedule = _get(cfg, "schedule", str, "", default="eps", required=False)
-    try:
-        a_desc = schedule_values(schedule, eps_grid)  # a(eps) for eps descending
-    except ScheduleRejectedError as e:
-        raise ConfigError("/schedule", str(e)) from e
+    a_desc = _at("/schedule", schedule_values, schedule, eps_grid)  # a(eps), eps descending
     p = 2.0
     report = CutoffReport()
     kind = _get(cfg, "noise_kind", str, "", default="brownian", required=False)

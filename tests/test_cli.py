@@ -269,12 +269,19 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
 
-    def test_box_whose_eigenvalue_overflows_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["spectrum", "heat-profile"])
+    @pytest.mark.parametrize("dims", [
         # each term is 9.6e307; math.fsum raised OverflowError on their sum
-        cfg = {"schema_version": 1, "dims": [[3.2e-154, 1], [3.2e-154, 1]]}
-        path = write_cfg(tmp_path, "huge.json", cfg)
-        assert main(["spectrum", "--config", path]) == 2
-        assert capsys.readouterr().err == "error: eigenvalues must be positive and finite\n"
+        [[3.2e-154, 1], [3.2e-154, 1]],
+        # (pi / 1e300)^2 underflows to the eigenvalue 0
+        [[1e300, 4]],
+    ])
+    def test_box_whose_eigenvalue_overflows_exits_2(self, tmp_path, capsys, command, dims):
+        path = write_cfg(tmp_path, "huge.json", heat_cfg(dims=dims))
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: /dims: eigenvalues must be positive and finite\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("over, pointer", [
         # the finite intensity 1.7e308 over 2 lambda_0 = 0.79 overflows
@@ -330,6 +337,9 @@ class TestConfigValidation:
             "position": [0.0, 1.0], "velocity": [0.0, 0.0]}},
          "/initial: no overdamped content in the state: use the oscillatory window route"),
         ("wave-window", WAVE_WINDOW_CFG | {"gamma": 10.0},
+         "/gamma: window diagnostics require subcritical damping"),
+        # the case is checked before either grid
+        ("wave-window", WAVE_WINDOW_CFG | {"gamma": 10.0, "eps_grid": [2.0]},
          "/gamma: window diagnostics require subcritical damping"),
     ])
     def test_a_wrong_case_exits_2_at_its_pointer(self, tmp_path, capsys, command, cfg, err):
@@ -682,9 +692,9 @@ class TestConfigFuzz:
             csv_path = os.path.join(tmp, "out", command.replace("-", "_") + ".csv")
             rows = list(csv.DictReader(open(csv_path))) if os.path.exists(csv_path) else []
         assert rc in (0, 1, 2)
-        # every command writes finite rows or exits 2 with a message
+        # every command writes finite rows or exits 2 at a JSON pointer
         if rc == 2:
-            assert err.getvalue().startswith("error: ") and not rows
+            assert err.getvalue().startswith("error: /") and not rows
         else:
             assert all(math.isfinite(float(r[k])) for r in rows
                        for k in ("renormalized", "profile", "bound"))
