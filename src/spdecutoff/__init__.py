@@ -30,8 +30,6 @@ from .noise_sim import (
     gaussian_law,
     heat_gaussian_convolution_law,
     wave_gaussian_convolution_law,
-    sample_heat_levy_convolution,
-    heat_levy_second_moment,
 )
 from .wasserstein import (
     bures,

@@ -10,7 +10,9 @@ class SpdeCutoffError(Exception):
 
 
 class InvalidDomainError(SpdeCutoffError):
-    """Box side lengths or mode counts are not positive."""
+    """A parameter or array is out of its domain: e.g. a box side length or
+    mode count, an eigenvalue, eps, eta, p or gamma, a vector of the wrong
+    length, or a covariance block that is not symmetric PSD."""
 
 
 class GapOverflowError(InvalidDomainError):
@@ -30,14 +32,10 @@ class WrongCaseError(SpdeCutoffError):
     purely oscillatory data, or vice versa)."""
 
 
-class SubcriticalRouteError(WrongCaseError):
-    """No overdamped content: use the oscillatory-window route instead of
-    the single-leader profile route."""
-
-
 class DegenerateNoiseError(SpdeCutoffError):
-    """Noise parameters are internally inconsistent (e.g. compensation
-    requested with no jump marks, or negative intensities)."""
+    """Noise parameters are inconsistent: an intensity vector of the wrong
+    length, a negative intensity, no jump marks, or a jump rate that is not
+    positive."""
 
 
 class VarianceOverflowError(DegenerateNoiseError):

@@ -1,4 +1,5 @@
-"""Stochastic convolution of the linear flows with additive noise.
+"""Stochastic convolution of the linear flows with additive noise, and the
+compound-Poisson jump paths that drive the multiplicative Levy flow.
 
 For mode-diagonal Q-Wiener forcing the convolution is Gaussian with an
 explicit per-mode law, both at finite time and in equilibrium:
@@ -7,9 +8,9 @@ explicit per-mode law, both at finite time and in equilibrium:
     wave:  2x2 covariance solving the mode Lyapunov equation, forcing in the
            velocity component only.
 
-Finite-activity compound-Poisson forcing is sampled exactly: draw the jump
-count, place the jumps uniformly in (0, t], push each mark through the flow
-for the remaining time, and subtract the deterministic compensator.
+Finite-activity compound-Poisson jumps are sampled exactly: draw the jump
+count, place the jumps uniformly in (0, t], and pick each jump's mark in
+proportion to its rate.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNoiseError, VarianceOverflowError
-from .spectral_core import EigenSystem, ModeCoefficients, WaveSpectrum
+from .spectral_core import EigenSystem, WaveSpectrum
 # wave_mode_propagator is bound here, unused, so that a tracer that wraps each
 # module's names keeps covering the scalar propagator from this module.
 from .semigroup import _check_time, _propagator_coefficients, wave_mode_propagator  # noqa: F401
@@ -28,8 +29,8 @@ from .semigroup import _check_time, _propagator_coefficients, wave_mode_propagat
 
 @dataclass(frozen=True)
 class JumpMark:
-    """One compound-Poisson mark: a mode-coefficient vector and its rate (an
-    additive jump adds ``values``, a multiplicative one scales by 1 + eps z)."""
+    """One compound-Poisson mark: a mode-coefficient vector z and its rate; a
+    multiplicative jump scales mode k by 1 + eps z_k."""
 
     values: np.ndarray
     rate: float
@@ -42,40 +43,25 @@ class JumpMark:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive forcing: diagonal Gaussian intensities and/or jump marks.
-
-    ``gaussian_q[k]`` is the spectral intensity of the Wiener part on mode k
-    (zero entries switch the mode off).  ``jumps`` lists finite-activity
-    compound-Poisson marks, compensated: their running mean is subtracted,
-    so the jump part is a martingale.
-    """
+    """Additive Q-Wiener forcing: ``gaussian_q[k]`` is the spectral intensity
+    on mode k (zero entries switch the mode off)."""
 
     system: EigenSystem
-    gaussian_q: np.ndarray | None = None
-    jumps: tuple[JumpMark, ...] = ()
+    gaussian_q: np.ndarray
 
     def __post_init__(self):
-        if self.gaussian_q is not None:
-            q = np.asarray(self.gaussian_q, dtype=float)
-            if q.shape != (self.system.n_modes,):
-                raise DegenerateNoiseError("gaussian_q length must match mode count")
-            if np.any(q < 0):
-                raise DegenerateNoiseError("gaussian intensities must be >= 0")
-            object.__setattr__(self, "gaussian_q", q)
-        object.__setattr__(self, "jumps", tuple(self.jumps))
-        for m in self.jumps:
-            if m.values.shape != (self.system.n_modes,):
-                raise DegenerateNoiseError("jump mark length must match mode count")
-        if self.gaussian_q is None and not self.jumps:
-            raise DegenerateNoiseError("noise spec has neither Gaussian nor jump part")
+        q = np.asarray(self.gaussian_q, dtype=float)
+        if q.shape != (self.system.n_modes,):
+            raise DegenerateNoiseError("gaussian_q length must match mode count")
+        if np.any(q < 0):
+            raise DegenerateNoiseError("gaussian intensities must be >= 0")
+        object.__setattr__(self, "gaussian_q", q)
 
     @functools.cached_property
     def heat_equilibrium_var(self) -> np.ndarray:
         """Per-mode variances q_k / (2 lambda_k) of the heat equilibrium law,
         computed and checked once per spec: one that overflows raises
         :class:`VarianceOverflowError`."""
-        if self.gaussian_q is None:
-            raise DegenerateNoiseError("spec has no Gaussian part")
         with np.errstate(over="ignore"):  # raised below
             v_inf = self.gaussian_q / (2.0 * self.system.lambdas)
         bad = ~np.isfinite(v_inf)
@@ -150,8 +136,6 @@ def _wave_blocks(t: float, spec: NoiseSpec, wspec: WaveSpectrum):
     velocity forcing: the diagonal Lyapunov solution diag(q/(2 gamma
     lambda), q/(2 gamma)) and its part that has not yet built up by time t
     (Sigma_inf itself at t = 0, and 0 at t = inf)."""
-    if spec.gaussian_q is None:
-        raise DegenerateNoiseError("spec has no Gaussian part")
     lam = spec.system.lambdas
     gamma = wspec.gamma
     q = spec.gaussian_q
@@ -188,10 +172,10 @@ class JumpRealization:
 
 def sample_jump_realization(t: float, marks: tuple[JumpMark, ...], rng: np.random.Generator,
                             size: int = 1, max_jumps: float = math.inf) -> JumpRealization:
-    """``size`` paths on (0, t] of the jumps ``marks`` (``NoiseSpec.jumps`` or
-    ``MultLevySpec.marks``), drawn in this order: every path's Poisson count;
-    the paths that start below ``max_jumps`` jumps; their uniform times,
-    sorted within each path; their marks, each in proportion to its rate."""
+    """``size`` paths on (0, t] of the jumps ``marks`` (``MultLevySpec.marks``),
+    drawn in this order: every path's Poisson count; the paths that start
+    below ``max_jumps`` jumps; their uniform times, sorted within each path;
+    their marks, each in proportion to its rate."""
     t = _check_time(t)
     if not marks:
         raise DegenerateNoiseError("spec has no jump part")
@@ -206,44 +190,3 @@ def sample_jump_realization(t: float, marks: tuple[JumpMark, ...], rng: np.rando
     cdf /= cdf[-1]
     idx = cdf.searchsorted(rng.random(times.size), side="right")
     return JumpRealization(t=t, counts=counts, times=times, mark_indices=idx)
-
-
-def levy_compensator_heat(t: float, spec: NoiseSpec) -> np.ndarray:
-    """Mean of the uncompensated heat jump convolution:
-    sum_m rate_m * mark_m * (1 - e^{-lambda t}) / lambda per mode."""
-    lam = spec.system.lambdas
-    shape = -np.expm1(-lam * t) / lam
-    mean = np.zeros(spec.system.n_modes)
-    for m in spec.jumps:
-        mean += m.rate * m.values
-    return mean * shape
-
-
-def sample_heat_levy_convolution(
-    t: float,
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-    realization: JumpRealization | None = None,
-) -> ModeCoefficients:
-    """Exact draw of the compensated heat jump convolution at time t."""
-    if realization is None:
-        realization = sample_jump_realization(t, spec.jumps, rng)
-    lam = spec.system.lambdas
-    acc = np.zeros(spec.system.n_modes)
-    for tau, mi in zip(realization.times, realization.mark_indices):
-        acc += spec.jumps[mi].values * np.exp(-lam * (t - tau))
-    acc -= levy_compensator_heat(t, spec)
-    return ModeCoefficients(spec.system, acc)
-
-
-def heat_levy_second_moment(t: float, spec: NoiseSpec) -> np.ndarray:
-    """Per-mode second moments of the compensated heat jump convolution
-    (the jump-process Ito isometry):  sum_m rate_m mark_m^2
-    (1 - e^{-2 lambda t}) / (2 lambda)."""
-    t = _check_time(t, math.inf)
-    lam = spec.system.lambdas
-    shape = -np.expm1(-2.0 * lam * t) / (2.0 * lam)  # 1 / (2 lambda) at t = inf
-    out = np.zeros(spec.system.n_modes)
-    for m in spec.jumps:
-        out += m.rate * m.values ** 2
-    return out * shape

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import InvalidDomainError, InvalidTimeError, SubcriticalRouteError, WrongCaseError
+from .errors import InvalidDomainError, InvalidTimeError, WrongCaseError
 from .spectral_core import ModeCoefficients, WaveSpectrum, WaveState, damping_gap
 
 
@@ -163,7 +163,7 @@ def wave_overdamped_leader(z: WaveState) -> OverdampedLeader:
     sp = z.spectrum
     no = sp.n_over
     if no == 0:
-        raise SubcriticalRouteError(
+        raise WrongCaseError(
             "no overdamped modes: use the oscillatory window route"
         )
     u, w = z.position, z.velocity
@@ -181,7 +181,7 @@ def wave_overdamped_leader(z: WaveState) -> OverdampedLeader:
     slow_nz = np.flatnonzero(slow)
     fast_nz = np.flatnonzero(fast)
     if slow_nz.size == 0 and fast_nz.size == 0:
-        raise SubcriticalRouteError(
+        raise WrongCaseError(
             "no overdamped content in the state: use the oscillatory window route"
         )
     if slow_nz.size:

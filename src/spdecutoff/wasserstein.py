@@ -130,7 +130,8 @@ def w2_gaussian_2x2(mean1, cov1, mean2, cov2, position_weight=1.0):
     batch = np.broadcast_shapes(m1.shape[:-1], m2.shape[:-1], np.shape(cov1)[:-2],
                                 np.shape(cov2)[:-2], w.shape)
     d = np.zeros(batch + (2, 2))
-    with np.errstate(invalid="ignore"):  # a weight <= 0 raises below
+    # a weight <= 0 raises below; a singular block's det may divide by zero
+    with np.errstate(invalid="ignore", divide="ignore"):
         sw = np.sqrt(w)
         d[..., 0, 0] = sw
         d[..., 1, 1] = 1.0

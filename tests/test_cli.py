@@ -227,6 +227,8 @@ class TestConfigValidation:
             ("spectrum", {"schema_version": 1, "dims": [[1.0, 10 ** 6 + 1]]}, "/dims/0/1"),
             ("heat-profile", heat_cfg(noise={"gaussian_q": [1.0] * 3 + [-0.5] + [1.0] * 12}),
              "/noise/gaussian_q/3"),
+            ("heat-profile", heat_cfg(noise={"gaussian_q": [1.0] * 15}), "/noise/gaussian_q"),
+            ("heat-profile", heat_cfg(noise={"gaussian_q": 5}), "/noise/gaussian_q"),
             ("levy-check", LEVY_CHECK_CFG | {"lambdas": []}, "/lambdas"),
             ("levy-check", LEVY_CHECK_CFG | {"lambdas": [1.0, -4.0]}, "/lambdas"),
             ("mult-profile", MULT_CFG | {"lambdas": [1.0, 0.0, 9.0]}, "/lambdas"),
@@ -255,7 +257,8 @@ class TestConfigValidation:
              "levy-t-huge", "levy-rate-huge", "wass-n-huge", "wass-n-above-cap",
              "levy-n-paths-huge", "levy-n-paths-times-modes", "dims-modes-huge",
              "dims-modes-product", "spectrum-modes-above-cap",
-             "noise-q-negative", "lambdas-empty", "lambdas-negative", "lambdas-zero",
+             "noise-q-negative", "noise-q-length", "noise-q-not-list",
+             "lambdas-empty", "lambdas-negative", "lambdas-zero",
              "dims-empty", "dims-length-zero", "dims-length-negative", "dims-modes-zero",
              "spectrum-modes-zero", "wave-gamma-zero", "wave-gamma-negative",
              "delta-negative", "delta-one", "delta-overflow"],

@@ -19,14 +19,12 @@ from spdecutoff import (
     NoiseSpec,
     build_box_eigensystem,
     heat_gaussian_convolution_law,
-    heat_levy_second_moment,
-    sample_heat_levy_convolution,
     wave_gaussian_convolution_law,
     wave_spectrum,
     stream,
 )
 from spdecutoff.errors import DegenerateNoiseError, InvalidTimeError
-from spdecutoff.noise_sim import levy_compensator_heat, sample_jump_realization
+from spdecutoff.noise_sim import sample_jump_realization
 from spdecutoff.semigroup import _propagator_coefficients
 
 
@@ -223,55 +221,9 @@ class TestGaussianSamplers:
 
 
 class TestLevyConvolution:
-    def make(self, lams=(1.0, 4.0), mark=(1.0, -0.5), rate=3.0):
-        system = EigenSystem.from_lambdas(lams)
-        return NoiseSpec(system=system, jumps=(JumpMark(np.asarray(mark, dtype=float), rate),))
-
-    def test_no_jumps_gives_minus_compensator(self):
-        spec = self.make()
-        rng = stream(1, 0)
-        # force an empty realization by conditioning on zero jumps
-        from spdecutoff.noise_sim import JumpRealization
-
-        empty = JumpRealization(t=1.0, counts=np.array([0]), times=np.array([]),
-                                mark_indices=np.array([], dtype=int))
-        x = sample_heat_levy_convolution(1.0, spec, rng, realization=empty)
-        assert np.allclose(x.values, -levy_compensator_heat(1.0, spec), rtol=1e-14)
-
-    def test_compensator_explicit(self):
-        spec = self.make(lams=(2.0,), mark=(1.0,), rate=3.0)
-        comp = levy_compensator_heat(0.5, spec)
-        assert comp[0] == pytest.approx(3.0 * (1 - math.exp(-1.0)) / 2.0, rel=1e-13)
-
-    def test_mean_zero_when_compensated(self):
-        spec = self.make()
-        n = 30_000
-        acc = np.zeros((n, 2))
-        for r in range(n):
-            acc[r] = sample_heat_levy_convolution(0.8, spec, stream(11, r)).values
-        m2 = heat_levy_second_moment(0.8, spec)
-        se = np.sqrt(m2 / n)
-        assert np.all(np.abs(acc.mean(axis=0)) <= 4.0 * se)
-
-    def test_second_moment_campbell(self):
-        spec = self.make(lams=(1.5,), mark=(0.8,), rate=2.0)
-        n = 40_000
-        sq = np.zeros(n)
-        for r in range(n):
-            sq[r] = sample_heat_levy_convolution(0.6, spec, stream(13, r)).values[0] ** 2
-        target = heat_levy_second_moment(0.6, spec)[0]
-        se = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - target) <= 4.0 * se
-
-    def test_equilibrium_second_moment(self):
-        spec = self.make(lams=(0.3, 7.0 / 3.0), mark=(0.7, -1.0 / 3.0), rate=3.0)
-        mark = spec.jumps[0]
-        expect = (np.zeros(2) + mark.rate * mark.values ** 2) * (1.0 / (2.0 * spec.system.lambdas))
-        assert heat_levy_second_moment(math.inf, spec).tobytes() == expect.tobytes()
-
     def test_jump_realization_statistics(self):
-        spec = self.make(rate=5.0)
-        counts = [sample_jump_realization(2.0, spec.jumps, stream(17, r)).times.size
+        marks = (JumpMark(np.array([1.0, -0.5]), 5.0),)
+        counts = [sample_jump_realization(2.0, marks, stream(17, r)).times.size
                   for r in range(4000)]
         mean = np.mean(counts)
         assert abs(mean - 10.0) <= 4.0 * math.sqrt(10.0 / 4000)
@@ -419,7 +371,7 @@ class TestSpecValidation:
     def test_empty_spec_rejected(self):
         system = EigenSystem.from_lambdas([1.0])
         with pytest.raises(DegenerateNoiseError):
-            NoiseSpec(system=system)
+            NoiseSpec(system=system, gaussian_q=None)
 
     def test_negative_intensity_rejected(self):
         system = EigenSystem.from_lambdas([1.0])
@@ -430,8 +382,3 @@ class TestSpecValidation:
         spec = make_heat_spec()
         with pytest.raises(InvalidTimeError):
             heat_gaussian_convolution_law(-1.0, spec)
-
-    def test_mismatched_mark_length(self):
-        system = EigenSystem.from_lambdas([1.0, 2.0])
-        with pytest.raises(DegenerateNoiseError):
-            NoiseSpec(system=system, jumps=(JumpMark(np.array([1.0]), 1.0),))

@@ -32,7 +32,6 @@ from spdecutoff.semigroup import _norm_2x2
 from spdecutoff.errors import (
     InvalidDomainError,
     InvalidTimeError,
-    SubcriticalRouteError,
     WrongCaseError,
 )
 
@@ -329,7 +328,7 @@ class TestOverdampedLeader:
         system = EigenSystem.from_lambdas([1.0, 2.0])
         sp = wave_spectrum(1.0, system)
         z = wave_decompose(sp, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        with pytest.raises(SubcriticalRouteError):
+        with pytest.raises(WrongCaseError, match="no overdamped modes"):
             wave_overdamped_leader(z)
 
     def test_fast_leader_with_oscillatory_content_rejected(self):

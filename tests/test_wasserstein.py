@@ -144,13 +144,16 @@ def w2_gaussian_2x2_block(mean1, cov1, mean2, cov2, position_weight=1.0):
     m2 = d @ np.asarray(mean2, dtype=float)
     c1 = d @ np.asarray(cov1, dtype=float) @ d
     c2 = d @ np.asarray(cov2, dtype=float) @ d
-    for c in (c1, c2):
+    # a singular block's det may divide by zero: the PSD test and max(det, 0) absorb it
+    with np.errstate(divide="ignore"):
+        det1, det2 = np.linalg.det(c1), np.linalg.det(c2)
+    for c, det in ((c1, det1), (c2, det2)):
         if abs(c[0, 1] - c[1, 0]) > 1e-10 * (1.0 + abs(c[0, 1])):
             raise InvalidDomainError("covariance blocks must be symmetric")
-        if c[0, 0] < 0 or c[1, 1] < 0 or np.linalg.det(c) < -1e-12 * (1 + c[0, 0] + c[1, 1]):
+        if c[0, 0] < 0 or c[1, 1] < 0 or det < -1e-12 * (1 + c[0, 0] + c[1, 1]):
             raise InvalidDomainError("covariance blocks must be PSD")
     tr = float(np.trace(c1 @ c2))
-    det = float(max(np.linalg.det(c1), 0.0) * max(np.linalg.det(c2), 0.0))
+    det = float(max(det1, 0.0) * max(det2, 0.0))
     bures = math.sqrt(max(tr + 2.0 * math.sqrt(max(det, 0.0)), 0.0))
     gap = float(np.trace(c1) + np.trace(c2)) - 2.0 * bures
     return float(math.sqrt(np.sum((m1 - m2) ** 2) + max(gap, 0.0)))
