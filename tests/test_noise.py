@@ -228,6 +228,23 @@ class TestLevyConvolution:
         mean = np.mean(counts)
         assert abs(mean - 10.0) <= 4.0 * math.sqrt(10.0 / 4000)
 
+    def test_mark_indices_follow_the_rates(self):
+        # rates 1 and 3: each jump carries mark 1 with probability 3/4
+        marks = (JumpMark(np.array([0.5]), 1.0), JumpMark(np.array([-0.5]), 3.0))
+        idx = sample_jump_realization(40.0, marks, stream(19, 0), size=100).mark_indices
+        assert set(idx.tolist()) <= {0, 1}
+        share = np.mean(idx == 1)
+        assert abs(share - 0.75) <= 4.0 * math.sqrt(0.75 * 0.25 / idx.size)
+
+    def test_no_marks_rejected(self):
+        with pytest.raises(DegenerateNoiseError, match="no jump part"):
+            sample_jump_realization(1.0, (), stream(19, 1))
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_a_rate_that_is_not_positive_and_finite_rejected(self, rate):
+        with pytest.raises(DegenerateNoiseError, match="jump rate must be positive"):
+            JumpMark(np.array([1.0]), rate)
+
 
 def reference_jump_realization(t, marks, rng):
     """The (times, mark_indices) of sample_jump_realization as drawn through
@@ -377,6 +394,19 @@ class TestSpecValidation:
         system = EigenSystem.from_lambdas([1.0])
         with pytest.raises(DegenerateNoiseError):
             NoiseSpec(system=system, gaussian_q=np.array([-1.0]))
+
+    def test_wrong_length_intensity_rejected(self):
+        system = EigenSystem.from_lambdas([1.0, 2.0])
+        with pytest.raises(DegenerateNoiseError, match="length must match mode count"):
+            NoiseSpec(system=system, gaussian_q=np.array([1.0]))
+
+    def test_intensities_stored_as_a_float_vector(self):
+        system = EigenSystem.from_lambdas([1.0, 2.0])
+        spec = NoiseSpec(system=system, gaussian_q=[2, 0])
+        assert isinstance(spec.gaussian_q, np.ndarray)
+        assert spec.gaussian_q.dtype == np.float64
+        assert spec.gaussian_q.tolist() == [2.0, 0.0]
+        assert spec.heat_equilibrium_var.tolist() == [1.0, 0.0]
 
     def test_negative_time_rejected(self):
         spec = make_heat_spec()

@@ -5,6 +5,7 @@ empirical optimal transport cost (upper, biased high) and the best sliced
 1d projection (lower bound).
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ class TestGaussian2x2:
         c_bad = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(InvalidDomainError):
             w2_gaussian_2x2([0, 0], c_bad, [0, 0], np.eye(2))
+
+    def test_a_subnormal_rank_one_block_warns_nothing(self):
+        # outer(v, v) with v = (5e-324, 3): LAPACK's det divides by a zero pivot
+        c = np.outer([5e-324, 3.0], [5e-324, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert w2_gaussian_2x2([0, 0], c, [0, 0], c) == 0.0
+            assert w2_gaussian_2x2([0, 0], c, [0, 0], np.zeros((2, 2))) == 3.0
 
 
 def w2_gaussian_2x2_block(mean1, cov1, mean2, cov2, position_weight=1.0):
